@@ -27,11 +27,9 @@ from .core import (
     JudgementSet,
     Rule,
     Universe,
-    closure_of,
     coinductive,
     generated,
     inductive,
-    kernel_below,
 )
 from .prooftree import (
     NotInGenerated,
@@ -249,8 +247,8 @@ def _solve(sys: InferenceSystem, mode: str) -> tuple[JudgementSet, Optional[Iter
         return inductive(sys)
     if mode == "coind":
         return coinductive(sys)
-    result, trace = kernel_below(sys, closure_of(sys))
-    return result, trace
+    descent = sys._analyze().descent
+    return descent.result, descent
 
 
 def cmd_solve(args: argparse.Namespace, io: _Io) -> int:

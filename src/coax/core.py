@@ -51,15 +51,17 @@ class Judgement:
 
     The text is the payload: equality, hashing and the total order all follow
     it, so two judgements are interchangeable exactly when they print the
-    same.  Texts contain no whitespace, which keeps every judgement a single
-    token in the file format.
+    same.  Texts contain no whitespace and no ``#``, which keeps every
+    judgement a single token in the file format, where ``#`` starts a comment.
     """
 
     text: str
 
     def __post_init__(self) -> None:
-        if not self.text or any(ch.isspace() for ch in self.text):
-            raise ValueError(f"judgement text must be a nonempty token: {self.text!r}")
+        if not self.text or "#" in self.text or any(ch.isspace() for ch in self.text):
+            raise ValueError(
+                f"judgement text must be a nonempty token without '#': {self.text!r}"
+            )
 
     def __str__(self) -> str:
         return self.text
@@ -226,9 +228,11 @@ class InferenceSystem:
     sorted tuple, lists sorted lexicographically) so that "the canonically
     least rule for j" is well defined everywhere a choice has to be made.
     The coaxiom set may be empty, in which case the system is ordinary.
+    Systems are immutable, so the compiled tables and the coaxiom analysis
+    are computed on first need and kept.
     """
 
-    __slots__ = ("universe", "coaxioms", "_backward", "_compiled")
+    __slots__ = ("universe", "coaxioms", "_backward", "_compiled", "_analysis")
 
     def __init__(
         self,
@@ -259,6 +263,7 @@ class InferenceSystem:
         else:
             self.coaxioms = universe.subset(coaxioms)
         self._compiled: _Compiled | None = None
+        self._analysis: _Analysis | None = None
 
     # -- inspection ----------------------------------------------------------
 
@@ -292,6 +297,11 @@ class InferenceSystem:
         if self._compiled is None:
             self._compiled = _Compiled(self)
         return self._compiled
+
+    def _analyze(self) -> "_Analysis":
+        if self._analysis is None:
+            self._analysis = _Analysis(self)
+        return self._analysis
 
 
 class _Compiled:
@@ -350,6 +360,8 @@ class IterationTrace:
 
     def at(self, n: int) -> JudgementSet:
         """The n-th iterate; past stabilization the chain is constant."""
+        if n < 0:
+            raise ValueError(f"iterate index must be >= 0, got {n}")
         return self.steps[min(n, len(self.steps) - 1)]
 
 
@@ -395,24 +407,25 @@ def restrict_to(sys: InferenceSystem, s: JudgementSet) -> InferenceSystem:
     return InferenceSystem(sys.universe, kept, sys.coaxioms)
 
 
-def _ascending_trace(sys: InferenceSystem) -> list[int]:
+def _ascending_trace(sys: InferenceSystem, seed: int = 0) -> list[int]:
     """Masks of the exact Kleene chain from the empty set, strictly growing,
     computed by level-synchronized counting (each rule fires the step after
     its last premise arrived) rather than whole-system rescans.
+
+    The members of ``seed`` enter at step 1, as axioms do: seeded with the
+    coaxiom mask, this is the inductive chain of the coaxioms-as-axioms
+    system, without building that system.
     """
     compiled = sys._compile()
     missing = [len(prs) for prs in compiled.rule_premises]
     current = 0
     frontier = [rid for rid, m in enumerate(missing) if m == 0]
     steps = [0]
-    seen_rules_fired = [False] * len(missing)
+    next_mask = seed
+    new_positions = [pos for pos in range(len(sys.universe)) if (seed >> pos) & 1]
     while True:
-        new_positions: list[int] = []
-        next_mask = current
+        # premise sets are duplicate-free, so each rule joins one frontier once
         for rid in frontier:
-            if seen_rules_fired[rid]:
-                continue
-            seen_rules_fired[rid] = True
             cpos = compiled.rule_conclusion[rid]
             bit = 1 << cpos
             if not next_mask & bit:
@@ -428,6 +441,7 @@ def _ascending_trace(sys: InferenceSystem) -> list[int]:
                 missing[rid] -= 1
                 if missing[rid] == 0:
                     frontier.append(rid)
+        new_positions = []
     return steps
 
 
@@ -490,6 +504,37 @@ def _as_trace(universe: Universe, masks: list[int]) -> IterationTrace:
     return IterationTrace(tuple(JudgementSet(universe, m) for m in masks))
 
 
+def _levels(trace: IterationTrace) -> dict[Judgement, int]:
+    """First step of an ascending trace at which each judgement appears
+    (>= 1): one more than the height of its shortest proof."""
+    out: dict[Judgement, int] = {}
+    for n in range(1, len(trace.steps)):
+        for j in trace.steps[n] - trace.steps[n - 1]:
+            out[j] = n
+    return out
+
+
+class _Analysis:
+    """The coaxiom analysis of one system, which every coaxiom query reads.
+
+    ``ascent`` is the Kleene chain from the empty set with the coaxioms
+    entering as axioms; it ends at the closure of the coaxioms.  ``levels``
+    gives each closure member its first step in that chain, so ``levels[j] - 1``
+    is the height of a shortest proof of j modulo coaxioms.  ``descent`` is
+    the chain descending from the closure; ``descent.at(n)`` holds exactly
+    the judgements with an approximated proof of level n, and its result is
+    the generated interpretation.
+    """
+
+    __slots__ = ("ascent", "levels", "descent")
+
+    def __init__(self, sys: InferenceSystem):
+        up = _ascending_trace(sys, sys.coaxioms.mask)
+        self.ascent = _as_trace(sys.universe, up)
+        self.levels = _levels(self.ascent)
+        self.descent = _as_trace(sys.universe, _descending_trace(sys, up[-1]))
+
+
 def inductive(sys: InferenceSystem) -> tuple[JudgementSet, IterationTrace]:
     """Least fixed point of the inference operator: judgements with finite,
     well-founded proof trees.  Coaxioms are ignored."""
@@ -509,8 +554,7 @@ def coinductive(sys: InferenceSystem) -> tuple[JudgementSet, IterationTrace]:
 def closure_of(sys: InferenceSystem) -> JudgementSet:
     """Least set that contains the coaxioms and is closed under the rules:
     the inductive interpretation after turning coaxioms into axioms."""
-    result, _ = inductive(with_coaxioms_as_axioms(sys))
-    return result
+    return sys._analyze().ascent.result
 
 
 def kernel_below(
@@ -533,17 +577,10 @@ def kernel_below(
 
 def generated(sys: InferenceSystem) -> JudgementSet:
     """The interpretation generated by the coaxioms: the greatest fixed point
-    below the closure of the coaxiom set.
-
-    Computed by descending from the closure; cross-checked against the
-    equivalent formulation as the plain coinductive interpretation of the
-    system restricted to conclusions inside the closure.
-    """
-    beta = closure_of(sys)
-    result, _ = kernel_below(sys, beta)
-    alt, _ = coinductive(restrict_to(sys, beta))
-    assert result == alt, "the two characterizations of the generated set diverged"
-    return result
+    below the closure of the coaxiom set, reached by descending from the
+    closure.  It equals the coinductive interpretation of the system
+    restricted to conclusions inside the closure."""
+    return sys._analyze().descent.result
 
 
 PremiseProvider = Callable[[Judgement], Iterable[Iterable[Judgement]]]

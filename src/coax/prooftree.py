@@ -12,18 +12,15 @@ coaxiom used at depth >= n" means its node's path has length >= n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Container, Iterable, Iterator, Optional
 
 from .core import (
     CoaxError,
     InferenceSystem,
-    IterationTrace,
     Judgement,
     JudgementSet,
-    closure_of,
-    generated,
+    _levels,
     inductive,
-    kernel_below,
     with_coaxioms_as_axioms,
 )
 
@@ -168,32 +165,24 @@ def validate_proof_tree(sys: InferenceSystem, t: PathTree) -> TreeVerdict:
     return TreeVerdict(True)
 
 
-def _levels(trace: IterationTrace) -> dict[Judgement, int]:
-    """First ascending step at which each judgement appears (>= 1)."""
-    out: dict[Judgement, int] = {}
-    for n, step in enumerate(trace.steps):
-        for j in step:
-            out.setdefault(j, n)
-    return out
-
-
 def _wf_build(
     sys: InferenceSystem,
     levels: dict[Judgement, int],
     j: Judgement,
     budget: int,
     memo: dict[tuple[Judgement, int], PathTree],
+    leaves: Container[Judgement] = (),
 ) -> PathTree:
     """Greedy canonical construction: take the least premise set whose members
-    are all provable within the remaining budget.  Well-defined whenever
-    levels[j] - 1 <= budget."""
+    are all provable within the remaining budget; members of ``leaves`` stand
+    as leaves, as axioms do.  Well-defined whenever levels[j] - 1 <= budget."""
     key = (j, budget)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    for prs in sys.premise_sets(j):
+    for prs in ((),) if j in leaves else sys.premise_sets(j):
         if all(levels.get(p, budget + 2) <= budget for p in prs):
-            subtrees = [_wf_build(sys, levels, p, budget - 1, memo) for p in prs]
+            subtrees = [_wf_build(sys, levels, p, budget - 1, memo, leaves) for p in prs]
             tree = PathTree.branch(j, subtrees)
             break
     else:  # pragma: no cover - guarded by the level precondition
@@ -210,8 +199,10 @@ def wf_proof_search(
     With depth_bound = |universe| this decides inductive membership exactly:
     a judgement enters the n-th ascending iterate exactly when it has a proof
     of depth < n.  Coaxioms are not consulted; pass the coaxioms-as-axioms
-    system to search modulo coaxioms.
+    system to search modulo coaxioms.  A negative bound raises ValueError.
     """
+    if depth_bound < 0:
+        raise ValueError(f"depth bound must be >= 0, got {depth_bound}")
     if j not in sys.universe:
         return None
     _, trace = inductive(sys)
@@ -227,22 +218,20 @@ def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTre
     The result is a finite proof tree in the coaxioms-as-axioms system whose
     coaxiom uses all sit at depth >= n; it exists exactly when j survives n
     descending steps from the closure of the coaxioms.  Above the cut the tree
-    follows genuine rules whose premises survive one step fewer; below it any
-    well-founded proof modulo coaxioms is acceptable.
+    follows genuine rules whose premises survive one step fewer; below it each
+    subtree is a shortest proof modulo coaxioms.  A negative n raises
+    ValueError.
     """
-    beta = closure_of(sys)
-    _, descent = kernel_below(sys, beta)
+    analysis = sys._analyze()
+    descent, levels = analysis.descent, analysis.levels
     if j not in descent.at(n):
         return None
-    relaxed = with_coaxioms_as_axioms(sys)
-    _, up = inductive(relaxed)
-    levels = _levels(up)
     wf_memo: dict[tuple[Judgement, int], PathTree] = {}
     memo: dict[tuple[Judgement, int], PathTree] = {}
 
     def build(c: Judgement, k: int) -> PathTree:
         if k <= 0:
-            return _wf_build(relaxed, levels, c, len(relaxed.universe), wf_memo)
+            return _wf_build(sys, levels, c, levels[c] - 1, wf_memo, sys.coaxioms)
         key = (c, k)
         hit = memo.get(key)
         if hit is not None:
@@ -319,8 +308,11 @@ def unfold(g: ProofGraph, depth: int) -> PathTree:
     """The depth-bounded path expansion of the choice graph from its root.
 
     Every node strictly above the cut has exactly its chosen premises as
-    children; nodes at the cut are left childless.
+    children; nodes at the cut are left childless.  A negative depth raises
+    ValueError.
     """
+    if depth < 0:
+        raise ValueError(f"unfold depth must be >= 0, got {depth}")
     paths: set[Path] = set()
     frontier: list[Path] = [()]
     for _ in range(depth):
@@ -354,29 +346,17 @@ def approximating_sequence(
     """Trees t_0..t_upto with t_n a level-n approximated proof of j and each
     consecutive pair agreeing on the first n levels.
 
-    Construction: fix for every generated judgement one well-founded proof
+    Construction: fix for every generated judgement one shortest proof
     modulo coaxioms (its t_0) and one genuine rule whose premises are all
     generated; t_{n+1} stacks that rule over the premises' t_n.  Exists
     exactly for generated judgements.
     """
-    gen = generated(sys)
+    analysis = sys._analyze()
+    gen, levels = analysis.descent.result, analysis.levels
     if j not in gen:
         raise NotInGenerated(j)
-    relaxed = with_coaxioms_as_axioms(sys)
-    _, up = inductive(relaxed)
-    levels = _levels(up)
+    chosen = proof_graph(sys, gen, j).choice
     wf_memo: dict[tuple[Judgement, int], PathTree] = {}
-    budget = len(relaxed.universe)
-
-    chosen: dict[Judgement, tuple[Judgement, ...]] = {}
-    for g in gen:
-        for prs in sys.premise_sets(g):
-            if all(p in gen for p in prs):
-                chosen[g] = prs
-                break
-        else:  # pragma: no cover - gen is consistent by construction
-            raise AssertionError(f"{g} unsupported inside the generated set")
-
     memo: dict[tuple[Judgement, int], PathTree] = {}
 
     def build(g: Judgement, n: int) -> PathTree:
@@ -384,7 +364,7 @@ def approximating_sequence(
         hit = memo.get(key)
         if hit is None:
             if n == 0:
-                hit = _wf_build(relaxed, levels, g, budget, wf_memo)
+                hit = _wf_build(sys, levels, g, levels[g] - 1, wf_memo, sys.coaxioms)
             else:
                 hit = PathTree.branch(g, [build(p, n - 1) for p in chosen[g]])
             memo[key] = hit

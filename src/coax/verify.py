@@ -21,9 +21,6 @@ from .core import (
     JudgementSet,
     Rule,
     closure_of,
-    generated,
-    infer_step,
-    kernel_below,
 )
 
 DEFAULT_ORACLE_CAP = 16
@@ -92,8 +89,7 @@ def refute_level(sys: InferenceSystem, j: Judgement) -> Optional[int]:
     closure of the coaxioms — i.e. j has no approximated proof of level n —
     or None when j survives to stabilization (exactly the generated set on a
     finite universe)."""
-    beta = closure_of(sys)
-    _, descent = kernel_below(sys, beta)
+    descent = sys._analyze().descent
     if j in descent.result:
         return None
     for n, step in enumerate(descent.steps):

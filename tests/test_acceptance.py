@@ -12,10 +12,12 @@ from coax.core import (
     Judgement,
     Rule,
     Universe,
+    closure_of,
     coinductive,
     generated,
     inductive,
     kernel_below,
+    restrict_to,
     with_coaxioms_as_axioms,
 )
 from coax.prooftree import PathTree, approx_proof, approximating_sequence, validate_approx_level
@@ -168,6 +170,12 @@ def test_acceptance_05_engine_equals_brute_force_on_500_systems():
         assert coinductive(system)[0] == res.nu, seed
         gen = generated(system)
         assert gen == res.gen, seed
+
+        # the two characterizations of the generated set: descent from the
+        # closure, and the coinductive interpretation of the system restricted
+        # to conclusions inside the closure
+        beta = closure_of(system)
+        assert kernel_below(system, beta)[0] == coinductive(restrict_to(system, beta))[0], seed
 
         uni = system.universe
         rules = list(system.rules())

@@ -9,7 +9,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coax.cli import (
     emit_system,
@@ -19,7 +19,8 @@ from coax.cli import (
     run,
     system_from_file,
 )
-from coax.core import Judgement, generated
+from coax.core import InferenceSystem, Judgement, Rule, Universe, generated
+from coax.prooftree import PathTree, validate_approx_level
 from coax.systems import build_list_preds, build_reach, parse_graph
 from coax.regular import cycle_list
 
@@ -115,6 +116,23 @@ def test_emit_parse_round_trip(seed):
     assert list(back.rules()) == list(system.rules())
     assert back.coaxioms == system.coaxioms
     assert emit_system(back) == emit_system(system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=3))
+@example(["x#y"])
+def test_emit_parse_round_trip_over_arbitrary_tokens(tokens):
+    """A token is either rejected as a judgement text, or a system over it
+    survives emit -> parse unchanged."""
+    try:
+        js = [Judgement(t) for t in tokens]
+    except ValueError:
+        return
+    system = InferenceSystem(Universe(js), [Rule(js[0], tuple(js[1:])), Rule(js[-1])], [js[0]])
+    back = system_from_file(parse_system_file(emit_system(system)))
+    assert list(back.universe) == list(system.universe)
+    assert list(back.rules()) == list(system.rules())
+    assert back.coaxioms == system.coaxioms
 
 
 # -- solve / query ------------------------------------------------------------------
@@ -223,6 +241,44 @@ def test_prove_level_tree_shape(tmp_path, capsys):
     assert tree["judgement"] == "a"
     assert tree["children"][0]["judgement"] == "b"
     assert tree["children"][0]["children"][0]["judgement"] == "a"
+
+
+def _tree_from_nested(d: dict) -> PathTree:
+    return PathTree.branch(Judgement(d["judgement"]), [_tree_from_nested(c) for c in d["children"]])
+
+
+def test_prove_level_on_cyclic_reach(tmp_path, capsys):
+    # below the cut the tree is a shortest proof modulo coaxioms; a tree that
+    # follows the graph's cycles down to depth |U| grows exponentially
+    graph = write(tmp_path, "g.graph", "edge a b\nedge a c\nedge b a\nedge c a\nedge c b\n")
+    code, out, _ = invoke(capsys, "builtin", "reach", graph)
+    assert code == 0
+    path = write(tmp_path, "reach.coax", out)
+    system = system_from_file(parse_system_file(out))
+    for level in (0, 1, 3):
+        code, out, _ = invoke(
+            capsys, "prove", path, "reach(a,{a,b,c})", "--level", str(level), "--format", "json"
+        )
+        assert code == 0, level
+        tree = _tree_from_nested(json.loads(out))
+        assert tree.root == Judgement("reach(a,{a,b,c})")
+        assert validate_approx_level(system, tree, level).ok, level
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--level", "-3"],
+        ["--level", "-1"],
+        ["--graph", "--unfold", "-2"],
+        ["--wf", "--depth", "-1"],
+    ],
+)
+def test_prove_rejects_negative_depths(tmp_path, capsys, flags):
+    path = write(tmp_path, "loopy.coax", LOOPY)
+    code, out, err = invoke(capsys, "prove", path, "a", *flags)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_prove_graph(tmp_path, capsys):

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coax.core as core
 from coax.core import (
     BetaNotClosed,
     CapExceeded,
@@ -25,6 +26,8 @@ from coax.core import (
     restrict_to,
     with_coaxioms_as_axioms,
 )
+from coax.prooftree import approx_proof, approximating_sequence
+from coax.verify import bounded_coinduction, refute_level
 
 from oracles import (
     kleene_by_hand,
@@ -58,6 +61,8 @@ def test_judgement_rejects_whitespace_and_empty():
         Judgement("")
     with pytest.raises(ValueError):
         Judgement("tab\tin")
+    with pytest.raises(ValueError):
+        Judgement("x#y")  # `#` starts a comment in the file format
 
 
 def test_judgement_identity_is_text():
@@ -190,6 +195,8 @@ def test_trace_shape(tiny):
     assert len(trace) <= len(tiny.universe) + 1
     assert trace.at(0) == tiny.universe.empty()
     assert trace.at(10**6) == trace.result
+    with pytest.raises(ValueError):
+        trace.at(-1)
     with pytest.raises(ValueError):
         # a trace must end with its stabilization witness
         type(trace)((tiny.universe.empty(), tiny.universe.full()))
@@ -326,12 +333,50 @@ def test_generated_laws(seed):
 
 
 def test_generated_two_paths_cross_checked(tiny):
-    # generated() asserts descent-from-closure == coinductive-of-restriction
-    # internally on every call; exercise it and sanity-check the value.
+    # descent from the closure == coinductive interpretation of the system
+    # restricted to the closure; test_acceptance_05 checks it on the corpus
     gen = generated(tiny)
     beta = closure_of(tiny)
     alt, _ = coinductive(restrict_to(tiny, beta))
     assert gen == alt
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_analysis_chains_match_the_rebuilt_systems(seed):
+    """The analysis' ascending chain, with the coaxioms entering at step 1,
+    is step for step the inductive chain of the coaxioms-as-axioms system;
+    its descending chain is kernel_below's from that closure."""
+    system = random_system(random.Random(seed), max_size=11)
+    analysis = system._analyze()
+    _, relaxed_up = inductive(with_coaxioms_as_axioms(system))
+    assert analysis.ascent.steps == relaxed_up.steps
+    assert closure_of(system) == relaxed_up.result
+    assert analysis.descent.steps == kernel_below(system, relaxed_up.result)[1].steps
+
+
+def test_analysis_is_computed_once_per_system(tiny, monkeypatch):
+    calls = {"up": 0, "down": 0}
+    ascend, descend = core._ascending_trace, core._descending_trace
+
+    def counting_ascend(*args):
+        calls["up"] += 1
+        return ascend(*args)
+
+    def counting_descend(*args):
+        calls["down"] += 1
+        return descend(*args)
+
+    monkeypatch.setattr(core, "_ascending_trace", counting_ascend)
+    monkeypatch.setattr(core, "_descending_trace", counting_descend)
+    for _ in range(2):
+        generated(tiny)
+        closure_of(tiny)
+        approx_proof(tiny, J("a"), 3)
+        approximating_sequence(tiny, J("a"), 2)
+        refute_level(tiny, J("b"))
+        bounded_coinduction(tiny, tiny.universe.empty())
+    assert calls == {"up": 1, "down": 1}
 
 
 # -- reachable_universe ----------------------------------------------------------

@@ -7,7 +7,8 @@ checkers on a candidate set), ``oracle`` (brute-force cross-validation) and
 the extensional file format).
 
 Exit codes: 0 success/derivable, 1 not derivable or check failed, 2 usage or
-parse/validation errors, 3 a cap was exceeded.
+parse/validation errors, 3 a cap was exceeded, 4 an internal error (a fault
+of the program, reported on one line).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .core import (
     IterationTrace,
     Judgement,
     JudgementSet,
-    Rule,
     Universe,
     coinductive,
     generated,
@@ -132,38 +132,39 @@ def parse_system_file(text: str) -> SystemFile:
 
 
 def system_from_file(sf: SystemFile) -> InferenceSystem:
-    mentioned: list[str] = []
+    """Load a parsed file: one Judgement per distinct token, shared by every
+    rule that mentions it."""
+    mentioned = set(sf.coaxioms)
     for c, prs in sf.rules:
-        mentioned.append(c)
-        mentioned.extend(prs)
-    mentioned.extend(sf.coaxioms)
+        mentioned.add(c)
+        mentioned.update(prs)
     if sf.universe is None:
-        tokens = mentioned
+        tokens = sorted(mentioned)
     else:
-        tokens = list(sf.universe)
-        declared = set(tokens)
-        for t in mentioned:
-            if t not in declared:
-                raise ValueError(f"judgement {t} is not in the declared universe")
-    uni = Universe(Judgement(t) for t in tokens)
-    rules = [Rule(Judgement(c), tuple(Judgement(p) for p in prs)) for c, prs in sf.rules]
-    return InferenceSystem(uni, rules, (Judgement(c) for c in sf.coaxioms))
+        tokens = sf.universe
+        stray = mentioned.difference(tokens)
+        if stray:
+            raise ValueError(f"judgement {min(stray)} is not in the declared universe")
+    judgement = {t: Judgement(t) for t in tokens}
+    of = judgement.get  # every mentioned token is a key by now
+    rules = [(tuple(map(of, prs)), of(c)) for c, prs in sf.rules]
+    return InferenceSystem(Universe(judgement.values()), rules, map(of, sf.coaxioms))
 
 
 def emit_system(sys: InferenceSystem, per_line: int = 8) -> str:
     """Serialize in the extensional format; parsing the result reproduces the
     system exactly (universe, rules and coaxioms)."""
     lines = []
-    members = [str(j) for j in sys.universe]
+    members = [j.text for j in sys.universe]
     for i in range(0, len(members), per_line):
         lines.append("universe " + " ".join(members[i : i + per_line]))
     if not members:
         lines.append("universe")
-    for r in sys.rules():
-        if r.is_axiom:
-            lines.append(f"axiom {r.conclusion}")
-        else:
-            lines.append(f"rule {r.conclusion} <- " + " ".join(map(str, r.premises)))
+    text = members.__getitem__
+    for c, premise_sets in sys._table.items():
+        head = f"rule {members[c]} <- "
+        for prs in premise_sets:
+            lines.append(head + " ".join(map(text, prs)) if prs else f"axiom {members[c]}")
     for c in sys.coaxioms:
         lines.append(f"coaxiom {c}")
     return "\n".join(lines) + "\n"
@@ -583,6 +584,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CoaxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except Exception as exc:  # anything else is a fault of the program, not of its input
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,10 @@ in between) are computed by Kleene iteration, which stabilizes in at most
 
 from __future__ import annotations
 
+import re
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 
@@ -45,6 +48,12 @@ class CapExceeded(CoaxError):
         super().__init__(message or f"closure exceeded cap of {cap}")
 
 
+# a judgement text: one or more characters, none of them '#' or whitespace
+# (for str patterns, \s matches exactly the characters where str.isspace())
+_TOKEN = re.compile(r"[^\s#]+")
+_text = attrgetter("text")
+
+
 @dataclass(frozen=True, order=True)
 class Judgement:
     """An atomic judgement, identified by its canonical serialization.
@@ -58,10 +67,13 @@ class Judgement:
     text: str
 
     def __post_init__(self) -> None:
-        if not self.text or "#" in self.text or any(ch.isspace() for ch in self.text):
+        if _TOKEN.fullmatch(self.text) is None:
             raise ValueError(
                 f"judgement text must be a nonempty token without '#': {self.text!r}"
             )
+
+    def __hash__(self) -> int:
+        return hash(self.text)
 
     def __str__(self) -> str:
         return self.text
@@ -71,16 +83,20 @@ class Universe:
     """An ordered finite set of distinct judgements.
 
     Members are kept in serialization order; positions 0..n-1 index the
-    bitmask representation used by JudgementSet.
+    bitmask representation used by JudgementSet.  Since a position follows
+    the order of its judgement, tuples of positions sort exactly as the
+    tuples of judgements they stand for.
     """
 
     __slots__ = ("members", "_index", "_hash")
 
     def __init__(self, members: Iterable[Judgement]):
-        ordered = tuple(sorted(set(members)))
-        self.members: tuple[Judgement, ...] = ordered
-        self._index: dict[Judgement, int] = {j: i for i, j in enumerate(ordered)}
-        self._hash = hash(ordered)
+        by_text = {j.text: j for j in members}
+        texts = sorted(by_text)
+        self.members: tuple[Judgement, ...] = tuple(map(by_text.__getitem__, texts))
+        # keyed on the text, which hashes and compares at C speed
+        self._index: dict[str, int] = {t: i for i, t in enumerate(texts)}
+        self._hash = hash(tuple(texts))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -89,7 +105,7 @@ class Universe:
         return iter(self.members)
 
     def __contains__(self, j: Judgement) -> bool:
-        return j in self._index
+        return isinstance(j, Judgement) and j.text in self._index
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -104,8 +120,8 @@ class Universe:
 
     def position(self, j: Judgement) -> int:
         try:
-            return self._index[j]
-        except KeyError:
+            return self._index[j.text]
+        except (KeyError, AttributeError):
             raise UniverseMismatch(f"{j} is not in this universe") from None
 
     def empty(self) -> "JudgementSet":
@@ -224,15 +240,17 @@ class Rule:
 class InferenceSystem:
     """A finite inference system with coaxioms.
 
-    Rules are indexed backward (conclusion -> distinct premise sets, each a
-    sorted tuple, lists sorted lexicographically) so that "the canonically
-    least rule for j" is well defined everywhere a choice has to be made.
-    The coaxiom set may be empty, in which case the system is ordinary.
-    Systems are immutable, so the compiled tables and the coaxiom analysis
-    are computed on first need and kept.
+    Rules are stored by position: each conclusion position maps to its
+    distinct premise sets, each a sorted tuple of premise positions, the
+    sets sorted lexicographically, and the conclusions in order.  Positions
+    sort as their judgements do, so "the canonically least rule for j" is
+    well defined everywhere a choice has to be made.  The coaxiom set may
+    be empty, in which case the system is ordinary.  Systems are immutable,
+    so the judgement view of the rules, the compiled tables and the coaxiom
+    analysis are computed on first need and kept.
     """
 
-    __slots__ = ("universe", "coaxioms", "_backward", "_compiled", "_analysis")
+    __slots__ = ("universe", "coaxioms", "_table", "_view", "_compiled", "_analysis")
 
     def __init__(
         self,
@@ -241,19 +259,24 @@ class InferenceSystem:
         coaxioms: JudgementSet | Iterable[Judgement] | None = None,
     ):
         self.universe = universe
-        backward: dict[Judgement, set[tuple[Judgement, ...]]] = {}
+        position = universe._index.get
+        table: defaultdict[int, set[tuple[int, ...]]] = defaultdict(set)
         for r in rules:
-            if not isinstance(r, Rule):
-                prs, c = r
-                r = Rule(c, tuple(prs))
-            if r.conclusion not in universe:
-                raise UniverseMismatch(f"rule conclusion {r.conclusion} outside universe")
-            for p in r.premises:
-                if p not in universe:
-                    raise UniverseMismatch(f"rule premise {p} outside universe")
-            backward.setdefault(r.conclusion, set()).add(r.premises)
-        self._backward: dict[Judgement, tuple[tuple[Judgement, ...], ...]] = {
-            c: tuple(sorted(prs)) for c, prs in backward.items()
+            if isinstance(r, Rule):
+                premises, conclusion = r.premises, r.conclusion
+            else:
+                premises, conclusion = r
+                premises = tuple(premises)  # read twice when a premise is stray
+            c = position(conclusion.text)
+            if c is None:
+                raise UniverseMismatch(f"rule conclusion {conclusion} outside universe")
+            ps = set(map(position, map(_text, premises)))
+            if None in ps:
+                stray = next(p for p in premises if position(p.text) is None)
+                raise UniverseMismatch(f"rule premise {stray} outside universe")
+            table[c].add(tuple(sorted(ps)))
+        self._table: dict[int, tuple[tuple[int, ...], ...]] = {
+            c: tuple(sorted(table[c])) for c in sorted(table)
         }
         if coaxioms is None:
             self.coaxioms = universe.empty()
@@ -262,6 +285,7 @@ class InferenceSystem:
             self.coaxioms = coaxioms
         else:
             self.coaxioms = universe.subset(coaxioms)
+        self._view: list[tuple[tuple[Judgement, ...], ...]] | None = None
         self._compiled: _Compiled | None = None
         self._analysis: _Analysis | None = None
 
@@ -269,23 +293,29 @@ class InferenceSystem:
 
     def premise_sets(self, conclusion: Judgement) -> tuple[tuple[Judgement, ...], ...]:
         """All premise sets of rules concluding the given judgement."""
-        if conclusion not in self.universe:
-            raise UniverseMismatch(f"{conclusion} is not in this universe")
-        return self._backward.get(conclusion, ())
+        pos = self.universe.position(conclusion)
+        if self._view is None:
+            members = self.universe.members
+            view: list[tuple[tuple[Judgement, ...], ...]] = [()] * len(members)
+            for c, sets in self._table.items():
+                view[c] = tuple(tuple(map(members.__getitem__, prs)) for prs in sets)
+            self._view = view
+        return self._view[pos]
 
     def rules(self) -> Iterator[Rule]:
-        for c in sorted(self._backward):
-            for prs in self._backward[c]:
-                yield Rule(c, prs)
+        members = self.universe.members
+        for c, sets in self._table.items():
+            for prs in sets:
+                yield Rule(members[c], tuple(map(members.__getitem__, prs)))
 
     @property
     def rule_count(self) -> int:
-        return sum(len(v) for v in self._backward.values())
+        return sum(map(len, self._table.values()))
 
     @property
     def is_deterministic(self) -> bool:
         """At most one rule per conclusion (meets distribute over inference)."""
-        return all(len(v) <= 1 for v in self._backward.values())
+        return all(len(v) <= 1 for v in self._table.values())
 
     def __repr__(self) -> str:
         return (
@@ -305,33 +335,32 @@ class InferenceSystem:
 
 
 class _Compiled:
-    """Flat, position-indexed rule tables shared by the iteration engines."""
+    """Flat rule tables for the iteration engines, read off the position
+    table: rule ids number the rules in canonical order."""
 
-    __slots__ = ("premise_masks", "rule_premises", "rule_conclusion", "rules_by_premise")
+    __slots__ = ("table", "rule_premises", "rule_conclusion", "rules_by_premise", "_masks")
 
     def __init__(self, sys: InferenceSystem):
-        uni = sys.universe
-        # per conclusion position: tuple of premise bitmasks
-        self.premise_masks: list[tuple[int, tuple[int, ...]]] = []
-        # flat rule tables for the level-synchronized engines
-        self.rule_premises: list[tuple[int, ...]] = []
-        self.rule_conclusion: list[int] = []
-        self.rules_by_premise: list[list[int]] = [[] for _ in range(len(uni))]
-        for c, premise_sets in sys._backward.items():
-            cpos = uni.position(c)
-            masks = []
-            for prs in premise_sets:
-                positions = tuple(uni.position(p) for p in prs)
-                mask = 0
-                for pos in positions:
-                    mask |= 1 << pos
-                masks.append(mask)
-                rid = len(self.rule_premises)
-                self.rule_premises.append(positions)
-                self.rule_conclusion.append(cpos)
-                for pos in positions:
-                    self.rules_by_premise[pos].append(rid)
-            self.premise_masks.append((cpos, tuple(masks)))
+        self.table = table = sys._table
+        self.rule_premises: list[tuple[int, ...]] = [
+            prs for sets in table.values() for prs in sets
+        ]
+        self.rule_conclusion: list[int] = [c for c, sets in table.items() for _ in sets]
+        self.rules_by_premise: list[list[int]] = [[] for _ in range(len(sys.universe))]
+        for rid, prs in enumerate(self.rule_premises):
+            for pos in prs:
+                self.rules_by_premise[pos].append(rid)
+        self._masks: list[tuple[int, tuple[int, ...]]] | None = None
+
+    def premise_masks(self) -> list[tuple[int, tuple[int, ...]]]:
+        """Per conclusion position, its premise sets as bitmasks.  Only the
+        one-step operator reads them, so they are built on its first use."""
+        if self._masks is None:
+            self._masks = [
+                (c, tuple(sum(1 << p for p in prs) for prs in sets))
+                for c, sets in self.table.items()
+            ]
+        return self._masks
 
 
 @dataclass(frozen=True)
@@ -378,7 +407,7 @@ def infer_step(sys: InferenceSystem, s: JudgementSet) -> JudgementSet:
     compiled = sys._compile()
     sm = s.mask
     out = 0
-    for cpos, masks in compiled.premise_masks:
+    for cpos, masks in compiled.premise_masks():
         for pm in masks:
             if pm & sm == pm:
                 out |= 1 << cpos

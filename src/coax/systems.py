@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add, getitem
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
@@ -125,9 +126,14 @@ class Graph:
         return 1 if self.weights is None else self.weights[(u, v)]
 
 
+# characters that delimit the fields of the judgements built from node names
+_NODE_RESERVED = frozenset(",(){}")
+
+
 def parse_graph(text: str) -> Graph:
     """`node x` and `edge u v [w]` lines; `#` comments; nodes mentioned in
-    edges are declared implicitly."""
+    edges are declared implicitly.  Node names may not contain `,` `(` `)`
+    `{` or `}`, which delimit the judgements built from them."""
     nodes: set[str] = set()
     edges: list[tuple[str, str]] = []
     weights: dict[tuple[str, str], int] = {}
@@ -138,19 +144,24 @@ def parse_graph(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "node" and len(parts) == 2:
-            nodes.add(parts[1])
+            names = parts[1:]
         elif parts[0] == "edge" and len(parts) in (3, 4):
-            u, v = parts[1], parts[2]
-            nodes.update((u, v))
-            edges.append((u, v))
+            names = parts[1:3]
+            edges.append((parts[1], parts[2]))
             if len(parts) == 4:
                 weighted = True
                 try:
-                    weights[(u, v)] = int(parts[3])
+                    weights[(parts[1], parts[2])] = int(parts[3])
                 except ValueError:
                     raise ValueError(f"line {lineno}: weight must be an integer") from None
         else:
             raise ValueError(f"line {lineno}: expected `node x` or `edge u v [w]`")
+        for name in names:
+            if _NODE_RESERVED.intersection(name):
+                raise ValueError(
+                    f"line {lineno}: node name {name!r} contains one of , ( ) {{ }}"
+                )
+        nodes.update(names)
     if weighted:
         for e in edges:
             weights.setdefault(e, 1)
@@ -197,7 +208,7 @@ class Grammar:
         """Nonterminals deriving the empty string, by the standard bottom-up
         worklist (an inductive inference system over judgements `nullable A`)."""
         judgements = {a: Judgement(f"nullable({a})") for a in self.nonterminals}
-        uni = Universe(judgements.values())
+        uni = _universe(judgements)
         rules = []
         for head, body in self.productions:
             if all(sym in self.nonterminals for sym in body):
@@ -360,6 +371,19 @@ def term_text(t: Term, depth: int = 0) -> str:
 # -- shared text helpers ---------------------------------------------------------
 
 
+def _universe(J: Mapping[object, Judgement]) -> Universe:
+    """The universe of a builder's judgement map, which must be injective:
+    two meta-judgements that printed the same would silently be merged."""
+    uni = Universe(J.values())
+    if len(uni) != len(J):
+        seen: set[Judgement] = set()
+        for j in J.values():
+            if j in seen:
+                raise ValueError(f"two different judgements print as {j}")
+            seen.add(j)
+    return uni
+
+
 def _set_text(items: Iterable[str]) -> str:
     return "{" + ",".join(sorted(items)) + "}"
 
@@ -389,7 +413,7 @@ def build_reach(g: Graph, cap: int = REACH_NODE_CAP) -> tuple[InferenceSystem, U
                    for c in itertools.combinations(g.nodes, r)]
     J = {(v, ns): Judgement(f"reach({v},{_set_text(ns)})")
          for v in g.nodes for ns in all_subsets}
-    uni = Universe(J.values())
+    uni = _universe(J)
     rules = []
     for v in g.nodes:
         targets = g.adj[v]
@@ -434,7 +458,7 @@ def build_first(
                for c in itertools.combinations(sorted(g.terminals), r)]
     J = {(seq, fs): Judgement(f"first({_seq_text(seq)},{_set_text(fs)})")
          for seq in seqs for fs in subsets}
-    uni = Universe(J.values())
+    uni = _universe(J)
     nullable = g.nullables()
 
     def claims(seq: tuple[str, ...]) -> list[frozenset[str]]:
@@ -516,7 +540,7 @@ def build_list_preds(
 
     # member(x, s, b)
     J = {(s, b): Judgement(f"member({x},{s},{b})") for s in names for b in "TF"}
-    uni = Universe(J.values())
+    uni = _universe(J)
     rules = []
     for s in cons_states:
         head, tail = _head_tail(canon, s)
@@ -530,7 +554,7 @@ def build_list_preds(
 
     # allpos(s, b)
     J = {(s, b): Judgement(f"allpos({s},{b})") for s in names for b in "TF"}
-    uni = Universe(J.values())
+    uni = _universe(J)
     rules = []
     for s in names:
         if canon[s].tag == "nil":
@@ -547,7 +571,7 @@ def build_list_preds(
 
     # maxelem(s, z) over the carrier; carriers are closed under binary max
     J = {(s, z): Judgement(f"maxelem({s},{z})") for s in names for z in sorted(car)}
-    uni = Universe(J.values())
+    uni = _universe(J)
     rules = []
     for s in cons_states:
         head, tail = _head_tail(canon, s)
@@ -564,7 +588,7 @@ def build_list_preds(
               for c in itertools.combinations(car_sorted, r)]
     J = {(s, xs): Judgement(f"elems({s},{_int_set_text(xs)})")
          for s in names for xs in xs_all}
-    uni = Universe(J.values())
+    uni = _universe(J)
     rules = []
     for s in names:
         if canon[s].tag == "nil":
@@ -603,27 +627,35 @@ def build_dist(
     every ordered pair of distinct nodes.
     """
     total = _check_weighted_caps(g, node_cap, weight_cap)
-    costs = [ExtCost(d) for d in range(total + 1)] + [INFINITY]
-    J = {(v, u, c): Judgement(f"dist({v},{u},{c})")
+    # Costs are plain ints and `inf` is 2 * total + 1: an edge weight plus a
+    # finite cost is at most 2 * total, so a sum reaches `inf` only through inf.
+    inf = 2 * total + 1
+    costs = [*range(total + 1), inf]
+    J = {(v, u, c): Judgement(f"dist({v},{u},{'inf' if c == inf else c})")
          for v in g.nodes for u in g.nodes for c in costs}
-    uni = Universe(J.values())
-    rules = []
+    uni = _universe(J)
+    claim_of = {(t, u): {c: J[(t, u, c)] for c in costs} for t in g.nodes for u in g.nodes}
+    rules: list[tuple[tuple[Judgement, ...], Judgement]] = []
     for v in g.nodes:
         for u in g.nodes:
             if v == u:
-                rules.append(Rule(J[(v, u, ExtCost(0))]))
+                rules.append(((), J[(v, u, 0)]))
                 continue
             targets = g.adj[v]
             if not targets:
-                rules.append(Rule(J[(v, u, INFINITY)]))
+                rules.append(((), J[(v, u, inf)]))
                 continue
+            weights = [g.weight(v, t) for t in targets]
+            premise_of = [claim_of[(t, u)] for t in targets]
+            conclusion_of = claim_of[(v, u)]
             for combo in itertools.product(costs, repeat=len(targets)):
-                d = ExtCost.minimum(g.weight(v, t) + c for t, c in zip(targets, combo))
-                if (v, u, d) not in J:
-                    continue  # a finite claim beyond W; unreachable in any case
-                premises = tuple(J[(t, u, c)] for t, c in zip(targets, combo))
-                rules.append(Rule(J[(v, u, d)], premises))
-    coax = [J[(v, u, INFINITY)] for v in g.nodes for u in g.nodes if v != u]
+                d = min(map(add, weights, combo))
+                if d > total:
+                    if d < inf:
+                        continue  # a finite claim beyond W; unreachable in any case
+                    d = inf
+                rules.append((tuple(map(getitem, premise_of, combo)), conclusion_of[d]))
+    coax = [J[(v, u, inf)] for v in g.nodes for u in g.nodes if v != u]
     return InferenceSystem(uni, rules, coax), uni
 
 
@@ -680,7 +712,7 @@ def build_spath(
         for (v, u), pairs in claims.items()
         for p, c in pairs
     }
-    uni = Universe(J.values())
+    uni = _universe(J)
     rules = []
     for v in g.nodes:
         for u in g.nodes:
@@ -741,7 +773,7 @@ def build_path0(t: EqSystem) -> tuple[InferenceSystem, Universe]:
                 raise ShapeMismatch("child lists must hold tree states")
     jp = {s: Judgement(f"path0({s})") for s in trees}
     ji = {(tr, l): Judgement(f"is_in({tr},{l})") for tr in trees for l in lists}
-    uni = Universe(list(jp.values()) + list(ji.values()))
+    uni = _universe({**jp, **ji})
     rules = []
     for s in trees:
         label, kids = canon[s].args[0].value, canon[s].args[1].value
@@ -797,7 +829,7 @@ def build_add(
     carries = (-1, 0, 1, 2)
     J = {(tri, c): Judgement(f"add({tri[0]},{tri[1]},{tri[2]},{c})")
          for tri in triples for c in carries}
-    uni = Universe(J.values())
+    uni = _universe(J)
     rules = []
     for tri in triples:
         d1, t1 = step(c1, tri[0])
@@ -870,7 +902,7 @@ def build_bigstep(
         for w in sorted(vals[e], key=term_text):
             J[(e, w)] = Judgement(f"eval({term_text(e)},{term_text(w)})")
         J[(e, INF_TEXT)] = Judgement(f"eval({term_text(e)},inf)")
-    uni = Universe(J.values())
+    uni = _universe(J)
     rules = []
     for e in ordered:
         if isinstance(e, Abs):

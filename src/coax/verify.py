@@ -133,7 +133,7 @@ def brute_force(sys: InferenceSystem, cap: Optional[int] = None) -> BruteForceRe
 
     # flat premise tables; F evaluated directly on integer masks
     compiled = sys._compile()
-    tables = compiled.premise_masks
+    tables = compiled.premise_masks()
 
     def f(mask: int) -> int:
         out = 0

@@ -452,6 +452,31 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "free variable" in err
 
 
+def test_builtin_rejects_node_names_that_would_collide(capsys, monkeypatch):
+    """`a,a` would make the pairs (a, a,a) and (a,a, a) print the same."""
+    monkeypatch.setattr("sys.stdin", io.StringIO("edge a a,a 1\nedge a,a a 1\n"))
+    code, out, err = invoke(capsys, "builtin", "dist", "-")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: line 1: node name 'a,a'")
+
+
+def test_unexpected_errors_exit_4_on_one_line(tmp_path, capsys, monkeypatch):
+    def broken(args, io):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("coax.cli.cmd_solve", broken)
+    code, out, err = invoke(capsys, "solve", write(tmp_path, "l.coax", LOOPY))
+    assert code == 4 and out == ""
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
+def test_prove_on_a_deep_chain_ends_without_traceback(tmp_path, capsys):
+    chain = "axiom c0\n" + "".join(f"rule c{i + 1} <- c{i}\n" for i in range(600))
+    code, _, err = invoke(capsys, "prove", write(tmp_path, "chain.coax", chain), "c600")
+    assert code in (0, 4)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+
+
 def test_run_propagates_errors(tmp_path):
     bad = write(tmp_path, "bad.coax", "frobnicate x\n")
     with pytest.raises(ValueError):

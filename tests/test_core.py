@@ -4,7 +4,7 @@ closure/kernel/generated, and their lattice laws."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import coax.core as core
 from coax.core import (
@@ -26,6 +26,7 @@ from coax.core import (
     restrict_to,
     with_coaxioms_as_axioms,
 )
+from coax.cli import emit_system
 from coax.prooftree import approx_proof, approximating_sequence
 from coax.verify import bounded_coinduction, refute_level
 
@@ -128,6 +129,50 @@ def test_system_premise_sets_are_sorted_and_deduped():
     assert s.premise_sets(J("c")) == ((), (J("a"),), (J("b"),))
     assert s.rule_count == 3
     assert not s.is_deterministic
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.sampled_from("\x1c\x85\xa0\u3000 \t#"), st.characters()), max_size=4))
+@example("\x1c")
+@example("a\x85")
+@example("\xa0b")
+@example("a b")
+def test_judgement_accepts_exactly_the_nonempty_tokens(text):
+    valid = bool(text) and "#" not in text and not any(ch.isspace() for ch in text)
+    try:
+        Judgement(text)
+    except ValueError:
+        assert not valid
+    else:
+        assert valid
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_rule_storage_matches_sorted_distinct_rules(seed):
+    """However the rules arrive (shuffled, duplicated, as Rules or as pairs
+    with unsorted repeated premises), the system serves the sorted distinct
+    Rule objects, and emits them one per line in that order."""
+    rng = random.Random(seed)
+    system = random_system(rng)
+    uni, coax = system.universe, system.coaxioms
+    given_rules = list(system.rules()) * 2
+    rng.shuffle(given_rules)
+    reference = sorted(set(given_rules))
+    pairs = []
+    for r in given_rules:
+        premises = list(r.premises) * rng.randint(1, 2)
+        rng.shuffle(premises)
+        pairs.append((premises, r.conclusion))
+    members = [str(j) for j in uni]
+    lines = ["universe " + " ".join(members[i : i + 8]) for i in range(0, len(members), 8)]
+    lines += [str(r) for r in reference] + [f"coaxiom {c}" for c in coax]
+    for built in (InferenceSystem(uni, given_rules, coax), InferenceSystem(uni, pairs, coax)):
+        assert list(built.rules()) == reference
+        assert built.rule_count == len(reference)
+        for j in uni:
+            assert built.premise_sets(j) == tuple(r.premises for r in reference if r.conclusion == j)
+        assert emit_system(built) == "\n".join(lines) + "\n"
 
 
 # -- the inference operator ---------------------------------------------------

@@ -6,7 +6,7 @@ instances."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coax.core import CapExceeded, InferenceSystem, Judgement, Universe, generated, inductive, coinductive
 from coax.regular import (
@@ -400,6 +400,41 @@ def test_weighted_caps():
     with pytest.raises(CapExceeded):
         build_spath(heavy)
     assert "dist(a,b,100)" in gen_texts(build_dist(heavy, weight_cap=100)[0])
+
+
+def test_builders_refuse_colliding_judgement_texts():
+    """Names that contain the judgements' own delimiters can make two
+    meta-judgements print the same; the builders refuse to merge them."""
+    g = Graph(["a", "a,a"], [("a", "a,a"), ("a,a", "a")], {("a", "a,a"): 1, ("a,a", "a"): 1})
+    with pytest.raises(ValueError, match=r"print as dist\(a,a,a,"):
+        build_dist(g)
+    with pytest.raises(ValueError, match=r"print as reach\("):
+        build_reach(Graph(["a", "b", "a,b"], []))  # {a,b} and {a,b}
+    grammar = Grammar({"a", "b", "a,b"}, {"S"}, [("S", ("a",)), ("S", ("b",)), ("S", ("a,b",))])
+    with pytest.raises(ValueError, match=r"print as first\("):
+        build_first(grammar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.text("ab,(){}[]", min_size=1, max_size=3), min_size=1, max_size=3, unique=True),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 2)), max_size=4),
+)
+@example(["a", "a,a"], [(0, 1, 1), (1, 0, 1)])
+@example(["a", "b", "a,b"], [])
+def test_graph_names_are_rejected_or_ground_injectively(names, edges):
+    text = "".join(f"node {v}\n" for v in names) + "".join(
+        f"edge {names[i % len(names)]} {names[j % len(names)]} {w}\n" for i, j, w in edges
+    )
+    try:
+        g = parse_graph(text)
+    except ValueError as exc:
+        assert "node name" in str(exc) and any(set(",(){}") & set(v) for v in names)
+        return
+    n, total = len(g.nodes), sum(g.weight(u, v) for u, v in g.edges)
+    assert len(build_reach(g)[1]) == n * 2**n
+    assert len(build_dist(g)[1]) == n * n * (total + 2)
+    build_spath(g)  # raises ValueError on a collision
 
 
 # -- trees with an all-zero path ----------------------------------------------------------------

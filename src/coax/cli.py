@@ -14,9 +14,12 @@ of the program, reported on one line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import lt
 from typing import Optional, Sequence
 
 from .core import (
@@ -59,8 +62,12 @@ class SystemFile:
     """A parsed extensional system description.
 
     ``universe`` is None when no universe lines were given (it is then
-    inferred from the mentioned judgements); duplicate rule/axiom/coaxiom
-    lines are dropped and reported in ``warnings``.
+    inferred from the mentioned judgements).  ``rules`` pairs a conclusion
+    with its premises.  As ``parse_system_file`` makes it, the rules are
+    distinct and each rule's premises are sorted and distinct; duplicate
+    rule/axiom/coaxiom lines are dropped and reported in ``warnings``.
+    ``system_from_file`` also accepts a hand-built file whose premises come
+    in any order or repeat.
     """
 
     universe: Optional[tuple[str, ...]]
@@ -131,24 +138,34 @@ def parse_system_file(text: str) -> SystemFile:
     )
 
 
+def _mentioned(sf: SystemFile) -> set[str]:
+    return {c for c, _ in sf.rules}.union(*(prs for _, prs in sf.rules), sf.coaxioms)
+
+
 def system_from_file(sf: SystemFile) -> InferenceSystem:
-    """Load a parsed file: one Judgement per distinct token, shared by every
-    rule that mentions it."""
-    mentioned = set(sf.coaxioms)
-    for c, prs in sf.rules:
-        mentioned.add(c)
-        mentioned.update(prs)
-    if sf.universe is None:
-        tokens = sorted(mentioned)
-    else:
-        tokens = sf.universe
-        stray = mentioned.difference(tokens)
-        if stray:
-            raise ValueError(f"judgement {min(stray)} is not in the declared universe")
-    judgement = {t: Judgement(t) for t in tokens}
-    of = judgement.get  # every mentioned token is a key by now
-    rules = [(tuple(map(of, prs)), of(c)) for c, prs in sf.rules]
-    return InferenceSystem(Universe(judgement.values()), rules, map(of, sf.coaxioms))
+    """Load a parsed file: every token maps straight to its universe position.
+
+    The premises of a rule from ``parse_system_file`` are sorted and distinct
+    already, and so are their positions, which follow the text order; the
+    premises of a hand-built ``SystemFile`` are put in that form here.
+    """
+    tokens = _mentioned(sf) if sf.universe is None else sf.universe
+    universe = Universe(map(Judgement, tokens))
+    at = universe._index
+    table: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
+    coaxioms = 0
+    try:
+        for c, prs in sf.rules:
+            ps = tuple(map(at.__getitem__, prs))
+            if len(ps) > 1 and not all(map(lt, ps, ps[1:])):
+                ps = tuple(sorted(set(ps)))
+            table[at[c]].append(ps)
+        for c in sf.coaxioms:
+            coaxioms |= 1 << at[c]
+    except KeyError:
+        stray = min(_mentioned(sf).difference(tokens))
+        raise ValueError(f"judgement {stray} is not in the declared universe") from None
+    return InferenceSystem._from_table(universe, table, JudgementSet(universe, coaxioms))
 
 
 def emit_system(sys: InferenceSystem, per_line: int = 8) -> str:
@@ -186,13 +203,13 @@ def _dot_escape(s: str) -> str:
 
 
 def tree_dot(t: PathTree) -> str:
-    ids = {path: f"n{i}" for i, path in enumerate(t.nodes())}
+    paths, kids = t.children_index()
     lines = ["digraph prooftree {"]
-    for path, nid in ids.items():
-        lines.append(f'  {nid} [label="{_dot_escape(str(t.label(path)))}"];')
-    for path, nid in ids.items():
-        for c in t.children(path):
-            lines.append(f"  {nid} -> {ids[path + (c,)]};")
+    for number, path in enumerate(paths):
+        lines.append(f'  n{number} [label="{_dot_escape(str(t.label(path)))}"];')
+    for number, children in enumerate(kids):
+        for child in children:
+            lines.append(f"  n{number} -> n{child};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -465,14 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["ind", "coind", "gen"], default="gen")
     p.add_argument("--trace", action="store_true", help="also print the iteration steps")
     _add_format(p)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("query", help="membership of one judgement (exit 0/1)")
     p.add_argument("system")
     p.add_argument("judgement")
     p.add_argument("--mode", choices=["ind", "coind", "gen"], default="gen")
     _add_format(p)
-    p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("prove", help="emit a proof artifact for one judgement")
     p.add_argument("system")
@@ -484,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, help="depth bound for --wf")
     p.add_argument("--unfold", type=int, help="unfold the proof graph to this depth")
     _add_format(p, dot=True)
-    p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("check", help="run a specification checker on a candidate set")
     p.add_argument("system")
@@ -494,12 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--closed", action="store_true")
     which.add_argument("--consistent", action="store_true")
     _add_format(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle", help="cross-check the engine against brute force")
     p.add_argument("system")
     _add_format(p)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("builtin", help="instantiate a bundled judgement family")
     bsub = p.add_subparsers(dest="builder", required=True)
@@ -508,13 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("graph")
     b.add_argument("--cap", type=int, default=systems.REACH_NODE_CAP)
     _add_format(b)
-    b.set_defaults(func=cmd_builtin)
 
     b = bsub.add_parser("first", help="FIRST sets of a grammar")
     b.add_argument("grammar")
     b.add_argument("--cap", type=int, default=systems.FIRST_TERMINAL_CAP)
     _add_format(b)
-    b.set_defaults(func=cmd_builtin)
 
     for name, help_ in (("dist", "weighted distances"), ("spath", "shortest paths")):
         b = bsub.add_parser(name, help=help_)
@@ -522,31 +532,26 @@ def build_parser() -> argparse.ArgumentParser:
         b.add_argument("--node-cap", type=int, default=systems.DIST_NODE_CAP)
         b.add_argument("--weight-cap", type=int, default=systems.DIST_WEIGHT_CAP)
         _add_format(b)
-        b.set_defaults(func=cmd_builtin)
 
     b = bsub.add_parser("path0", help="all-zero infinite path in a regular tree")
     b.add_argument("term")
     _add_format(b)
-    b.set_defaults(func=cmd_builtin)
 
     b = bsub.add_parser("add", help="digitwise stream addition with carries")
     b.add_argument("first")
     b.add_argument("second")
     b.add_argument("result")
     _add_format(b)
-    b.set_defaults(func=cmd_builtin)
 
     b = bsub.add_parser("bigstep", help="call-by-value evaluation with divergence")
     b.add_argument("term", help="file holding one lambda term")
     b.add_argument("--cap", type=int, default=systems.BIGSTEP_CLOSURE_CAP)
     _add_format(b)
-    b.set_defaults(func=cmd_builtin)
 
     b = bsub.add_parser("member", help="list membership")
     b.add_argument("term")
     b.add_argument("element", type=int)
     _add_format(b)
-    b.set_defaults(func=cmd_builtin)
 
     for name, help_ in (
         ("allpos", "all elements positive"),
@@ -556,17 +561,31 @@ def build_parser() -> argparse.ArgumentParser:
         b = bsub.add_parser(name, help=help_)
         b.add_argument("term")
         _add_format(b)
-        b.set_defaults(func=cmd_builtin)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It binds no command
+    functions: ``run`` looks the command up by name on every call."""
+    return build_parser()
+
+
 def run(argv: Sequence[str]) -> int:
     """Parse arguments, dispatch, and write buffered output to stdout."""
-    args = build_parser().parse_args(list(argv))
+    args = _parser().parse_args(list(argv))
+    command = {
+        "solve": cmd_solve,
+        "query": cmd_query,
+        "prove": cmd_prove,
+        "check": cmd_check,
+        "oracle": cmd_oracle,
+        "builtin": cmd_builtin,
+    }[args.command]
     io = _Io()
     try:
-        status = args.func(args, io)
+        status = command(args, io)
     finally:
         _sys.stdout.write("".join(io.out))
     return status

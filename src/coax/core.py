@@ -16,8 +16,9 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from itertools import groupby
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class CoaxError(Exception):
@@ -52,6 +53,17 @@ class CapExceeded(CoaxError):
 # (for str patterns, \s matches exactly the characters where str.isspace())
 _TOKEN = re.compile(r"[^\s#]+")
 _text = attrgetter("text")
+_first = itemgetter(0)
+
+
+def _check_name(lineno: int, kind: str, name: str, reserved: str = ",(){}[]") -> None:
+    """Reject a name read from an input line that holds one of the
+    ``reserved`` characters, which delimit the fields of the judgement texts
+    built from it."""
+    if any(ch in name for ch in reserved):
+        raise ValueError(
+            f"line {lineno}: {kind} {name!r} contains one of {' '.join(reserved)}"
+        )
 
 
 @dataclass(frozen=True, order=True)
@@ -258,9 +270,8 @@ class InferenceSystem:
         rules: Iterable[Rule | tuple[Iterable[Judgement], Judgement]],
         coaxioms: JudgementSet | Iterable[Judgement] | None = None,
     ):
-        self.universe = universe
         position = universe._index.get
-        table: defaultdict[int, set[tuple[int, ...]]] = defaultdict(set)
+        table: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
         for r in rules:
             if isinstance(r, Rule):
                 premises, conclusion = r.premises, r.conclusion
@@ -274,9 +285,36 @@ class InferenceSystem:
             if None in ps:
                 stray = next(p for p in premises if position(p.text) is None)
                 raise UniverseMismatch(f"rule premise {stray} outside universe")
-            table[c].add(tuple(sorted(ps)))
+            table[c].append(tuple(sorted(ps)))
+        self._load(universe, table, coaxioms)
+
+    @classmethod
+    def _from_table(
+        cls,
+        universe: Universe,
+        table: Mapping[int, Iterable[tuple[int, ...]]],
+        coaxioms: JudgementSet | Iterable[Judgement] | None = None,
+    ) -> "InferenceSystem":
+        """A system straight from positions, for loaders and builders that
+        already know them.  ``table`` maps conclusion positions of
+        ``universe`` to premise-position tuples, each sorted and free of
+        duplicates; premise sets may repeat and come in any order."""
+        sys = cls.__new__(cls)
+        sys._load(universe, table, coaxioms)
+        return sys
+
+    def _load(
+        self,
+        universe: Universe,
+        table: Mapping[int, Iterable[tuple[int, ...]]],
+        coaxioms: JudgementSet | Iterable[Judgement] | None,
+    ) -> None:
+        # the one place that orders the table and drops repeated premise sets;
+        # sorting is linear on input that already comes in order
+        self.universe = universe
         self._table: dict[int, tuple[tuple[int, ...], ...]] = {
-            c: tuple(sorted(table[c])) for c in sorted(table)
+            c: tuple(map(_first, groupby(sorted(sets))))
+            for c, sets in sorted(table.items())
         }
         if coaxioms is None:
             self.coaxioms = universe.empty()

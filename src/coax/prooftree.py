@@ -114,30 +114,35 @@ class PathTree:
             frozenset(p[n:] for p in self.paths if len(p) > n and p[:n] == path),
         )
 
+    def children_index(self) -> tuple[list[Path], list[list[int]]]:
+        """The node paths in canonical order and, for each node, the numbers
+        of its children in that order, read off the sorted paths in one pass.
+        Sorted paths list every node before its descendants, so the parent of
+        a node is the latest node listed one level up."""
+        paths: list[Path] = [()]
+        kids: list[list[int]] = [[]]
+        latest = [0]  # latest[d]: the node number last listed at depth d
+        for number, p in enumerate(sorted(self.paths), start=1):
+            del latest[len(p):]
+            kids[latest[-1]].append(number)
+            latest.append(number)
+            paths.append(p)
+            kids.append([])
+        return paths, kids
+
     def to_nested(self) -> dict:
         """JSON-friendly nested form: {judgement, children: [...]}."""
-        children_map: dict[Path, list[Path]] = {}
-        for p in sorted(self.paths):
-            children_map.setdefault(p[:-1], []).append(p)
-
-        def build(path: Path) -> dict:
-            return {
-                "judgement": str(self.label(path)),
-                "children": [build(c) for c in children_map.get(path, [])],
-            }
-
-        return build(())
+        paths, kids = self.children_index()
+        nested = [{"judgement": str(self.label(p)), "children": []} for p in paths]
+        for node, numbers in zip(nested, kids):
+            node["children"].extend(map(nested.__getitem__, numbers))
+        return nested[0]
 
     def render(self, indent: str = "  ") -> str:
-        lines: list[str] = []
-
-        def walk(path: Path, depth: int) -> None:
-            lines.append(indent * depth + str(self.label(path)))
-            for c in self.children(path):
-                walk(path + (c,), depth + 1)
-
-        walk((), 0)
-        return "\n".join(lines)
+        """One line per node, indented by depth, in canonical order: sorted
+        paths list every node before its descendants, which is the order of a
+        depth-first walk taking children in order."""
+        return "\n".join(indent * len(path) + str(self.label(path)) for path in self.nodes())
 
 
 @dataclass(frozen=True)

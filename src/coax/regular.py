@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import CoaxError
+from .core import CoaxError, _check_name
 
 ATOM = "atom"
 VAR = "var"
@@ -329,7 +329,9 @@ def constant_stream(d: int) -> EqSystem:
 
 def parse_eq_system(text: str) -> EqSystem:
     """Parse the wire format: `NAME = TAG ARG...` per line, first line is the
-    root, `#` starts a comment.  Numeric arguments are atoms, others states."""
+    root, `#` starts a comment.  Numeric arguments are atoms, others states.
+    State names may not contain `,` `(` `)` `{` `}` `[` or `]`, which
+    delimit the judgements built from them."""
     bindings: dict[str, Binding] = {}
     root: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -345,6 +347,8 @@ def parse_eq_system(text: str) -> EqSystem:
         args = tuple(
             Arg.atom(int(tok)) if _is_int(tok) else Arg.var(tok) for tok in raw_args
         )
+        for state in (name, *(a.value for a in args if a.kind == VAR)):
+            _check_name(lineno, "state name", state)
         bindings[name] = Binding(tag, args)
         if root is None:
             root = name

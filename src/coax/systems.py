@@ -23,6 +23,7 @@ from .core import (
     Judgement,
     Rule,
     Universe,
+    _check_name,
 )
 from .regular import EqSystem, ShapeMismatch, VAR, carrier
 
@@ -126,10 +127,6 @@ class Graph:
         return 1 if self.weights is None else self.weights[(u, v)]
 
 
-# characters that delimit the fields of the judgements built from node names
-_NODE_RESERVED = frozenset(",(){}")
-
-
 def parse_graph(text: str) -> Graph:
     """`node x` and `edge u v [w]` lines; `#` comments; nodes mentioned in
     edges are declared implicitly.  Node names may not contain `,` `(` `)`
@@ -157,10 +154,7 @@ def parse_graph(text: str) -> Graph:
         else:
             raise ValueError(f"line {lineno}: expected `node x` or `edge u v [w]`")
         for name in names:
-            if _NODE_RESERVED.intersection(name):
-                raise ValueError(
-                    f"line {lineno}: node name {name!r} contains one of , ( ) {{ }}"
-                )
+            _check_name(lineno, "node name", name, ",(){}")
         nodes.update(names)
     if weighted:
         for e in edges:
@@ -221,7 +215,9 @@ class Grammar:
 
 def parse_grammar(text: str) -> Grammar:
     """`A -> X Y Z` per production, `A -> .` for the empty body, `#` comments.
-    Heads are the nonterminals; every other symbol is a terminal."""
+    Heads are the nonterminals; every other symbol is a terminal.  Symbols
+    may not contain `,` `(` `)` `{` `}` `[` or `]`, which delimit the
+    judgements built from them."""
     productions: list[tuple[str, tuple[str, ...]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -234,6 +230,8 @@ def parse_grammar(text: str) -> Grammar:
         body = tuple(parts[2:])
         if body == (".",):
             body = ()
+        for sym in (head, *body):
+            _check_name(lineno, "grammar symbol", sym)
         productions.append((head, body))
     heads = {h for h, _ in productions}
     symbols = {s for _, body in productions for s in body}
@@ -631,32 +629,41 @@ def build_dist(
     # finite cost is at most 2 * total, so a sum reaches `inf` only through inf.
     inf = 2 * total + 1
     costs = [*range(total + 1), inf]
-    J = {(v, u, c): Judgement(f"dist({v},{u},{'inf' if c == inf else c})")
+    cost_text = {c: "inf" if c == inf else str(c) for c in costs}
+    J = {(v, u, c): Judgement(f"dist({v},{u},{cost_text[c]})")
          for v in g.nodes for u in g.nodes for c in costs}
     uni = _universe(J)
-    claim_of = {(t, u): {c: J[(t, u, c)] for c in costs} for t in g.nodes for u in g.nodes}
-    rules: list[tuple[tuple[Judgement, ...], Judgement]] = []
+    position = {(t, u): {c: uni._index[J[(t, u, c)].text] for c in costs}
+                for t in g.nodes for u in g.nodes}
+    # For fixed (t, u), dist(t,u,c) sorts by the text of c, and for fixed u
+    # every dist(t1,u,.) sorts before every dist(t2,u,.) exactly when t1+","
+    # sorts before t2+"," (node names hold no ","); taken in these orders,
+    # the product yields each conclusion's premise tuples sorted, in order.
+    cost_order = sorted(costs, key=lambda c: cost_text[c] + ")")
+    table: dict[int, list[tuple[int, ...]]] = {}
     for v in g.nodes:
+        targets = sorted(g.adj[v], key=lambda t: t + ",")
+        weights = [g.weight(v, t) for t in targets]
         for u in g.nodes:
+            conclusion_of = position[(v, u)]
             if v == u:
-                rules.append(((), J[(v, u, 0)]))
+                table[conclusion_of[0]] = [()]
                 continue
-            targets = g.adj[v]
             if not targets:
-                rules.append(((), J[(v, u, inf)]))
+                table[conclusion_of[inf]] = [()]
                 continue
-            weights = [g.weight(v, t) for t in targets]
-            premise_of = [claim_of[(t, u)] for t in targets]
-            conclusion_of = claim_of[(v, u)]
-            for combo in itertools.product(costs, repeat=len(targets)):
+            premise_of = [position[(t, u)] for t in targets]
+            sets_of: dict[int, list[tuple[int, ...]]] = {c: [] for c in costs}
+            for combo in itertools.product(cost_order, repeat=len(targets)):
                 d = min(map(add, weights, combo))
                 if d > total:
                     if d < inf:
                         continue  # a finite claim beyond W; unreachable in any case
                     d = inf
-                rules.append((tuple(map(getitem, premise_of, combo)), conclusion_of[d]))
+                sets_of[d].append(tuple(map(getitem, premise_of, combo)))
+            table.update((conclusion_of[c], sets) for c, sets in sets_of.items() if sets)
     coax = [J[(v, u, inf)] for v in g.nodes for u in g.nodes if v != u]
-    return InferenceSystem(uni, rules, coax), uni
+    return InferenceSystem._from_table(uni, table, coax), uni
 
 
 def _simple_paths(g: Graph, source: str) -> dict[str, list[tuple[str, ...]]]:

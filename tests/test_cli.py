@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coax.cli import (
+    SystemFile,
     emit_system,
     main,
     parse_candidate_file,
@@ -100,6 +101,53 @@ def test_system_from_file_checks_declared_universe():
     assert "b" in str(exc.value)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_hand_built_system_files_load_as_the_public_constructor_does(seed, declared):
+    """A hand-built SystemFile may list premises unsorted and repeated, and
+    rules and coaxioms more than once; it loads as the system the public
+    constructor builds from the same Judgement pairs.  Tokens outside a
+    declared universe are rejected, the least of them named."""
+    rng = random.Random(seed)
+    names = [f"j{i}" for i in range(rng.randint(1, 12))]  # j10 sorts before j2
+    rules = [
+        (rng.choice(names), tuple(rng.choices(names, k=rng.choice([0, 1, 2, 3, 4]))))
+        for _ in range(rng.randint(0, 20))
+    ]
+    rules += rng.sample(rules, len(rules) // 3)
+    rng.shuffle(rules)
+    coaxioms = tuple(rng.choices(names, k=rng.randint(0, 4)))
+    universe = tuple(rng.sample(names, len(names))) if declared else None
+    system = system_from_file(SystemFile(universe, tuple(rules), coaxioms))
+
+    of = {t: Judgement(t) for t in names}
+    mentioned = {c for c, _ in rules}.union(*(prs for _, prs in rules), coaxioms)
+    reference = InferenceSystem(
+        Universe(map(of.get, names if declared else mentioned)),
+        [([of[p] for p in prs], of[c]) for c, prs in rules],
+        map(of.get, coaxioms),
+    )
+    assert system.universe == reference.universe
+    assert list(system.rules()) == list(reference.rules())
+    for j in reference.universe:
+        assert system.premise_sets(j) == reference.premise_sets(j)
+    assert system.rule_count == reference.rule_count
+    assert system.coaxioms == reference.coaxioms
+    assert emit_system(system) == emit_system(reference)
+
+    if declared:
+        for extra_rules, extra_coaxioms, least in (
+            ((("k1", ()),), (), "k1"),
+            (((names[0], (names[-1], "k0", names[0])),), (), "k0"),
+            ((), ("k2",), "k2"),
+            ((("k3", ("k1",)),), ("k2",), "k1"),
+        ):
+            stray = SystemFile(universe, tuple(rules) + extra_rules, coaxioms + extra_coaxioms)
+            with pytest.raises(ValueError) as exc:
+                system_from_file(stray)
+            assert str(exc.value) == f"judgement {least} is not in the declared universe"
+
+
 def test_candidate_file():
     system = system_from_file(parse_system_file(LOOPY))
     s = parse_candidate_file("a  # the loop\nb\n", system.universe)
@@ -162,6 +210,16 @@ def test_solve_trace_and_json(tmp_path, capsys):
     assert payload["mode"] == "gen"
     assert payload["result"] == ["a", "b", "c"]
     assert payload["trace"][0] == ["a", "b", "c"]  # descent starts at the closure
+
+
+def test_solve_trace_does_not_carry_over_to_the_next_call(tmp_path, capsys):
+    """The argument parser is built once per process; a flag of one call
+    must not leak into the next."""
+    path = write(tmp_path, "loopy.coax", LOOPY)
+    code, traced, _ = invoke(capsys, "solve", path, "--trace")
+    assert code == 0 and traced.startswith("# step 0")
+    code, plain, _ = invoke(capsys, "solve", path)
+    assert code == 0 and plain.split() == ["a", "b", "c"]
 
 
 def test_solve_output_is_byte_stable(tmp_path, capsys):
@@ -458,6 +516,20 @@ def test_builtin_rejects_node_names_that_would_collide(capsys, monkeypatch):
     code, out, err = invoke(capsys, "builtin", "dist", "-")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: line 1: node name 'a,a'")
+
+
+def test_builtin_first_rejects_reserved_grammar_symbols(tmp_path, capsys):
+    grammar = write(tmp_path, "g.txt", "S -> a B\nB -> b,c\n")
+    code, out, err = invoke(capsys, "builtin", "first", grammar)
+    assert code == 2 and out == ""
+    assert err == "error: line 2: grammar symbol 'b,c' contains one of , ( ) { } [ ]\n"
+
+
+def test_builtin_term_rejects_reserved_state_names(tmp_path, capsys):
+    term = write(tmp_path, "t.term", "# a cycle\nc0 = cons 1 c[1]\nc[1] = cons 2 c0\n")
+    code, out, err = invoke(capsys, "builtin", "member", term, "1")
+    assert code == 2 and out == ""
+    assert err == "error: line 2: state name 'c[1]' contains one of , ( ) { } [ ]\n"
 
 
 def test_unexpected_errors_exit_4_on_one_line(tmp_path, capsys, monkeypatch):

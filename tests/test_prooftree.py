@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coax.cli import _dot_escape, tree_dot
 from coax.core import (
     InferenceSystem,
     Judgement,
@@ -91,6 +92,93 @@ def test_subtree_and_nested():
 def test_render_shows_indentation():
     t = PathTree.branch(J("r"), [PathTree.leaf(J("x"))])
     assert t.render() == "r\n  x"
+
+
+def _render_by_walk(t: PathTree, indent: str = "  ") -> str:
+    """The recursive walk over children() that render replaced."""
+    lines: list[str] = []
+
+    def walk(path, depth):
+        lines.append(indent * depth + str(t.label(path)))
+        for c in t.children(path):
+            walk(path + (c,), depth + 1)
+
+    walk((), 0)
+    return "\n".join(lines)
+
+
+def _nested_by_walk(t: PathTree) -> dict:
+    def build(path):
+        kids = [build(path + (c,)) for c in t.children(path)]
+        return {"judgement": str(t.label(path)), "children": kids}
+
+    return build(())
+
+
+def _dot_by_children(t: PathTree) -> str:
+    """tree_dot as it read children() once per node."""
+    ids = {path: f"n{i}" for i, path in enumerate(t.nodes())}
+    lines = ["digraph prooftree {"]
+    for path, nid in ids.items():
+        lines.append(f'  {nid} [label="{_dot_escape(str(t.label(path)))}"];')
+    for path, nid in ids.items():
+        for c in t.children(path):
+            lines.append(f"  {nid} -> {ids[path + (c,)]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.integers(0, 5))
+def test_printers_match_the_recursive_walks(seed, depth):
+    rng = random.Random(seed)
+    system = random_system(rng, max_size=8)
+    gen = generated(system)
+    trees = [wf_proof_search(system, j, len(system.universe)) for j in system.universe]
+    trees += [unfold(proof_graph(system, gen, j), depth) for j in gen]
+    for t in filter(None, trees):
+        assert t.render() == _render_by_walk(t)
+        assert t.render("\t") == _render_by_walk(t, "\t")
+        assert t.to_nested() == _nested_by_walk(t)
+        assert tree_dot(t) == _dot_by_children(t)
+
+
+def test_printers_on_a_1500_deep_unfold():
+    """a <- b, b <- a c: the unfolding from a alternates a and b down the
+    tree, and every b also has a leaf c.  Canonical order lists the chain
+    first, then the c leaves from the deepest up."""
+    uni = Universe(map(J, "abc"))
+    system = InferenceSystem(
+        uni, [Rule(J("a"), (J("b"),)), Rule(J("b"), (J("a"), J("c"))), Rule(J("c"))], [J("a")]
+    )
+    depth = 1500
+    t = unfold(proof_graph(system, generated(system), J("a")), depth)
+    chain = ["a" if d % 2 == 0 else "b" for d in range(depth + 1)]
+    leaf_depths = range(depth, 0, -2)  # the c under the b one level up
+    lines = ["  " * d + x for d, x in enumerate(chain)] + ["  " * d + "c" for d in leaf_depths]
+    assert t.render() == "\n".join(lines)
+
+    leaf_number = {d: len(chain) + i for i, d in enumerate(leaf_depths)}
+    edges = []
+    for d in range(depth):
+        edges.append(f"  n{d} -> n{d + 1};")
+        if chain[d] == "b":
+            edges.append(f"  n{d} -> n{leaf_number[d + 1]};")
+    labels = chain + ["c"] * len(leaf_number)
+    nodes = [f'  n{i} [label="{x}"];' for i, x in enumerate(labels)]
+    assert tree_dot(t) == "\n".join(["digraph prooftree {", *nodes, *edges, "}"]) + "\n"
+
+    node = t.to_nested()
+    for d, x in enumerate(chain):
+        assert node["judgement"] == x
+        kids = node["children"]
+        if d == depth:
+            assert kids == []
+        elif x == "b":
+            assert [k["judgement"] for k in kids] == ["a", "c"] and kids[1]["children"] == []
+        else:
+            assert [k["judgement"] for k in kids] == ["b"]
+        node = kids[0] if kids else None
 
 
 # -- validation --------------------------------------------------------------------

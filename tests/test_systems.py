@@ -3,12 +3,14 @@ independent oracle (networkx, a textbook FIRST computation, direct walks over
 the list states, a call-by-value interpreter) on both hand-picked and random
 instances."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coax.core import CapExceeded, InferenceSystem, Judgement, Universe, generated, inductive, coinductive
+from coax.cli import emit_system
+from coax.core import CapExceeded, InferenceSystem, Judgement, Rule, Universe, generated, inductive, coinductive
 from coax.regular import (
     Arg,
     Binding,
@@ -389,6 +391,73 @@ def test_spath_unique_valid_and_consistent_with_dist(seed):
                 assert y in g.adj[x]
                 weight += g.weight(x, y)
             assert weight == int(d)
+
+
+def _dist_rules(g: Graph) -> tuple[Universe, list[tuple[list[Judgement], Judgement]], list[Judgement]]:
+    """build_dist's universe, rules and coaxioms as Judgement pairs, grounded
+    directly from its docstring, with None for an infinite cost."""
+    total = sum(g.weight(u, v) for u, v in g.edges)
+    costs = [*range(total + 1), None]
+
+    def J(v: str, u: str, c) -> Judgement:
+        return Judgement(f"dist({v},{u},{'inf' if c is None else c})")
+
+    rules = []
+    for v in g.nodes:
+        for u in g.nodes:
+            if v == u:
+                rules.append(([], J(v, u, 0)))
+                continue
+            targets = g.adj[v]
+            if not targets:
+                rules.append(([], J(v, u, None)))
+                continue
+            for claim in itertools.product(costs, repeat=len(targets)):
+                finite = [g.weight(v, t) + c for t, c in zip(targets, claim) if c is not None]
+                d = min(finite, default=None)
+                if d is not None and d > total:
+                    continue
+                rules.append(([J(t, u, c) for t, c in zip(targets, claim)], J(v, u, d)))
+    universe = Universe(J(v, u, c) for v in g.nodes for u in g.nodes for c in costs)
+    return universe, rules, [J(v, u, None) for v in g.nodes for u in g.nodes if v != u]
+
+
+# one name a prefix of another, followed by characters on both sides of ","
+_PREFIX_NAMES = ["a", "ab", "a-", "a.", "a!", "a+", "b", "ba"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.lists(st.sampled_from(_PREFIX_NAMES), min_size=2, max_size=4, unique=True),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3)), max_size=6),
+)
+@example(0, ["a", "a!", "a-"], [(0, 1, 1), (0, 2, 2), (1, 0, 1), (2, 1, 1)])
+def test_dist_grounds_as_the_public_constructor_does(seed, names, edges):
+    """build_dist's position table equals the system the public constructor
+    builds from shuffled Judgement pairs, and lists its rules as sorted
+    distinct Rules, on recipe graphs and on names that are prefixes of one
+    another (whose judgements do not sort as the names do)."""
+    rng = random.Random(seed)
+    weights = {(names[i % len(names)], names[j % len(names)]): w for i, j, w in edges}
+    weights = {(u, v): w for (u, v), w in weights.items() if u != v}
+    graphs = [Graph(names, weights, weights), random_graph(rng, max_nodes=4, weighted=False)]
+    recipe = random_graph(rng, max_nodes=4)
+    if sum(recipe.weight(u, v) for u, v in recipe.edges) <= 24:  # keeps the reference quick
+        graphs.append(recipe)
+    for g in graphs:
+        system, universe = build_dist(g)
+        expected_universe, rules, coax = _dist_rules(g)
+        rng.shuffle(rules)
+        reference = InferenceSystem(expected_universe, rules, coax)
+        assert system.universe is universe and universe == expected_universe
+        assert list(system.rules()) == sorted({Rule(c, tuple(ps)) for ps, c in rules})
+        assert list(system.rules()) == list(reference.rules())
+        for j in universe:
+            assert system.premise_sets(j) == reference.premise_sets(j)
+        assert system.rule_count == reference.rule_count == len(rules)
+        assert system.coaxioms == reference.coaxioms
+        assert emit_system(system) == emit_system(reference)
 
 
 def test_weighted_caps():

@@ -18,9 +18,8 @@ import functools
 import json
 import sys as _sys
 from collections import defaultdict
-from dataclasses import dataclass, field
 from operator import lt
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
     CapExceeded,
@@ -34,46 +33,86 @@ from .core import (
     generated,
     inductive,
 )
-from .prooftree import (
-    NotInGenerated,
-    PathTree,
-    ProofGraph,
-    approx_proof,
-    proof_graph,
-    unfold,
-    wf_proof_search,
-)
-from .verify import (
-    UniverseTooLarge,
-    bounded_coinduction,
-    brute_force,
-    check_closed,
-    check_consistent,
-)
-from . import systems
-from .regular import parse_eq_system
+
+# prooftree, verify, systems and regular are imported by the commands that
+# use them, so that `solve` and `query` load only core
+if TYPE_CHECKING:
+    from .prooftree import PathTree, ProofGraph
 
 
 # -- the extensional file format -----------------------------------------------
 
 
-@dataclass(frozen=True)
 class SystemFile:
-    """A parsed extensional system description.
+    """A parsed extensional system description, held as token ids.
 
-    ``universe`` is None when no universe lines were given (it is then
-    inferred from the mentioned judgements).  ``rules`` pairs a conclusion
-    with its premises.  As ``parse_system_file`` makes it, the rules are
-    distinct and each rule's premises are sorted and distinct; duplicate
-    rule/axiom/coaxiom lines are dropped and reported in ``warnings``.
-    ``system_from_file`` also accepts a hand-built file whose premises come
-    in any order or repeat.
+    A file is read once, into ids: ``names[i]`` is the token with id ``i``,
+    numbered in order of first appearance.  ``universe_ids`` lists the ids
+    of the universe lines in their order (None when no universe line was
+    given; the universe is then inferred from the mentioned judgements).
+    ``rule_ids`` maps each conclusion id to its distinct premise-id tuples,
+    each sorted and free of duplicates; ``coaxiom_ids`` are distinct.
+    Duplicate rule/axiom/coaxiom lines are dropped and reported in
+    ``warnings``.  ``system_from_file`` maps the ids to universe positions,
+    and skips that remap when the ids are the positions already: when the
+    names were first seen in sorted order, as sorted universe lines ahead of
+    every rule (the way ``emit_system`` writes a file) make them.
+
+    ``universe``, ``rules`` and ``coaxioms`` read the same data back as
+    tokens; ``rules`` lists the rules grouped by conclusion, in order of
+    first appearance, each with its premises sorted.  Built by hand from
+    tokens, ``SystemFile(universe, rules, coaxioms)`` accepts premises in
+    any order and repeated, and rules and coaxioms more than once.
     """
 
-    universe: Optional[tuple[str, ...]]
-    rules: tuple[tuple[str, tuple[str, ...]], ...]
-    coaxioms: tuple[str, ...]
-    warnings: tuple[str, ...] = ()
+    __slots__ = ("names", "universe_ids", "rule_ids", "coaxiom_ids", "warnings")
+
+    def __init__(
+        self,
+        universe: Optional[Iterable[str]],
+        rules: Iterable[tuple[str, Iterable[str]]],
+        coaxioms: Iterable[str],
+        warnings: Iterable[str] = (),
+    ):
+        ids, at = _interner()
+        universe_ids = None if universe is None else tuple(map(at, universe))
+        rule_ids: defaultdict[int, dict[tuple[int, ...], None]] = defaultdict(dict)
+        for c, prs in rules:
+            rule_ids[at(c)][tuple(sorted(set(map(at, prs))))] = None
+        coaxiom_ids = tuple(dict.fromkeys(map(at, coaxioms)))
+        self._set(list(ids), universe_ids, rule_ids, coaxiom_ids, tuple(warnings))
+
+    def _set(self, names, universe_ids, rule_ids, coaxiom_ids, warnings) -> None:
+        self.names: list[str] = names
+        self.universe_ids: Optional[tuple[int, ...]] = universe_ids
+        self.rule_ids: Mapping[int, Iterable[tuple[int, ...]]] = rule_ids
+        self.coaxiom_ids: tuple[int, ...] = coaxiom_ids
+        self.warnings: tuple[str, ...] = warnings
+
+    @property
+    def universe(self) -> Optional[tuple[str, ...]]:
+        ids = self.universe_ids
+        return None if ids is None else tuple(map(self.names.__getitem__, ids))
+
+    @property
+    def rules(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        name = self.names.__getitem__
+        return tuple(
+            (name(c), tuple(sorted(map(name, ps))))
+            for c, premise_sets in self.rule_ids.items()
+            for ps in premise_sets
+        )
+
+    @property
+    def coaxioms(self) -> tuple[str, ...]:
+        return tuple(map(self.names.__getitem__, self.coaxiom_ids))
+
+
+def _interner() -> tuple[dict[str, int], Callable[[str], int]]:
+    """A token-to-id map and its lookup, which gives a new token the next id."""
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__
+    return ids, ids.__getitem__
 
 
 def parse_system_file(text: str) -> SystemFile:
@@ -83,88 +122,97 @@ def parse_system_file(text: str) -> SystemFile:
         rule c <- p1 p2 ...
         axiom c
         coaxiom c
+
+    Every token is interned as its line is read; duplicates are found on
+    the ids.
     """
-    universe: list[str] = []
-    saw_universe = False
-    rules: list[tuple[str, tuple[str, ...]]] = []
-    coaxioms: list[str] = []
-    seen_rules: set[tuple[str, tuple[str, ...]]] = set()
-    seen_coax: set[str] = set()
+    ids, at = _interner()
+    universe: Optional[list[int]] = None
+    rules: defaultdict[int, dict[tuple[int, ...], None]] = defaultdict(dict)
+    coaxioms: dict[int, None] = {}
     warnings: list[str] = []
-
-    def add_rule(lineno: int, conclusion: str, premises: tuple[str, ...]) -> None:
-        key = (conclusion, tuple(sorted(set(premises))))
-        if key in seen_rules:
-            warnings.append(f"line {lineno}: duplicate rule for {conclusion} ignored")
-            return
-        seen_rules.add(key)
-        rules.append(key)
-
+    comments = "#" in text
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw.split("#", 1)[0] if comments else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
         head = tokens[0]
-        if head == "universe":
-            saw_universe = True
-            universe.extend(tokens[1:])
-        elif head == "rule":
+        if head == "rule":
             if len(tokens) < 3 or tokens[2] != "<-":
                 raise ValueError(f"line {lineno}: expected `rule c <- p1 p2 ...`")
-            add_rule(lineno, tokens[1], tuple(tokens[3:]))
+            premise_sets = rules[at(tokens[1])]
+            ps = tuple(map(at, tokens[3:]))
+            # sorted only when not increasing already (the first pair decides
+            # most); premises that emit_system writes come in increasing order
+            if len(ps) > 1 and (
+                ps[0] >= ps[1] or len(ps) > 2 and not all(map(lt, ps[1:], ps[2:]))
+            ):
+                ps = tuple(sorted(set(ps)))
         elif head == "axiom":
             if len(tokens) != 2:
                 raise ValueError(f"line {lineno}: expected `axiom c`")
-            add_rule(lineno, tokens[1], ())
+            premise_sets = rules[at(tokens[1])]
+            ps = ()
+        elif head == "universe":
+            if universe is None:
+                universe = []
+            universe.extend(map(at, tokens[1:]))
+            continue
         elif head == "coaxiom":
             if len(tokens) != 2:
                 raise ValueError(f"line {lineno}: expected `coaxiom c`")
-            if tokens[1] in seen_coax:
+            c = at(tokens[1])
+            if c in coaxioms:
                 warnings.append(f"line {lineno}: duplicate coaxiom {tokens[1]} ignored")
             else:
-                seen_coax.add(tokens[1])
-                coaxioms.append(tokens[1])
+                coaxioms[c] = None
+            continue
         else:
             raise ValueError(
                 f"line {lineno}: unknown directive {head!r} "
                 f"(expected universe/rule/axiom/coaxiom)"
             )
-    return SystemFile(
-        tuple(universe) if saw_universe else None,
-        tuple(rules),
+        if ps in premise_sets:
+            warnings.append(f"line {lineno}: duplicate rule for {tokens[1]} ignored")
+        else:
+            premise_sets[ps] = None
+    sf = SystemFile.__new__(SystemFile)
+    sf._set(
+        list(ids),
+        None if universe is None else tuple(universe),
+        rules,
         tuple(coaxioms),
         tuple(warnings),
     )
-
-
-def _mentioned(sf: SystemFile) -> set[str]:
-    return {c for c, _ in sf.rules}.union(*(prs for _, prs in sf.rules), sf.coaxioms)
+    return sf
 
 
 def system_from_file(sf: SystemFile) -> InferenceSystem:
-    """Load a parsed file: every token maps straight to its universe position.
-
-    The premises of a rule from ``parse_system_file`` are sorted and distinct
-    already, and so are their positions, which follow the text order; the
-    premises of a hand-built ``SystemFile`` are put in that form here.
-    """
-    tokens = _mentioned(sf) if sf.universe is None else sf.universe
-    universe = Universe(map(Judgement, tokens))
-    at = universe._index
-    table: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
+    """Load a parsed file: ids map to universe positions through one
+    permutation.  It is the identity, and the remap is skipped, exactly
+    when the names were first seen in sorted order, as sorted universe
+    lines ahead of every rule make them; that is how ``emit_system`` writes
+    a file.  Otherwise every id is remapped and each premise tuple sorted
+    again.  A name outside a declared universe is rejected, the least one
+    named."""
+    names = sf.names
+    declared = names if sf.universe_ids is None else map(names.__getitem__, sf.universe_ids)
+    universe = Universe(map(Judgement, declared))
+    perm = list(map(universe._index.get, names))
+    if None in perm:
+        stray = min(n for n, p in zip(names, perm) if p is None)
+        raise ValueError(f"judgement {stray} is not in the declared universe")
+    if perm == list(range(len(perm))):
+        table = sf.rule_ids
+    else:
+        to = perm.__getitem__
+        table = {
+            to(c): [tuple(sorted(map(to, ps))) for ps in premise_sets]
+            for c, premise_sets in sf.rule_ids.items()
+        }
     coaxioms = 0
-    try:
-        for c, prs in sf.rules:
-            ps = tuple(map(at.__getitem__, prs))
-            if len(ps) > 1 and not all(map(lt, ps, ps[1:])):
-                ps = tuple(sorted(set(ps)))
-            table[at[c]].append(ps)
-        for c in sf.coaxioms:
-            coaxioms |= 1 << at[c]
-    except KeyError:
-        stray = min(_mentioned(sf).difference(tokens))
-        raise ValueError(f"judgement {stray} is not in the declared universe") from None
+    for c in sf.coaxiom_ids:
+        coaxioms |= 1 << perm[c]
     return InferenceSystem._from_table(universe, table, JudgementSet(universe, coaxioms))
 
 
@@ -214,6 +262,35 @@ def tree_dot(t: PathTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def tree_json(t: PathTree) -> str:
+    """``json.dumps(t.to_nested(), indent=2, sort_keys=True) + "\\n"``,
+    written without recursion: the nodes are opened from an explicit stack
+    of pending pieces, so no depth bounds the tree."""
+    paths, kids = t.children_index()
+    out: list[str] = []
+    pending: list[str | int] = [0]  # text to write, or a node number to open
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        # each tree level nests two JSON levels: an object and its children list
+        pad = "  " * (2 * len(paths[item]))
+        pieces: list[str | int] = [f'{{\n{pad}  "children": ']
+        children = kids[item]
+        if children:
+            pieces.append("[")
+            for number in children:
+                pieces += [f"\n{pad}    ", number, ","]
+            pieces[-1] = f"\n{pad}  ]"
+        else:
+            pieces.append("[]")
+        label = json.dumps(str(t.label(paths[item])))
+        pieces.append(f',\n{pad}  "judgement": {label}\n{pad}}}')
+        pending += reversed(pieces)
+    return "".join(out) + "\n"
+
+
 def graph_dot(g: ProofGraph) -> str:
     ids = {j: f"n{i}" for i, j in enumerate(g.support)}
     lines = ["digraph proofgraph {"]
@@ -245,9 +322,9 @@ def _read(path: str) -> str:
 # -- subcommand implementations ----------------------------------------------------
 
 
-@dataclass
 class _Io:
-    out: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.out: list[str] = []
 
     def emit(self, text: str) -> None:
         self.out.append(text if text.endswith("\n") else text + "\n")
@@ -299,7 +376,7 @@ def cmd_query(args: argparse.Namespace, io: _Io) -> int:
 
 def _emit_tree(t: PathTree, fmt: str, io: _Io) -> None:
     if fmt == "json":
-        io.emit(_json_dump(t.to_nested()))
+        io.emit(tree_json(t))
     elif fmt == "dot":
         io.emit(tree_dot(t))
     else:
@@ -307,13 +384,15 @@ def _emit_tree(t: PathTree, fmt: str, io: _Io) -> None:
 
 
 def cmd_prove(args: argparse.Namespace, io: _Io) -> int:
+    from . import prooftree
+
     system = _load_system(args.system)
     j = Judgement(args.judgement)
     if j not in system.universe:
         print(f"error: {j} is not in the universe", file=_sys.stderr)
         return 2
     if args.level is not None:
-        tree = approx_proof(system, j, args.level)
+        tree = prooftree.approx_proof(system, j, args.level)
         if tree is None:
             io.emit(f"no approximated proof of level {args.level} for {j}")
             return 1
@@ -322,12 +401,12 @@ def cmd_prove(args: argparse.Namespace, io: _Io) -> int:
     if args.graph:
         gen = generated(system)
         try:
-            g = proof_graph(system, gen, j)
+            g = prooftree.proof_graph(system, gen, j)
         except ValueError:
             io.emit(f"{j} is not in the generated interpretation")
             return 1
         if args.unfold is not None:
-            _emit_tree(unfold(g, args.unfold), args.format, io)
+            _emit_tree(prooftree.unfold(g, args.unfold), args.format, io)
         elif args.format == "json":
             io.emit(_json_dump(g.to_dict()))
         elif args.format == "dot":
@@ -339,7 +418,7 @@ def cmd_prove(args: argparse.Namespace, io: _Io) -> int:
                 io.emit(f"{c} <- " + " ".join(map(str, prs)) if prs else f"{c} <- (axiom)")
         return 0
     depth = args.depth if args.depth is not None else len(system.universe)
-    tree = wf_proof_search(system, j, depth)
+    tree = prooftree.wf_proof_search(system, j, depth)
     if tree is None:
         io.emit(f"no well-founded proof of depth <= {depth} for {j}")
         return 1
@@ -348,16 +427,18 @@ def cmd_prove(args: argparse.Namespace, io: _Io) -> int:
 
 
 def cmd_check(args: argparse.Namespace, io: _Io) -> int:
+    from . import verify
+
     system = _load_system(args.system)
     candidate = parse_candidate_file(_read(args.candidate), system.universe)
     if args.closed:
-        verdict = check_closed(system, candidate)
+        verdict = verify.check_closed(system, candidate)
         kind = "closed"
     elif args.consistent:
-        verdict = check_consistent(system, candidate)
+        verdict = verify.check_consistent(system, candidate)
         kind = "consistent"
     else:
-        verdict = bounded_coinduction(system, candidate)
+        verdict = verify.bounded_coinduction(system, candidate)
         kind = "bounded-coinduction"
     if args.format == "json":
         io.emit(
@@ -379,8 +460,10 @@ def cmd_check(args: argparse.Namespace, io: _Io) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace, io: _Io) -> int:
+    from . import verify
+
     system = _load_system(args.system)
-    res = brute_force(system)
+    res = verify.brute_force(system)
     ind, _ = inductive(system)
     coind, _ = coinductive(system)
     gen = generated(system)
@@ -412,34 +495,32 @@ def cmd_oracle(args: argparse.Namespace, io: _Io) -> int:
 
 
 def cmd_builtin(args: argparse.Namespace, io: _Io) -> int:
+    from . import regular, systems
+
     name = args.builder
+    # caps left out on the command line take the builder's default
+    caps = {k: getattr(args, k) for k in ("cap", "node_cap", "weight_cap") if hasattr(args, k)}
     if name == "reach":
-        system, _ = systems.build_reach(systems.parse_graph(_read(args.graph)), cap=args.cap)
+        system, _ = systems.build_reach(systems.parse_graph(_read(args.graph)), **caps)
     elif name == "first":
-        system, _ = systems.build_first(systems.parse_grammar(_read(args.grammar)), cap=args.cap)
+        system, _ = systems.build_first(systems.parse_grammar(_read(args.grammar)), **caps)
     elif name == "dist":
-        system, _ = systems.build_dist(
-            systems.parse_graph(_read(args.graph)), args.node_cap, args.weight_cap
-        )
+        system, _ = systems.build_dist(systems.parse_graph(_read(args.graph)), **caps)
     elif name == "spath":
-        system, _ = systems.build_spath(
-            systems.parse_graph(_read(args.graph)), args.node_cap, args.weight_cap
-        )
+        system, _ = systems.build_spath(systems.parse_graph(_read(args.graph)), **caps)
     elif name == "path0":
-        system, _ = systems.build_path0(parse_eq_system(_read(args.term)))
+        system, _ = systems.build_path0(regular.parse_eq_system(_read(args.term)))
     elif name == "add":
         system, _ = systems.build_add(
-            parse_eq_system(_read(args.first)),
-            parse_eq_system(_read(args.second)),
-            parse_eq_system(_read(args.result)),
+            regular.parse_eq_system(_read(args.first)),
+            regular.parse_eq_system(_read(args.second)),
+            regular.parse_eq_system(_read(args.result)),
         )
     elif name == "bigstep":
-        system, _ = systems.build_bigstep(
-            systems.parse_lambda(_read(args.term)), cap=args.cap
-        )
+        system, _ = systems.build_bigstep(systems.parse_lambda(_read(args.term)), **caps)
     elif name in ("member", "allpos", "maxelem", "elems"):
         x = args.element if name == "member" else 0
-        built = systems.build_list_preds(parse_eq_system(_read(args.term)), x)
+        built = systems.build_list_preds(regular.parse_eq_system(_read(args.term)), x)
         system, _ = built[name]
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown builder {name}")
@@ -518,19 +599,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = bsub.add_parser("reach", help="reachable node sets of a graph")
     b.add_argument("graph")
-    b.add_argument("--cap", type=int, default=systems.REACH_NODE_CAP)
+    b.add_argument("--cap", type=int, default=argparse.SUPPRESS)
     _add_format(b)
 
     b = bsub.add_parser("first", help="FIRST sets of a grammar")
     b.add_argument("grammar")
-    b.add_argument("--cap", type=int, default=systems.FIRST_TERMINAL_CAP)
+    b.add_argument("--cap", type=int, default=argparse.SUPPRESS)
     _add_format(b)
 
     for name, help_ in (("dist", "weighted distances"), ("spath", "shortest paths")):
         b = bsub.add_parser(name, help=help_)
         b.add_argument("graph")
-        b.add_argument("--node-cap", type=int, default=systems.DIST_NODE_CAP)
-        b.add_argument("--weight-cap", type=int, default=systems.DIST_WEIGHT_CAP)
+        b.add_argument("--node-cap", type=int, default=argparse.SUPPRESS)
+        b.add_argument("--weight-cap", type=int, default=argparse.SUPPRESS)
         _add_format(b)
 
     b = bsub.add_parser("path0", help="all-zero infinite path in a regular tree")
@@ -545,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = bsub.add_parser("bigstep", help="call-by-value evaluation with divergence")
     b.add_argument("term", help="file holding one lambda term")
-    b.add_argument("--cap", type=int, default=systems.BIGSTEP_CLOSURE_CAP)
+    b.add_argument("--cap", type=int, default=argparse.SUPPRESS)
     _add_format(b)
 
     b = bsub.add_parser("member", help="list membership")
@@ -594,18 +675,22 @@ def run(argv: Sequence[str]) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return run(_sys.argv[1:] if argv is None else argv)
-    except (CapExceeded, UniverseTooLarge) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 3
-    except NotInGenerated as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
     except (CoaxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return 2
+        return _exit_status(exc)
     except Exception as exc:  # anything else is a fault of the program, not of its input
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 4
+
+
+def _exit_status(exc: Exception) -> int:
+    """3 for a cap, 1 for a judgement outside Gen, 2 for any other input error."""
+    from .prooftree import NotInGenerated
+    from .verify import UniverseTooLarge
+
+    if isinstance(exc, (CapExceeded, UniverseTooLarge)):
+        return 3
+    return 1 if isinstance(exc, NotInGenerated) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

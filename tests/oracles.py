@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import random
 import sys as _sys
+from collections import defaultdict
 from itertools import combinations
-from typing import Optional
+from operator import lt
+from typing import NamedTuple, Optional
 
 import networkx as nx
 
-from coax.core import InferenceSystem, Judgement, Rule, Universe
+from coax.core import InferenceSystem, Judgement, JudgementSet, Rule, Universe
 from coax.regular import Arg, Binding, EqSystem
 from coax.systems import Abs, App, Graph, Grammar, Term, Var, substitute
 
@@ -64,6 +66,100 @@ def kleene_by_hand(
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)
+
+
+# -- the extensional file format, read as strings -----------------------------------
+
+
+class StringSystemFile(NamedTuple):
+    universe: Optional[tuple[str, ...]]
+    rules: tuple[tuple[str, tuple[str, ...]], ...]
+    coaxioms: tuple[str, ...]
+    warnings: tuple[str, ...]
+
+
+def string_parse_system_file(text: str) -> StringSystemFile:
+    """The file format read in two steps, strings first: each rule keyed on
+    its conclusion and sorted distinct premise strings.  The reference for
+    ``coax.cli.parse_system_file``: the same warnings and errors."""
+    universe: list[str] = []
+    saw_universe = False
+    rules: list[tuple[str, tuple[str, ...]]] = []
+    coaxioms: list[str] = []
+    seen_rules: set[tuple[str, tuple[str, ...]]] = set()
+    seen_coax: set[str] = set()
+    warnings: list[str] = []
+
+    def add_rule(lineno: int, conclusion: str, premises: tuple[str, ...]) -> None:
+        key = (conclusion, tuple(sorted(set(premises))))
+        if key in seen_rules:
+            warnings.append(f"line {lineno}: duplicate rule for {conclusion} ignored")
+            return
+        seen_rules.add(key)
+        rules.append(key)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        head = tokens[0]
+        if head == "universe":
+            saw_universe = True
+            universe.extend(tokens[1:])
+        elif head == "rule":
+            if len(tokens) < 3 or tokens[2] != "<-":
+                raise ValueError(f"line {lineno}: expected `rule c <- p1 p2 ...`")
+            add_rule(lineno, tokens[1], tuple(tokens[3:]))
+        elif head == "axiom":
+            if len(tokens) != 2:
+                raise ValueError(f"line {lineno}: expected `axiom c`")
+            add_rule(lineno, tokens[1], ())
+        elif head == "coaxiom":
+            if len(tokens) != 2:
+                raise ValueError(f"line {lineno}: expected `coaxiom c`")
+            if tokens[1] in seen_coax:
+                warnings.append(f"line {lineno}: duplicate coaxiom {tokens[1]} ignored")
+            else:
+                seen_coax.add(tokens[1])
+                coaxioms.append(tokens[1])
+        else:
+            raise ValueError(
+                f"line {lineno}: unknown directive {head!r} "
+                f"(expected universe/rule/axiom/coaxiom)"
+            )
+    return StringSystemFile(
+        tuple(universe) if saw_universe else None,
+        tuple(rules),
+        tuple(coaxioms),
+        tuple(warnings),
+    )
+
+
+def _mentioned(sf: StringSystemFile) -> set[str]:
+    return {c for c, _ in sf.rules}.union(*(prs for _, prs in sf.rules), sf.coaxioms)
+
+
+def string_system_from_file(sf: StringSystemFile) -> InferenceSystem:
+    """The second step: every string token mapped to its universe position.
+    The reference for ``coax.cli.system_from_file``."""
+    tokens = _mentioned(sf) if sf.universe is None else sf.universe
+    universe = Universe(map(Judgement, tokens))
+    at = universe._index
+    table: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
+    coaxioms = 0
+    try:
+        for c, prs in sf.rules:
+            ps = tuple(map(at.__getitem__, prs))
+            if len(ps) > 1 and not all(map(lt, ps, ps[1:])):
+                ps = tuple(sorted(set(ps)))
+            table[at[c]].append(ps)
+        for c in sf.coaxioms:
+            coaxioms |= 1 << at[c]
+    except KeyError:
+        stray = min(_mentioned(sf).difference(tokens))
+        raise ValueError(f"judgement {stray} is not in the declared universe") from None
+    return InferenceSystem._from_table(universe, table, JudgementSet(universe, coaxioms))
 
 
 # -- random instances ---------------------------------------------------------------

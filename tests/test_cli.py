@@ -1,16 +1,22 @@
 """CLI tests: file formats, every subcommand, exit codes, output stability.
 
-All invocations go through cli.main/run in-process with captured stdio; no
-subprocesses, so failures point at real code lines.
+All invocations go through cli.main/run in-process with captured stdio, so
+failures point at real code lines; two tests start a fresh interpreter to
+see which modules an import loads.
 """
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import coax
 from coax.cli import (
     SystemFile,
     emit_system,
@@ -19,13 +25,15 @@ from coax.cli import (
     parse_system_file,
     run,
     system_from_file,
+    tree_dot,
+    tree_json,
 )
 from coax.core import InferenceSystem, Judgement, Rule, Universe, generated
-from coax.prooftree import PathTree, validate_approx_level
+from coax.prooftree import PathTree, proof_graph, unfold, validate_approx_level
 from coax.systems import build_list_preds, build_reach, parse_graph
 from coax.regular import cycle_list
 
-from oracles import random_system
+from oracles import random_system, string_parse_system_file, string_system_from_file
 
 
 LOOPY = """\
@@ -146,6 +154,124 @@ def test_hand_built_system_files_load_as_the_public_constructor_does(seed, decla
             with pytest.raises(ValueError) as exc:
                 system_from_file(stray)
             assert str(exc.value) == f"judgement {least} is not in the declared universe"
+
+
+# judgement names that sort in an order unlike their first appearance, and
+# names that are also keywords of the format
+NAMES = ["j2", "j10", "a", "b!", "rule", "<-", "axiom", "dist(a,b,1)", "zz", "A"]
+
+
+def render_system(rng: random.Random, where: str, stray: str | None) -> str:
+    """A random system over NAMES written out by hand: universe lines first
+    (sorted or not, split over lines), in the middle, last or missing;
+    premises unsorted and repeated; rule, axiom and coaxiom lines repeated;
+    comments, blank lines and stray whitespace; and, if ``stray`` names a
+    place, one token outside the declared universe there."""
+    names = rng.sample(NAMES, rng.randint(1, len(NAMES)))
+    lines = []
+    for _ in range(rng.randint(0, 14)):
+        c = rng.choice(names)
+        premises = rng.choices(names, k=rng.choice([0, 0, 1, 2, 3, 4]))
+        if premises or rng.random() < 0.5:
+            lines.append(f"rule {c} <- " + " ".join(premises))
+        else:
+            lines.append(f"axiom {c}")
+    lines += [f"coaxiom {c}" for c in rng.choices(names, k=rng.randint(0, 3))]
+    rng.shuffle(lines)
+    for line in rng.sample(lines, len(lines) // 3):  # duplicates, some reordered
+        head, *rest = line.split()
+        if head == "rule" and rng.random() < 0.5:
+            rest = rest[:2] + rng.sample(rest[2:], len(rest) - 2) + rest[2:3]
+        lines.insert(rng.randint(0, len(lines)), " ".join([head] + rest))
+    if stray is not None:
+        if stray == "conclusion":
+            lines.append(f"rule k0 <- {rng.choice(names)}")
+        elif stray == "premise":
+            lines.append(f"rule {rng.choice(names)} <- {rng.choice(names)} k1")
+        else:
+            lines.append("coaxiom k2")
+    declared = sorted(names) if where == "first" else rng.sample(names, len(names))
+    if where != "missing":
+        universe = []
+        while declared:
+            k = rng.randint(0, len(declared))
+            universe.append(" ".join(["universe"] + declared[:k]))
+            del declared[:k]
+        at = {"middle": len(lines) // 2, "last": len(lines)}.get(where, 0)
+        lines[at:at] = universe
+    out = []
+    for line in lines:
+        if rng.random() < 0.2:
+            out.append(rng.choice(["", "   ", "# a comment", "  # indented comment"]))
+        if rng.random() < 0.2:
+            line = "  " + line.replace(" ", rng.choice(["  ", "\t", " "])) + " # trailing"
+        out.append(line)
+    return "\n".join(out) + rng.choice(["", "\n"])
+
+
+def load_outcome(parse, load, text: str) -> tuple:
+    """What a reader of ``text`` sees: an error message, or the warnings
+    and the loaded system, rule by rule."""
+    try:
+        sf = parse(text)
+    except ValueError as exc:
+        return ("parse error", str(exc))
+    try:
+        system = load(sf)
+    except ValueError as exc:
+        return ("load error", str(exc), sf.warnings)
+    return (
+        sf.warnings,
+        sf.universe,
+        sorted(sf.rules),
+        sf.coaxioms,
+        list(system.universe),
+        list(system.rules()),
+        [system.premise_sets(j) for j in system.universe],
+        system.coaxioms,
+        emit_system(system),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["first", "first-unsorted", "middle", "last", "missing"]),
+    st.sampled_from([None, None, "conclusion", "premise", "coaxiom"]),
+    st.sampled_from([None, None, None, "rule a", "rule a -> b", "axiom", "axiom a b",
+                     "coaxiom", "coaxiom a b", "frobnicate x"]),
+)
+def test_loader_reads_files_as_the_string_reference(seed, where, stray, bad_line):
+    """The one-pass loader and the two-step string reference agree on every
+    rendering of a random system: the same rules, premise sets, coaxioms,
+    warnings (text and order) and error messages."""
+    rng = random.Random(seed)
+    text = render_system(rng, where, stray)
+    if bad_line is not None:
+        lines = text.splitlines()
+        lines.insert(rng.randint(0, len(lines)), bad_line)
+        text = "\n".join(lines)
+    want = load_outcome(string_parse_system_file, string_system_from_file, text)
+    assert load_outcome(parse_system_file, system_from_file, text) == want
+
+
+def test_unsorted_universe_is_remapped():
+    """Ids follow first appearance, positions follow the text order; when
+    they differ every id is remapped."""
+    text = "universe zz b a\nrule a <- zz b\nrule b <- a a\naxiom zz\ncoaxiom b\n"
+    sf = parse_system_file(text)
+    assert sf.names == ["zz", "b", "a"]
+    assert sf.rules == (("a", ("b", "zz")), ("b", ("a",)), ("zz", ()))
+    system = system_from_file(sf)
+    a, b, zz = map(Judgement, ("a", "b", "zz"))
+    assert list(system.universe) == [a, b, zz]
+    assert system.premise_sets(a) == ((b, zz),)
+    assert system.premise_sets(b) == ((a,),)
+    assert system.premise_sets(zz) == ((),)
+    assert list(system.coaxioms) == [b]
+    assert load_outcome(parse_system_file, system_from_file, text) == load_outcome(
+        string_parse_system_file, string_system_from_file, text
+    )
 
 
 def test_candidate_file():
@@ -549,7 +675,59 @@ def test_prove_on_a_deep_chain_ends_without_traceback(tmp_path, capsys):
     assert err.count("\n") <= 1 and "Traceback" not in err
 
 
+DEEP = "rule a <- b\nrule b <- a c\naxiom c\ncoaxiom a\n"
+
+
+@pytest.fixture(scope="module")
+def deep_tree() -> PathTree:
+    system = system_from_file(parse_system_file(DEEP))
+    return unfold(proof_graph(system, generated(system), Judgement("a")), 1500)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_prove_a_1500_deep_unfold_in_every_format(tmp_path, capsys, deep_tree, fmt):
+    path = write(tmp_path, "deep.coax", DEEP)
+    code, out, err = invoke(capsys, "prove", path, "a", "--graph", "--unfold", "1500",
+                            "--format", fmt)
+    assert code == 0 and err == ""
+    t = deep_tree
+    assert out == {"text": t.render() + "\n", "json": tree_json(t), "dot": tree_dot(t)}[fmt]
+
+
 def test_run_propagates_errors(tmp_path):
     bad = write(tmp_path, "bad.coax", "frobnicate x\n")
     with pytest.raises(ValueError):
         run(["solve", bad])
+
+
+def fresh_python(script: str) -> str:
+    """The output of ``script`` run by a new interpreter on this coax."""
+    env = dict(os.environ, PYTHONPATH=str(Path(coax.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout
+
+
+def test_importing_the_cli_loads_only_core():
+    """The commands import the other modules they use, and the package
+    imports a re-exported name's module on first use."""
+    script = (
+        "import sys, coax.cli\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'coax'))"
+    )
+    assert fresh_python(script).split() == ["coax", "coax.cli", "coax.core"]
+
+
+def test_package_re_exports_resolve_on_first_use():
+    """Every name in coax.__all__, and each defining module, read from a
+    fresh interpreter that imported only the package."""
+    script = (
+        "import coax, sys\n"
+        "for name in coax.__all__:\n"
+        "    module = coax._MODULE_OF[name]\n"
+        "    assert getattr(coax, name) is getattr(sys.modules['coax.' + module], name)\n"
+        "for module in coax._EXPORTS:\n"
+        "    assert getattr(coax, module) is sys.modules['coax.' + module]\n"
+        "print(hasattr(coax, 'no_such_name'))"
+    )
+    assert fresh_python(script) == "False\n"

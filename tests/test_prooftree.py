@@ -1,12 +1,15 @@
 """Proof tree tests: the path representation, validation, well-founded and
 approximated proof search, proof graphs, unfolding and the level orders."""
 
+import json
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coax.cli import _dot_escape, tree_dot
+from coax.cli import _dot_escape, tree_dot, tree_json
 from coax.core import (
     InferenceSystem,
     Judgement,
@@ -179,6 +182,51 @@ def test_printers_on_a_1500_deep_unfold():
         else:
             assert [k["judgement"] for k in kids] == ["b"]
         node = kids[0] if kids else None
+
+
+def _json_by_dumps(t: PathTree) -> str:
+    return json.dumps(t.to_nested(), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.integers(0, 5))
+def test_tree_json_matches_json_dumps(seed, depth):
+    rng = random.Random(seed)
+    system = random_system(rng, max_size=8)
+    gen = generated(system)
+    trees = [wf_proof_search(system, j, len(system.universe)) for j in system.universe]
+    trees += [unfold(proof_graph(system, gen, j), depth) for j in gen]
+    # labels that JSON escapes: quotes, backslashes, control and non-ASCII characters
+    odd = [J(t) for t in ('q"', "b\\s", "\x00", "\u00fc", "\U0001f600", "x\x7f")]
+    rng.shuffle(odd)
+    trees.append(PathTree.branch(odd[0], [PathTree.branch(odd[1], map(PathTree.leaf, odd[2:]))]))
+    for t in filter(None, trees):
+        assert tree_json(t) == _json_by_dumps(t)
+
+
+def test_tree_json_on_a_1500_deep_unfold():
+    """The tree json.dumps only writes with a raised recursion limit, here
+    on a thread with a large stack."""
+    uni = Universe(map(J, "abc"))
+    system = InferenceSystem(
+        uni, [Rule(J("a"), (J("b"),)), Rule(J("b"), (J("a"), J("c"))), Rule(J("c"))], [J("a")]
+    )
+    t = unfold(proof_graph(system, generated(system), J("a")), 1500)
+    want = {}
+
+    def dumps() -> None:
+        sys.setrecursionlimit(20_000)
+        want["text"] = _json_by_dumps(t)
+
+    limit, stack = sys.getrecursionlimit(), threading.stack_size(128 << 20)
+    try:
+        thread = threading.Thread(target=dumps)
+        thread.start()
+        thread.join()
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+    assert tree_json(t) == want["text"]
 
 
 # -- validation --------------------------------------------------------------------

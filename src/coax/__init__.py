@@ -11,8 +11,8 @@ _EXPORTS = {
     "core": """
         BetaNotClosed CapExceeded CoaxError InferenceSystem IterationTrace
         Judgement JudgementSet Rule Universe UniverseMismatch closure_of
-        coinductive generated inductive infer_step kernel_below
-        reachable_universe restrict_to with_coaxioms_as_axioms
+        coinductive generated inductive infer_step kernel_below restrict_to
+        with_coaxioms_as_axioms
     """,
     "regular": """
         Arg Binding EqSystem ShapeMismatch SignatureMismatch bisim_equal

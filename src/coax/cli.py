@@ -197,7 +197,7 @@ def system_from_file(sf: SystemFile) -> InferenceSystem:
     named."""
     names = sf.names
     declared = names if sf.universe_ids is None else map(names.__getitem__, sf.universe_ids)
-    universe = Universe(map(Judgement, declared))
+    universe = Universe._from_texts(declared)
     perm = list(map(universe._index.get, names))
     if None in perm:
         stray = min(n for n, p in zip(names, perm) if p is None)
@@ -210,9 +210,7 @@ def system_from_file(sf: SystemFile) -> InferenceSystem:
             to(c): [tuple(sorted(map(to, ps))) for ps in premise_sets]
             for c, premise_sets in sf.rule_ids.items()
         }
-    coaxioms = 0
-    for c in sf.coaxiom_ids:
-        coaxioms |= 1 << perm[c]
+    coaxioms = sum(1 << perm[c] for c in sf.coaxiom_ids)  # the ids are distinct
     return InferenceSystem._from_table(universe, table, JudgementSet(universe, coaxioms))
 
 
@@ -220,17 +218,17 @@ def emit_system(sys: InferenceSystem, per_line: int = 8) -> str:
     """Serialize in the extensional format; parsing the result reproduces the
     system exactly (universe, rules and coaxioms)."""
     lines = []
-    members = [j.text for j in sys.universe]
-    for i in range(0, len(members), per_line):
-        lines.append("universe " + " ".join(members[i : i + per_line]))
-    if not members:
+    texts = sys.universe.texts
+    for i in range(0, len(texts), per_line):
+        lines.append("universe " + " ".join(texts[i : i + per_line]))
+    if not texts:
         lines.append("universe")
-    text = members.__getitem__
+    text = list(texts).__getitem__  # a list's __getitem__ is called faster than a tuple's
     for c, premise_sets in sys._table.items():
-        head = f"rule {members[c]} <- "
+        head = f"rule {texts[c]} <- "
         for prs in premise_sets:
-            lines.append(head + " ".join(map(text, prs)) if prs else f"axiom {members[c]}")
-    for c in sys.coaxioms:
+            lines.append(head + " ".join(map(text, prs)) if prs else f"axiom {texts[c]}")
+    for c in sys.coaxioms.texts():
         lines.append(f"coaxiom {c}")
     return "\n".join(lines) + "\n"
 
@@ -308,10 +306,6 @@ def _json_dump(obj: object) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _set_lines(s: JudgementSet) -> str:
-    return "\n".join(str(j) for j in s)
-
-
 def _read(path: str) -> str:
     if path == "-":
         return _sys.stdin.read()
@@ -350,16 +344,15 @@ def cmd_solve(args: argparse.Namespace, io: _Io) -> int:
     system = _load_system(args.system)
     result, trace = _solve(system, args.mode)
     if args.format == "json":
-        payload: dict = {"mode": args.mode, "result": [str(j) for j in result]}
+        payload: dict = {"mode": args.mode, "result": result.texts()}
         if args.trace and trace is not None:
-            payload["trace"] = [[str(j) for j in step] for step in trace.steps]
+            payload["trace"] = [step.texts() for step in trace.steps]
         io.emit(_json_dump(payload))
     else:
         if args.trace and trace is not None:
             for n, step in enumerate(trace.steps):
-                members = " ".join(str(j) for j in step)
-                io.emit(f"# step {n}:" + (f" {members}" if members else ""))
-        io.emit(_set_lines(result))
+                io.emit(" ".join([f"# step {n}:", *step.texts()]))
+        io.emit("\n".join(result.texts()))
     return 0
 
 
@@ -525,18 +518,14 @@ def cmd_builtin(args: argparse.Namespace, io: _Io) -> int:
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown builder {name}")
     if args.format == "json":
-        io.emit(
-            _json_dump(
-                {
-                    "universe": [str(j) for j in system.universe],
-                    "rules": [
-                        {"conclusion": str(r.conclusion), "premises": [str(p) for p in r.premises]}
-                        for r in system.rules()
-                    ],
-                    "coaxioms": [str(c) for c in system.coaxioms],
-                }
-            )
-        )
+        texts = system.universe.texts
+        rules = [
+            {"conclusion": texts[c], "premises": [texts[p] for p in prs]}
+            for c, premise_sets in system._table.items()
+            for prs in premise_sets
+        ]
+        payload = {"universe": list(texts), "rules": rules, "coaxioms": system.coaxioms.texts()}
+        io.emit(_json_dump(payload))
     else:
         io.emit(emit_system(system))
     return 0

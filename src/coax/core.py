@@ -16,9 +16,8 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from operator import attrgetter, lt
+from typing import Iterable, Iterator, Mapping
 
 
 class CoaxError(Exception):
@@ -52,8 +51,8 @@ class CapExceeded(CoaxError):
 # a judgement text: one or more characters, none of them '#' or whitespace
 # (for str patterns, \s matches exactly the characters where str.isspace())
 _TOKEN = re.compile(r"[^\s#]+")
+_SEPARATOR = re.compile(r"[\s#]")
 _text = attrgetter("text")
-_first = itemgetter(0)
 
 
 def _check_name(lineno: int, kind: str, name: str, reserved: str = ",(){}[]") -> None:
@@ -92,26 +91,48 @@ class Judgement:
 
 
 class Universe:
-    """An ordered finite set of distinct judgements.
+    """An ordered finite set of distinct judgements, held as their texts.
 
     Members are kept in serialization order; positions 0..n-1 index the
     bitmask representation used by JudgementSet.  Since a position follows
     the order of its judgement, tuples of positions sort exactly as the
-    tuples of judgements they stand for.
+    tuples of judgements they stand for.  ``texts`` is the universe itself;
+    ``members``, the same judgements as ``Judgement`` objects, is made on
+    first read.
     """
 
-    __slots__ = ("members", "_index", "_hash")
+    __slots__ = ("texts", "_index", "_hash", "_members")
 
     def __init__(self, members: Iterable[Judgement]):
-        by_text = {j.text: j for j in members}
-        texts = sorted(by_text)
-        self.members: tuple[Judgement, ...] = tuple(map(by_text.__getitem__, texts))
+        self._set([j.text for j in members])
+
+    @classmethod
+    def _from_texts(cls, texts: Iterable[str]) -> "Universe":
+        """The universe of these judgement texts, checked as ``Judgement``
+        checks one, without making a ``Judgement`` per text."""
+        uni = cls.__new__(cls)
+        uni._set(list(texts))
+        return uni
+
+    def _set(self, texts: list[str]) -> None:
+        # one pass over all texts; "\x00" is neither whitespace nor '#'
+        if not all(texts) or _SEPARATOR.search("\x00".join(texts)):
+            for t in texts:
+                Judgement(t)  # raises the error of the first bad text
+        self.texts: tuple[str, ...] = tuple(sorted(set(texts)))
         # keyed on the text, which hashes and compares at C speed
-        self._index: dict[str, int] = {t: i for i, t in enumerate(texts)}
-        self._hash = hash(tuple(texts))
+        self._index: dict[str, int] = {t: i for i, t in enumerate(self.texts)}
+        self._hash = hash(self.texts)
+        self._members: tuple[Judgement, ...] | None = None
+
+    @property
+    def members(self) -> tuple[Judgement, ...]:
+        if self._members is None:
+            self._members = tuple(map(Judgement, self.texts))
+        return self._members
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.texts)
 
     def __iter__(self) -> Iterator[Judgement]:
         return iter(self.members)
@@ -122,13 +143,13 @@ class Universe:
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        return isinstance(other, Universe) and self.members == other.members
+        return isinstance(other, Universe) and self.texts == other.texts
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Universe({len(self.members)} judgements)"
+        return f"Universe({len(self.texts)} judgements)"
 
     def position(self, j: Judgement) -> int:
         try:
@@ -140,7 +161,7 @@ class Universe:
         return JudgementSet(self, 0)
 
     def full(self) -> "JudgementSet":
-        return JudgementSet(self, (1 << len(self.members)) - 1)
+        return JudgementSet(self, (1 << len(self.texts)) - 1)
 
     def subset(self, judgements: Iterable[Judgement]) -> "JudgementSet":
         mask = 0
@@ -194,12 +215,15 @@ class JudgementSet:
     def __contains__(self, j: Judgement) -> bool:
         return (self.mask >> self.universe.position(j)) & 1 == 1
 
-    def __iter__(self) -> Iterator[Judgement]:
-        mask, members = self.mask, self.universe.members
+    def _positions(self) -> Iterator[int]:
+        mask = self.mask
         while mask:
             low = mask & -mask
-            yield members[low.bit_length() - 1]
+            yield low.bit_length() - 1
             mask ^= low
+
+    def __iter__(self) -> Iterator[Judgement]:
+        return map(self.universe.members.__getitem__, self._positions())
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -218,10 +242,11 @@ class JudgementSet:
         return hash((self.mask, self.universe))
 
     def __repr__(self) -> str:
-        return "{" + ", ".join(str(j) for j in self) + "}"
+        return "{" + ", ".join(self.texts()) + "}"
 
-    def judgements(self) -> tuple[Judgement, ...]:
-        return tuple(self)
+    def texts(self) -> list[str]:
+        """The members' texts, in universe order."""
+        return list(map(self.universe.texts.__getitem__, self._positions()))
 
 
 @dataclass(frozen=True, order=True)
@@ -310,12 +335,12 @@ class InferenceSystem:
         coaxioms: JudgementSet | Iterable[Judgement] | None,
     ) -> None:
         # the one place that orders the table and drops repeated premise sets;
-        # sorting is linear on input that already comes in order
+        # sets already strictly increasing, as one linear pass shows, stay as given
         self.universe = universe
-        self._table: dict[int, tuple[tuple[int, ...], ...]] = {
-            c: tuple(map(_first, groupby(sorted(sets))))
-            for c, sets in sorted(table.items())
-        }
+        self._table: dict[int, tuple[tuple[int, ...], ...]] = {}
+        for c, sets in sorted(table.items()):
+            sets = tuple(sets)
+            self._table[c] = sets if all(map(lt, sets, sets[1:])) else tuple(sorted(set(sets)))
         if coaxioms is None:
             self.coaxioms = universe.empty()
         elif isinstance(coaxioms, JudgementSet):
@@ -593,13 +618,20 @@ class _Analysis:
     the generated interpretation.
     """
 
-    __slots__ = ("ascent", "levels", "descent")
+    __slots__ = ("ascent", "descent", "_levels")
 
     def __init__(self, sys: InferenceSystem):
         up = _ascending_trace(sys, sys.coaxioms.mask)
         self.ascent = _as_trace(sys.universe, up)
-        self.levels = _levels(self.ascent)
         self.descent = _as_trace(sys.universe, _descending_trace(sys, up[-1]))
+        self._levels: dict[Judgement, int] | None = None
+
+    @property
+    def levels(self) -> dict[Judgement, int]:
+        """Read by proofs only, so made on their first need."""
+        if self._levels is None:
+            self._levels = _levels(self.ascent)
+        return self._levels
 
 
 def inductive(sys: InferenceSystem) -> tuple[JudgementSet, IterationTrace]:
@@ -648,30 +680,3 @@ def generated(sys: InferenceSystem) -> JudgementSet:
     closure.  It equals the coinductive interpretation of the system
     restricted to conclusions inside the closure."""
     return sys._analyze().descent.result
-
-
-PremiseProvider = Callable[[Judgement], Iterable[Iterable[Judgement]]]
-
-
-def reachable_universe(
-    provider: PremiseProvider, goals: Iterable[Judgement], cap: int
-) -> Universe:
-    """Backward closure of the goals under "add every premise of every rule
-    concluding a member", capped at ``cap`` judgements.
-
-    The provider enumerates, for a judgement, the premise sets of all rules
-    concluding it.  Raises CapExceeded when the closure would grow past the
-    cap, which signals the system is not finitely reachable at this budget.
-    """
-    seen: set[Judgement] = set()
-    work = list(goals)
-    while work:
-        j = work.pop()
-        if j in seen:
-            continue
-        if len(seen) >= cap:
-            raise CapExceeded(cap)
-        seen.add(j)
-        for premise_set in provider(j):
-            work.extend(premise_set)
-    return Universe(seen)

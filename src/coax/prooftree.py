@@ -228,9 +228,10 @@ def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTre
     ValueError.
     """
     analysis = sys._analyze()
-    descent, levels = analysis.descent, analysis.levels
+    descent = analysis.descent
     if j not in descent.at(n):
         return None
+    levels = analysis.levels
     wf_memo: dict[tuple[Judgement, int], PathTree] = {}
     memo: dict[tuple[Judgement, int], PathTree] = {}
 

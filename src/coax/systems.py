@@ -13,14 +13,16 @@ system can round-trip through the extensional file format.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from operator import add, getitem
+from operator import call
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
     CapExceeded,
     InferenceSystem,
     Judgement,
+    JudgementSet,
     Rule,
     Universe,
     _check_name,
@@ -202,7 +204,7 @@ class Grammar:
         """Nonterminals deriving the empty string, by the standard bottom-up
         worklist (an inductive inference system over judgements `nullable A`)."""
         judgements = {a: Judgement(f"nullable({a})") for a in self.nonterminals}
-        uni = _universe(judgements)
+        uni = _universe(map(str, judgements.values()))
         rules = []
         for head, body in self.productions:
             if all(sym in self.nonterminals for sym in body):
@@ -369,16 +371,16 @@ def term_text(t: Term, depth: int = 0) -> str:
 # -- shared text helpers ---------------------------------------------------------
 
 
-def _universe(J: Mapping[object, Judgement]) -> Universe:
-    """The universe of a builder's judgement map, which must be injective:
-    two meta-judgements that printed the same would silently be merged."""
-    uni = Universe(J.values())
-    if len(uni) != len(J):
-        seen: set[Judgement] = set()
-        for j in J.values():
-            if j in seen:
-                raise ValueError(f"two different judgements print as {j}")
-            seen.add(j)
+def _universe(texts: Iterable[str]) -> Universe:
+    """The universe of a builder's judgement texts, one per meta-judgement,
+    which must be distinct: two meta-judgements that printed the same would
+    silently be merged."""
+    texts = list(texts)
+    uni = Universe._from_texts(texts)
+    if len(uni) != len(texts):
+        seen: set[str] = set()
+        twice = next(t for t in texts if t in seen or seen.add(t))
+        raise ValueError(f"two different judgements print as {twice}")
     return uni
 
 
@@ -411,7 +413,7 @@ def build_reach(g: Graph, cap: int = REACH_NODE_CAP) -> tuple[InferenceSystem, U
                    for c in itertools.combinations(g.nodes, r)]
     J = {(v, ns): Judgement(f"reach({v},{_set_text(ns)})")
          for v in g.nodes for ns in all_subsets}
-    uni = _universe(J)
+    uni = _universe(map(str, J.values()))
     rules = []
     for v in g.nodes:
         targets = g.adj[v]
@@ -456,7 +458,7 @@ def build_first(
                for c in itertools.combinations(sorted(g.terminals), r)]
     J = {(seq, fs): Judgement(f"first({_seq_text(seq)},{_set_text(fs)})")
          for seq in seqs for fs in subsets}
-    uni = _universe(J)
+    uni = _universe(map(str, J.values()))
     nullable = g.nullables()
 
     def claims(seq: tuple[str, ...]) -> list[frozenset[str]]:
@@ -538,7 +540,7 @@ def build_list_preds(
 
     # member(x, s, b)
     J = {(s, b): Judgement(f"member({x},{s},{b})") for s in names for b in "TF"}
-    uni = _universe(J)
+    uni = _universe(map(str, J.values()))
     rules = []
     for s in cons_states:
         head, tail = _head_tail(canon, s)
@@ -552,7 +554,7 @@ def build_list_preds(
 
     # allpos(s, b)
     J = {(s, b): Judgement(f"allpos({s},{b})") for s in names for b in "TF"}
-    uni = _universe(J)
+    uni = _universe(map(str, J.values()))
     rules = []
     for s in names:
         if canon[s].tag == "nil":
@@ -569,7 +571,7 @@ def build_list_preds(
 
     # maxelem(s, z) over the carrier; carriers are closed under binary max
     J = {(s, z): Judgement(f"maxelem({s},{z})") for s in names for z in sorted(car)}
-    uni = _universe(J)
+    uni = _universe(map(str, J.values()))
     rules = []
     for s in cons_states:
         head, tail = _head_tail(canon, s)
@@ -586,7 +588,7 @@ def build_list_preds(
               for c in itertools.combinations(car_sorted, r)]
     J = {(s, xs): Judgement(f"elems({s},{_int_set_text(xs)})")
          for s in names for xs in xs_all}
-    uni = _universe(J)
+    uni = _universe(map(str, J.values()))
     rules = []
     for s in names:
         if canon[s].tag == "nil":
@@ -628,42 +630,44 @@ def build_dist(
     # Costs are plain ints and `inf` is 2 * total + 1: an edge weight plus a
     # finite cost is at most 2 * total, so a sum reaches `inf` only through inf.
     inf = 2 * total + 1
-    costs = [*range(total + 1), inf]
-    cost_text = {c: "inf" if c == inf else str(c) for c in costs}
-    J = {(v, u, c): Judgement(f"dist({v},{u},{cost_text[c]})")
-         for v in g.nodes for u in g.nodes for c in costs}
-    uni = _universe(J)
-    position = {(t, u): {c: uni._index[J[(t, u, c)].text] for c in costs}
-                for t in g.nodes for u in g.nodes}
+    # claim i costs i for i <= total; the last claim, i = total + 1, is inf
+    cost_text = [*map(str, range(total + 1)), "inf"]
+    nodes = g.nodes
+    claims = {(v, u): [f"dist({v},{u},{c})" for c in cost_text] for v in nodes for u in nodes}
+    uni = _universe(itertools.chain.from_iterable(claims.values()))
+    # position[(v, u)][i] is the position of dist(v,u,<claim i>)
+    position = {pair: list(map(uni._index.__getitem__, ts)) for pair, ts in claims.items()}
     # For fixed (t, u), dist(t,u,c) sorts by the text of c, and for fixed u
     # every dist(t1,u,.) sorts before every dist(t2,u,.) exactly when t1+","
     # sorts before t2+"," (node names hold no ","); taken in these orders,
     # the product yields each conclusion's premise tuples sorted, in order.
-    cost_order = sorted(costs, key=lambda c: cost_text[c] + ")")
+    order = sorted(range(total + 2), key=lambda i: cost_text[i] + ")")
     table: dict[int, list[tuple[int, ...]]] = {}
-    for v in g.nodes:
+    for v in nodes:
         targets = sorted(g.adj[v], key=lambda t: t + ",")
-        weights = [g.weight(v, t) for t in targets]
-        for u in g.nodes:
+        # the conclusion cost of every claim combination, in one C-level
+        # pass per v: it is the same for every u
+        shifted = [[inf if i > total else g.weight(v, t) + i for i in order] for t in targets]
+        conclusion_costs = list(map(min, itertools.product(*shifted))) if targets else []
+        for u in nodes:
             conclusion_of = position[(v, u)]
             if v == u:
                 table[conclusion_of[0]] = [()]
                 continue
             if not targets:
-                table[conclusion_of[inf]] = [()]
+                table[conclusion_of[-1]] = [()]
                 continue
-            premise_of = [position[(t, u)] for t in targets]
-            sets_of: dict[int, list[tuple[int, ...]]] = {c: [] for c in costs}
-            for combo in itertools.product(cost_order, repeat=len(targets)):
-                d = min(map(add, weights, combo))
-                if d > total:
-                    if d < inf:
-                        continue  # a finite claim beyond W; unreachable in any case
-                    d = inf
-                sets_of[d].append(tuple(map(getitem, premise_of, combo)))
-            table.update((conclusion_of[c], sets) for c, sets in sets_of.items() if sets)
-    coax = [J[(v, u, inf)] for v in g.nodes for u in g.nodes if v != u]
-    return InferenceSystem._from_table(uni, table, coax), uni
+            # each rule goes to the bucket of its conclusion cost; a finite
+            # claim beyond W, unreachable in any case, to a list thrown away
+            buckets: list[list[tuple[int, ...]]] = [[] for _ in cost_text]
+            appends = [b.append for b in buckets]
+            route = appends[:-1] + [[].append] * total + appends[-1:]
+            premises = [[position[(t, u)][i] for i in order] for t in targets]
+            rules = itertools.product(*premises)
+            deque(map(call, map(route.__getitem__, conclusion_costs), rules), maxlen=0)
+            table.update((c, sets) for c, sets in zip(conclusion_of, buckets) if sets)
+    coaxioms = sum(1 << here[-1] for (v, u), here in position.items() if v != u)
+    return InferenceSystem._from_table(uni, table, JudgementSet(uni, coaxioms)), uni
 
 
 def _simple_paths(g: Graph, source: str) -> dict[str, list[tuple[str, ...]]]:
@@ -719,7 +723,7 @@ def build_spath(
         for (v, u), pairs in claims.items()
         for p, c in pairs
     }
-    uni = _universe(J)
+    uni = _universe(map(str, J.values()))
     rules = []
     for v in g.nodes:
         for u in g.nodes:
@@ -780,7 +784,7 @@ def build_path0(t: EqSystem) -> tuple[InferenceSystem, Universe]:
                 raise ShapeMismatch("child lists must hold tree states")
     jp = {s: Judgement(f"path0({s})") for s in trees}
     ji = {(tr, l): Judgement(f"is_in({tr},{l})") for tr in trees for l in lists}
-    uni = _universe({**jp, **ji})
+    uni = _universe(map(str, (*jp.values(), *ji.values())))
     rules = []
     for s in trees:
         label, kids = canon[s].args[0].value, canon[s].args[1].value
@@ -836,7 +840,7 @@ def build_add(
     carries = (-1, 0, 1, 2)
     J = {(tri, c): Judgement(f"add({tri[0]},{tri[1]},{tri[2]},{c})")
          for tri in triples for c in carries}
-    uni = _universe(J)
+    uni = _universe(map(str, J.values()))
     rules = []
     for tri in triples:
         d1, t1 = step(c1, tri[0])
@@ -909,7 +913,7 @@ def build_bigstep(
         for w in sorted(vals[e], key=term_text):
             J[(e, w)] = Judgement(f"eval({term_text(e)},{term_text(w)})")
         J[(e, INF_TEXT)] = Judgement(f"eval({term_text(e)},inf)")
-    uni = _universe(J)
+    uni = _universe(map(str, J.values()))
     rules = []
     for e in ordered:
         if isinstance(e, Abs):

@@ -368,6 +368,39 @@ def test_solve_warns_on_duplicates(tmp_path, capsys):
     assert "duplicate" in err
 
 
+def test_the_dist_pipeline_makes_no_judgement(capsys, monkeypatch):
+    """`builtin dist` grounds, and `solve` loads, solves and prints, on
+    texts and positions: neither makes a Judgement, in any output form."""
+    made: list[str] = []
+    check = Judgement.__post_init__
+
+    def counted(self):
+        made.append(self.text)
+        check(self)
+
+    monkeypatch.setattr(Judgement, "__post_init__", counted)
+    graph = "node a\nnode b\nnode c\nedge a b 2\nedge b a 0\nedge b c 1\n"
+    for fmt in ("text", "json"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(graph))
+        code, emitted, _ = invoke(capsys, "builtin", "dist", "-", "--format", fmt)
+        assert code == 0 and made == []
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph))
+    _, emitted, _ = invoke(capsys, "builtin", "dist", "-")
+    outputs = []
+    for flags in ([], ["--format", "json"], ["--trace"], ["--trace", "--format", "json"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(emitted))
+        code, out, _ = invoke(capsys, "solve", "-", *flags)
+        assert code == 0 and made == []
+        outputs.append(out)
+    assert outputs[0].split() == [
+        "dist(a,a,0)", "dist(a,b,2)", "dist(a,c,3)", "dist(b,a,0)", "dist(b,b,0)",
+        "dist(b,c,1)", "dist(c,a,inf)", "dist(c,b,inf)", "dist(c,c,0)",
+    ]
+    assert json.loads(outputs[1])["result"] == outputs[0].split()
+    assert outputs[2].splitlines()[-9:] == outputs[0].splitlines()
+    assert json.loads(outputs[3])["result"] == outputs[0].split()
+
+
 def test_query_exit_codes(tmp_path, capsys):
     path = write(tmp_path, "loopy.coax", LOOPY)
     code, out, _ = invoke(capsys, "query", path, "b", "--mode", "gen")

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 import coax.core as core
 from coax.core import (
     BetaNotClosed,
-    CapExceeded,
     InferenceSystem,
     Judgement,
     JudgementSet,
@@ -22,7 +21,6 @@ from coax.core import (
     inductive,
     infer_step,
     kernel_below,
-    reachable_universe,
     restrict_to,
     with_coaxioms_as_axioms,
 )
@@ -145,6 +143,53 @@ def test_judgement_accepts_exactly_the_nonempty_tokens(text):
         assert not valid
     else:
         assert valid
+
+
+def _judgement_error(text: str) -> str | None:
+    try:
+        Judgement(text)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.text(st.sampled_from("ab,(\x00\x85\u3000 \t#"), max_size=3), max_size=8),
+    st.lists(st.integers(0, 7), max_size=4),
+)
+@example(["b", "", "a b"], [])
+@example(["b", "x y", ""], [])
+@example(["c", "a\tb", "a b"], [])
+@example(["a\x85", "b"], [])
+@example(["b", "\u3000"], [])
+@example(["zz", "a#b", "#"], [])
+@example(["b", "a", "b", "a,(\x00"], [0, 3])
+def test_universe_from_texts_is_the_universe_of_their_judgements(texts, repeats):
+    """Universe._from_texts checks every text as Judgement does, and
+    raises Judgement's own error for the first bad text in input order;
+    otherwise it is the universe of the texts' Judgements in every part."""
+    texts = texts + [texts[i % len(texts)] for i in repeats if texts]
+    first_error = next(filter(None, map(_judgement_error, texts)), None)
+    if first_error is not None:
+        with pytest.raises(ValueError) as raised:
+            Universe._from_texts(texts)
+        assert str(raised.value) == first_error
+        return
+    by_text = Universe._from_texts(texts)
+    by_judgement = Universe(map(Judgement, texts))
+    assert by_text.texts == by_judgement.texts == tuple(sorted(set(texts)))
+    assert by_text._index == by_judgement._index
+    assert hash(by_text) == hash(by_judgement)
+    assert by_text == by_judgement and by_judgement == by_text
+    assert by_text.members == by_judgement.members == tuple(map(Judgement, by_text.texts))
+
+
+def test_universe_makes_its_judgements_on_first_read():
+    uni = Universe._from_texts(["b", "a"])
+    assert uni._members is None and len(uni) == 2 and uni.full().texts() == ["a", "b"]
+    assert uni.members == (J("a"), J("b")) and uni.members is uni.members
+    assert list(uni.subset([J("b")])) == [J("b")]
 
 
 @settings(max_examples=60, deadline=None)
@@ -422,26 +467,3 @@ def test_analysis_is_computed_once_per_system(tiny, monkeypatch):
         refute_level(tiny, J("b"))
         bounded_coinduction(tiny, tiny.universe.empty())
     assert calls == {"up": 1, "down": 1}
-
-
-# -- reachable_universe ----------------------------------------------------------
-
-
-def test_reachable_universe_collects_premises():
-    def provider(j: Judgement):
-        n = int(str(j)[1:])
-        if n <= 0:
-            return []
-        return [[J(f"j{n - 1}")]]
-
-    uni = reachable_universe(provider, [J("j3")], cap=10)
-    assert sorted(map(str, uni)) == ["j0", "j1", "j2", "j3"]
-
-
-def test_reachable_universe_cap():
-    def provider(j: Judgement):
-        n = int(str(j)[1:])
-        return [[J(f"j{n + 1}")]]
-
-    with pytest.raises(CapExceeded):
-        reachable_universe(provider, [J("j0")], cap=5)

@@ -430,14 +430,24 @@ _PREFIX_NAMES = ["a", "ab", "a-", "a.", "a!", "a+", "b", "ba"]
 @given(
     st.integers(0, 10**9),
     st.lists(st.sampled_from(_PREFIX_NAMES), min_size=2, max_size=4, unique=True),
-    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3)), max_size=6),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), max_size=6),
 )
 @example(0, ["a", "a!", "a-"], [(0, 1, 1), (0, 2, 2), (1, 0, 1), (2, 1, 1)])
+# W = 2: the weight-0 edge a -> b passes every claim on unchanged, the edge
+# b -> a of weight 2 turns dist(a,u,0) into exactly W and dist(a,u,1) into
+# W + 1, and c has no successors
+@example(0, ["a", "b", "c"], [(0, 1, 0), (1, 0, 2)])
+# only weight-0 edges: W = 0, the claims are 0 and inf, and 0 + 0 is W
+@example(0, ["ab", "a", "b"], [(0, 1, 0), (1, 2, 0), (2, 0, 0)])
+# several successors: W = 5; minima of exactly W and W + 1 over a product
+@example(0, ["a", "ab", "b", "ba"], [(0, 1, 1), (0, 2, 2), (1, 3, 0), (2, 3, 2)])
 def test_dist_grounds_as_the_public_constructor_does(seed, names, edges):
     """build_dist's position table equals the system the public constructor
     builds from shuffled Judgement pairs, and lists its rules as sorted
     distinct Rules, on recipe graphs and on names that are prefixes of one
-    another (whose judgements do not sort as the names do)."""
+    another (whose judgements do not sort as the names do), with weight-0
+    edges, nodes without successors, and claim combinations whose minimum
+    is exactly W or W + 1."""
     rng = random.Random(seed)
     weights = {(names[i % len(names)], names[j % len(names)]): w for i, j, w in edges}
     weights = {(u, v): w for (u, v), w in weights.items() if u != v}
@@ -469,6 +479,17 @@ def test_weighted_caps():
     with pytest.raises(CapExceeded):
         build_spath(heavy)
     assert "dist(a,b,100)" in gen_texts(build_dist(heavy, weight_cap=100)[0])
+
+
+def test_dist_rejects_a_name_that_is_no_judgement_token():
+    """The judgement texts are checked in one pass; the error is the one a
+    Judgement of the first bad text raises, in grounding order."""
+    for names, first in ((["a b", "c"], "dist(a b,a b,0)"), (["c", "a#"], "dist(a#,a#,0)")):
+        g = Graph(names, [(names[1], names[0])], {(names[1], names[0]): 1})
+        with pytest.raises(ValueError) as raised:
+            build_dist(g)
+        want = f"judgement text must be a nonempty token without '#': {first!r}"
+        assert str(raised.value) == want
 
 
 def test_builders_refuse_colliding_judgement_texts():

@@ -97,14 +97,16 @@ class Universe:
     bitmask representation used by JudgementSet.  Since a position follows
     the order of its judgement, tuples of positions sort exactly as the
     tuples of judgements they stand for.  ``texts`` is the universe itself;
-    ``members``, the same judgements as ``Judgement`` objects, is made on
-    first read.
+    ``members`` holds the ``Judgement`` objects given, or, for a universe of
+    texts, makes them on first read.
     """
 
     __slots__ = ("texts", "_index", "_hash", "_members")
 
     def __init__(self, members: Iterable[Judgement]):
-        self._set([j.text for j in members])
+        by_text = {j.text: j for j in members}
+        self._set(list(by_text))
+        self._members = tuple(map(by_text.__getitem__, self.texts))
 
     @classmethod
     def _from_texts(cls, texts: Iterable[str]) -> "Universe":
@@ -223,7 +225,9 @@ class JudgementSet:
             mask ^= low
 
     def __iter__(self) -> Iterator[Judgement]:
-        return map(self.universe.members.__getitem__, self._positions())
+        members = self.universe.members
+        for i in self._positions():
+            yield members[i]
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from operator import call
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
@@ -660,11 +659,9 @@ def build_dist(
             # each rule goes to the bucket of its conclusion cost; a finite
             # claim beyond W, unreachable in any case, to a list thrown away
             buckets: list[list[tuple[int, ...]]] = [[] for _ in cost_text]
-            appends = [b.append for b in buckets]
-            route = appends[:-1] + [[].append] * total + appends[-1:]
-            premises = [[position[(t, u)][i] for i in order] for t in targets]
-            rules = itertools.product(*premises)
-            deque(map(call, map(route.__getitem__, conclusion_costs), rules), maxlen=0)
+            route = buckets[:-1] + [[]] * total + buckets[-1:]
+            rules = itertools.product(*([position[(t, u)][i] for i in order] for t in targets))
+            deque(map(list.append, map(route.__getitem__, conclusion_costs), rules), maxlen=0)
             table.update((c, sets) for c, sets in zip(conclusion_of, buckets) if sets)
     coaxioms = sum(1 << here[-1] for (v, u), here in position.items() if v != u)
     return InferenceSystem._from_table(uni, table, JudgementSet(uni, coaxioms)), uni

@@ -192,6 +192,16 @@ def test_universe_makes_its_judgements_on_first_read():
     assert list(uni.subset([J("b")])) == [J("b")]
 
 
+def test_universe_keeps_the_judgements_it_is_given(monkeypatch):
+    given_ones = [J("b"), J("a"), J("b")]
+    made = []
+    monkeypatch.setattr(Judgement, "__post_init__", lambda self: made.append(self))
+    uni = Universe(given_ones)
+    assert made == [] and uni._members is not None
+    assert uni.members == (J("a"), J("b"))
+    assert uni.members[0] is given_ones[1] and uni.members[1] is given_ones[2]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 def test_rule_storage_matches_sorted_distinct_rules(seed):

@@ -291,7 +291,9 @@ class InferenceSystem:
     analysis are computed on first need and kept.
     """
 
-    __slots__ = ("universe", "coaxioms", "_table", "_view", "_compiled", "_analysis")
+    __slots__ = (
+        "universe", "coaxioms", "_table", "_view", "_compiled", "_ascent", "_analysis"
+    )
 
     def __init__(
         self,
@@ -354,6 +356,7 @@ class InferenceSystem:
             self.coaxioms = universe.subset(coaxioms)
         self._view: list[tuple[tuple[Judgement, ...], ...]] | None = None
         self._compiled: _Compiled | None = None
+        self._ascent: _Ascent | None = None
         self._analysis: _Analysis | None = None
 
     # -- inspection ----------------------------------------------------------
@@ -394,6 +397,11 @@ class InferenceSystem:
         if self._compiled is None:
             self._compiled = _Compiled(self)
         return self._compiled
+
+    def _ascend(self) -> "_Ascent":
+        if self._ascent is None:
+            self._ascent = _Ascent(self)
+        return self._ascent
 
     def _analyze(self) -> "_Analysis":
         if self._analysis is None:
@@ -600,49 +608,67 @@ def _as_trace(universe: Universe, masks: list[int]) -> IterationTrace:
     return IterationTrace(tuple(JudgementSet(universe, m) for m in masks))
 
 
-def _levels(trace: IterationTrace) -> dict[Judgement, int]:
+def _levels(trace: IterationTrace) -> dict[str, int]:
     """First step of an ascending trace at which each judgement appears
-    (>= 1): one more than the height of its shortest proof."""
-    out: dict[Judgement, int] = {}
-    for n in range(1, len(trace.steps)):
-        for j in trace.steps[n] - trace.steps[n - 1]:
-            out[j] = n
+    (>= 1), keyed on its text: one more than the height of its shortest
+    proof."""
+    out: dict[str, int] = {}
+    steps = trace.steps
+    for n in range(1, len(steps)):
+        for text in (steps[n] - steps[n - 1]).texts():
+            out[text] = n
     return out
 
 
-class _Analysis:
-    """The coaxiom analysis of one system, which every coaxiom query reads.
+class _Ascent:
+    """An ascending Kleene chain of one system, kept with the system.
 
-    ``ascent`` is the Kleene chain from the empty set with the coaxioms
-    entering as axioms; it ends at the closure of the coaxioms.  ``levels``
-    gives each closure member its first step in that chain, so ``levels[j] - 1``
-    is the height of a shortest proof of j modulo coaxioms.  ``descent`` is
-    the chain descending from the closure; ``descent.at(n)`` holds exactly
-    the judgements with an approximated proof of level n, and its result is
-    the generated interpretation.
+    ``ascent`` is the chain from the empty set, the members of ``seed``
+    entering at step 1 as axioms do.  ``levels`` gives the text of each
+    member of its result its first step in the chain, so
+    ``levels[j.text] - 1`` is the height of a shortest proof of j.  Unseeded, it is the chain that ``inductive``
+    and well-founded proofs share; traces are immutable.
     """
 
-    __slots__ = ("ascent", "descent", "_levels")
+    __slots__ = ("ascent", "_levels")
 
-    def __init__(self, sys: InferenceSystem):
-        up = _ascending_trace(sys, sys.coaxioms.mask)
-        self.ascent = _as_trace(sys.universe, up)
-        self.descent = _as_trace(sys.universe, _descending_trace(sys, up[-1]))
-        self._levels: dict[Judgement, int] | None = None
+    def __init__(self, sys: InferenceSystem, seed: int = 0):
+        self.ascent = _as_trace(sys.universe, _ascending_trace(sys, seed))
+        self._levels: dict[str, int] | None = None
 
     @property
-    def levels(self) -> dict[Judgement, int]:
+    def levels(self) -> dict[str, int]:
         """Read by proofs only, so made on their first need."""
         if self._levels is None:
             self._levels = _levels(self.ascent)
         return self._levels
 
 
+class _Analysis(_Ascent):
+    """The coaxiom analysis of one system, which every coaxiom query reads.
+
+    ``ascent`` is the Kleene chain from the empty set with the coaxioms
+    entering as axioms; it ends at the closure of the coaxioms, and
+    ``levels[j.text] - 1`` is the height of a shortest proof of j modulo
+    coaxioms.  ``descent`` is the chain descending from the closure;
+    ``descent.at(n)`` holds exactly the judgements with an approximated
+    proof of level n, and its result is the generated interpretation.
+    """
+
+    __slots__ = ("descent",)
+
+    def __init__(self, sys: InferenceSystem):
+        super().__init__(sys, sys.coaxioms.mask)
+        self.descent = _as_trace(
+            sys.universe, _descending_trace(sys, self.ascent.result.mask)
+        )
+
+
 def inductive(sys: InferenceSystem) -> tuple[JudgementSet, IterationTrace]:
     """Least fixed point of the inference operator: judgements with finite,
-    well-founded proof trees.  Coaxioms are ignored."""
-    masks = _ascending_trace(sys)
-    trace = _as_trace(sys.universe, masks)
+    well-founded proof trees.  Coaxioms are ignored.  The chain is computed
+    once per system and shared."""
+    trace = sys._ascend().ascent
     return trace.result, trace
 
 

@@ -7,20 +7,23 @@ makes the level-n approximation order a plain set comparison.
 
 Depth convention: the root sits at depth 0 and depth counts edges, so "a
 coaxiom used at depth >= n" means its node's path has length >= n.
+
+No builder recurses, so no recursion limit bounds a proof's depth.
+Well-founded proofs and unfoldings are materialized once, top down
+(``_expand``), in O(nodes x depth); approximated proofs stack one tree per
+(judgement, level) above the cut (``_stack``), which is cubic in the levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     CoaxError,
     InferenceSystem,
     Judgement,
     JudgementSet,
-    _levels,
-    inductive,
     with_coaxioms_as_axioms,
 )
 
@@ -170,30 +173,105 @@ def validate_proof_tree(sys: InferenceSystem, t: PathTree) -> TreeVerdict:
     return TreeVerdict(True)
 
 
+def _expand(
+    root: Judgement, children: Callable[[Judgement, int], Sequence[Judgement]]
+) -> PathTree:
+    """The tree whose node labelled c at depth d has the labels children(c, d)
+    as its children, materialized in one top-down pass from an explicit
+    stack: each child's path is its parent's path plus one label."""
+    paths: list[Path] = []
+    stack: list[Path] = [()]
+    while stack:
+        path = stack.pop()
+        for p in children(path[-1] if path else root, len(path)):
+            child = path + (p,)
+            paths.append(child)
+            stack.append(child)
+    return PathTree(root, frozenset(paths))
+
+
 def _wf_build(
     sys: InferenceSystem,
-    levels: dict[Judgement, int],
+    levels: dict[str, int],
     j: Judgement,
     budget: int,
-    memo: dict[tuple[Judgement, int], PathTree],
+    memo: dict[tuple[str, int], PathTree],
     leaves: Container[Judgement] = (),
 ) -> PathTree:
     """Greedy canonical construction: take the least premise set whose members
     are all provable within the remaining budget; members of ``leaves`` stand
-    as leaves, as axioms do.  Well-defined whenever levels[j] - 1 <= budget."""
-    key = (j, budget)
+    as leaves, as axioms do.  Well-defined whenever levels[j.text] - 1 <= budget.
+
+    The rule choice for every (judgement, budget) pair the proof reaches is
+    made first, then the tree is expanded once; a node's budget is the root's
+    less its depth.  Tables here are keyed on judgement texts, which hash at
+    C speed."""
+    key = (j.text, budget)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    for prs in ((),) if j in leaves else sys.premise_sets(j):
-        if all(levels.get(p, budget + 2) <= budget for p in prs):
-            subtrees = [_wf_build(sys, levels, p, budget - 1, memo, leaves) for p in prs]
-            tree = PathTree.branch(j, subtrees)
-            break
-    else:  # pragma: no cover - guarded by the level precondition
-        raise AssertionError(f"no admissible rule for {j} at budget {budget}")
-    memo[key] = tree
+    chosen: dict[tuple[str, int], tuple[Judgement, ...]] = {}
+    todo = [(j, budget)]
+    while todo:
+        c, b = todo.pop()
+        pair = (c.text, b)
+        if pair in chosen:
+            continue
+        for prs in ((),) if c in leaves else sys.premise_sets(c):
+            if all(levels.get(p.text, b + 2) <= b for p in prs):
+                break
+        else:  # pragma: no cover - guarded by the level precondition
+            raise AssertionError(f"no admissible rule for {c} at budget {b}")
+        chosen[pair] = prs
+        for p in prs:
+            todo.append((p, b - 1))
+    tree = memo[key] = _expand(j, lambda c, d: chosen[c.text, budget - d])
     return tree
+
+
+def _stack(
+    root: Judgement,
+    n: int,
+    premises: Callable[[Judgement, int], tuple[Judgement, ...]],
+    base: Callable[[Judgement], PathTree],
+    memo: dict[tuple[str, int], PathTree],
+) -> PathTree:
+    """The tree t(root, n), where t(c, 0) = base(c) and t(c, k) stacks
+    premises(c, k) under c, each premise p carrying t(p, k - 1); memoized on
+    (c.text, k) in ``memo`` and built from an explicit stack.  An entry holds
+    its premises once they are chosen; nodes at level 1 rest on base trees
+    only, so they are built at once."""
+    if n <= 0:
+        return base(root)
+    stack: list[tuple[Judgement, int, Optional[tuple[Judgement, ...]]]] = [(root, n, None)]
+    while stack:
+        c, k, prs = stack.pop()
+        key = (c.text, k)
+        if prs is None:
+            if key in memo:
+                continue
+            prs = premises(c, k)
+            if k == 1:
+                memo[key] = PathTree.branch(c, map(base, prs))
+                continue
+            top = len(stack)
+            for p in prs:
+                if (p.text, k - 1) not in memo:
+                    stack.append((p, k - 1, None))
+            if len(stack) > top:  # come back once the missing subtrees are made
+                stack.insert(top, (c, k, prs))
+                continue
+        memo[key] = PathTree.branch(c, [memo[p.text, k - 1] for p in prs])
+    return memo[root.text, n]
+
+
+def _below_the_cut(
+    sys: InferenceSystem, levels: dict[str, int]
+) -> Callable[[Judgement], PathTree]:
+    """A shortest proof modulo coaxioms of a closure member, the subtree an
+    approximated proof hangs below its cut; memoized on (judgement, budget)."""
+    memo: dict[tuple[str, int], PathTree] = {}
+    return lambda c: _wf_build(sys, levels, c, levels[c.text] - 1, memo, sys.coaxioms)
 
 
 def wf_proof_search(
@@ -210,9 +288,9 @@ def wf_proof_search(
         raise ValueError(f"depth bound must be >= 0, got {depth_bound}")
     if j not in sys.universe:
         return None
-    _, trace = inductive(sys)
-    levels = _levels(trace)
-    if j not in levels or levels[j] - 1 > depth_bound:
+    levels = sys._ascend().levels
+    level = levels.get(j.text)
+    if level is None or level - 1 > depth_bound:
         return None
     return _wf_build(sys, levels, j, min(depth_bound, len(sys.universe)), {})
 
@@ -231,28 +309,15 @@ def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTre
     descent = analysis.descent
     if j not in descent.at(n):
         return None
-    levels = analysis.levels
-    wf_memo: dict[tuple[Judgement, int], PathTree] = {}
-    memo: dict[tuple[Judgement, int], PathTree] = {}
 
-    def build(c: Judgement, k: int) -> PathTree:
-        if k <= 0:
-            return _wf_build(sys, levels, c, levels[c] - 1, wf_memo, sys.coaxioms)
-        key = (c, k)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def least(c: Judgement, k: int) -> tuple[Judgement, ...]:
         lower = descent.at(k - 1)
         for prs in sys.premise_sets(c):
             if all(p in lower for p in prs):
-                tree = PathTree.branch(c, [build(p, k - 1) for p in prs])
-                break
-        else:  # pragma: no cover - guarded by descent membership
-            raise AssertionError(f"{c} unsupported at level {k}")
-        memo[key] = tree
-        return tree
+                return prs
+        raise AssertionError(f"{c} unsupported at level {k}")  # pragma: no cover
 
-    return build(j, n)
+    return _stack(j, n, least, _below_the_cut(sys, analysis.levels), {})
 
 
 def validate_approx_level(sys: InferenceSystem, t: PathTree, n: int) -> TreeVerdict:
@@ -319,18 +384,8 @@ def unfold(g: ProofGraph, depth: int) -> PathTree:
     """
     if depth < 0:
         raise ValueError(f"unfold depth must be >= 0, got {depth}")
-    paths: set[Path] = set()
-    frontier: list[Path] = [()]
-    for _ in range(depth):
-        next_frontier: list[Path] = []
-        for path in frontier:
-            label = path[-1] if path else g.root
-            for p in g.choice[label]:
-                child = path + (p,)
-                paths.add(child)
-                next_frontier.append(child)
-        frontier = next_frontier
-    return PathTree(g.root, frozenset(paths))
+    choice = g.choice
+    return _expand(g.root, lambda c, d: choice[c] if d < depth else ())
 
 
 def tree_le_n(t1: PathTree, t2: PathTree, n: int) -> bool:
@@ -362,18 +417,8 @@ def approximating_sequence(
     if j not in gen:
         raise NotInGenerated(j)
     chosen = proof_graph(sys, gen, j).choice
-    wf_memo: dict[tuple[Judgement, int], PathTree] = {}
-    memo: dict[tuple[Judgement, int], PathTree] = {}
-
-    def build(g: Judgement, n: int) -> PathTree:
-        key = (g, n)
-        hit = memo.get(key)
-        if hit is None:
-            if n == 0:
-                hit = _wf_build(sys, levels, g, levels[g] - 1, wf_memo, sys.coaxioms)
-            else:
-                hit = PathTree.branch(g, [build(p, n - 1) for p in chosen[g]])
-            memo[key] = hit
-        return hit
-
-    return tuple(build(j, n) for n in range(upto + 1))
+    below = _below_the_cut(sys, levels)
+    memo: dict[tuple[str, int], PathTree] = {}
+    return tuple(
+        _stack(j, n, lambda g, k: chosen[g], below, memo) for n in range(upto + 1)
+    )

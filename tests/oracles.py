@@ -12,11 +12,12 @@ import sys as _sys
 from collections import defaultdict
 from itertools import combinations
 from operator import lt
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import networkx as nx
 
 from coax.core import InferenceSystem, Judgement, JudgementSet, Rule, Universe
+from coax.prooftree import PathTree, ProofGraph
 from coax.regular import Arg, Binding, EqSystem
 from coax.systems import Abs, App, Graph, Grammar, Term, Var, substitute
 
@@ -66,6 +67,132 @@ def kleene_by_hand(
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)
+
+
+# -- recursive proof builders: the references for the iterative ones ----------------
+
+
+def first_steps(chain: list[frozenset[str]]) -> dict[str, int]:
+    """The first index of a Kleene chain at which each member appears."""
+    out: dict[str, int] = {}
+    for n, s in enumerate(chain):
+        for j in s:
+            out.setdefault(j, n)
+    return out
+
+
+def recursive_wf_build(
+    system: InferenceSystem,
+    levels: dict[str, int],
+    j: Judgement,
+    budget: int,
+    memo: dict[tuple[Judgement, int], PathTree],
+    leaves: frozenset[str] = frozenset(),
+) -> PathTree:
+    """The greedy canonical well-founded tree, built by recursion: the least
+    premise set whose members are all provable within the remaining budget,
+    each premise's subtree stacked under j; ``leaves`` stand as axioms."""
+    key = (j, budget)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    for prs in ((),) if str(j) in leaves else system.premise_sets(j):
+        if all(levels.get(str(p), budget + 2) <= budget for p in prs):
+            subtrees = [recursive_wf_build(system, levels, p, budget - 1, memo, leaves) for p in prs]
+            tree = PathTree.branch(j, subtrees)
+            break
+    else:
+        raise AssertionError(f"no admissible rule for {j} at budget {budget}")
+    memo[key] = tree
+    return tree
+
+
+class RecursiveProofs:
+    """wf_proof_search, approx_proof and approximating_sequence as they were
+    built by recursion and ``PathTree.branch`` stacking, on levels and chains
+    computed here by plain-set Kleene iteration."""
+
+    def __init__(self, system: InferenceSystem):
+        self.system = system
+        rules = rules_of(system)
+        self.coaxioms = frozenset(map(str, system.coaxioms))
+        self.plain = first_steps(kleene_by_hand(rules, frozenset()))
+        up = kleene_by_hand(rules + [(c, frozenset()) for c in self.coaxioms], frozenset())
+        self.relaxed = first_steps(up)
+        self.down = kleene_by_hand(rules, up[-1])
+
+    def at(self, n: int) -> frozenset[str]:
+        return self.down[min(n, len(self.down) - 1)]
+
+    def wf(self, j: Judgement, depth_bound: int) -> Optional[PathTree]:
+        level = self.plain.get(str(j))
+        if level is None or level - 1 > depth_bound:
+            return None
+        budget = min(depth_bound, len(self.system.universe))
+        return recursive_wf_build(self.system, self.plain, j, budget, {})
+
+    def _below(self, memo: dict) -> Callable[[Judgement], PathTree]:
+        return lambda c: recursive_wf_build(
+            self.system, self.relaxed, c, self.relaxed[str(c)] - 1, memo, self.coaxioms
+        )
+
+    def approx(self, j: Judgement, n: int) -> Optional[PathTree]:
+        if str(j) not in self.at(n):
+            return None
+        below, memo = self._below({}), {}
+
+        def build(c: Judgement, k: int) -> PathTree:
+            if k <= 0:
+                return below(c)
+            key = (c, k)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+            lower = self.at(k - 1)
+            for prs in self.system.premise_sets(c):
+                if all(str(p) in lower for p in prs):
+                    tree = PathTree.branch(c, [build(p, k - 1) for p in prs])
+                    break
+            else:
+                raise AssertionError(f"{c} unsupported at level {k}")
+            memo[key] = tree
+            return tree
+
+        return build(j, n)
+
+    def sequence(self, j: Judgement, upto: int) -> tuple[PathTree, ...]:
+        gen = self.down[-1]
+        chosen = {
+            c: next(prs for prs in self.system.premise_sets(c) if all(str(p) in gen for p in prs))
+            for c in self.system.universe
+            if str(c) in gen
+        }
+        below, memo = self._below({}), {}
+
+        def build(g: Judgement, n: int) -> PathTree:
+            key = (g, n)
+            hit = memo.get(key)
+            if hit is None:
+                hit = below(g) if n == 0 else PathTree.branch(g, [build(p, n - 1) for p in chosen[g]])
+                memo[key] = hit
+            return hit
+
+        return tuple(build(j, n) for n in range(upto + 1))
+
+
+def frontier_unfold(g: ProofGraph, depth: int) -> PathTree:
+    """The depth-bounded unfolding of a proof graph, one frontier per level."""
+    paths: set[tuple[Judgement, ...]] = set()
+    frontier: list[tuple[Judgement, ...]] = [()]
+    for _ in range(depth):
+        next_frontier = []
+        for path in frontier:
+            for p in g.choice[path[-1] if path else g.root]:
+                child = path + (p,)
+                paths.add(child)
+                next_frontier.append(child)
+        frontier = next_frontier
+    return PathTree(g.root, frozenset(paths))
 
 
 # -- the extensional file format, read as strings -----------------------------------

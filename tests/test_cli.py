@@ -701,11 +701,29 @@ def test_unexpected_errors_exit_4_on_one_line(tmp_path, capsys, monkeypatch):
     assert err == "error: internal error: RuntimeError: boom\n"
 
 
+def chain_file(length: int) -> str:
+    return "axiom c0\n" + "".join(f"rule c{i + 1} <- c{i}\n" for i in range(length))
+
+
+def chain_tree(length: int) -> PathTree:
+    """The one proof of c<length>: c<length> down to the axiom c0."""
+    labels = [Judgement(f"c{length - d}") for d in range(length + 1)]
+    return PathTree(labels[0], frozenset(tuple(labels[1:d + 1]) for d in range(1, length + 1)))
+
+
 def test_prove_on_a_deep_chain_ends_without_traceback(tmp_path, capsys):
-    chain = "axiom c0\n" + "".join(f"rule c{i + 1} <- c{i}\n" for i in range(600))
-    code, _, err = invoke(capsys, "prove", write(tmp_path, "chain.coax", chain), "c600")
-    assert code in (0, 4)
-    assert err.count("\n") <= 1 and "Traceback" not in err
+    code, out, err = invoke(capsys, "prove", write(tmp_path, "chain.coax", chain_file(600)), "c600")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["  " * d + f"c{600 - d}" for d in range(601)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_prove_wf_on_a_1500_step_chain_in_every_format(tmp_path, capsys, fmt):
+    path = write(tmp_path, "chain.coax", chain_file(1500))
+    code, out, err = invoke(capsys, "prove", path, "c1500", "--wf", "--format", fmt)
+    assert code == 0 and err == ""
+    t = chain_tree(1500)
+    assert out == {"text": t.render() + "\n", "json": tree_json(t), "dot": tree_dot(t)}[fmt]
 
 
 DEEP = "rule a <- b\nrule b <- a c\naxiom c\ncoaxiom a\n"

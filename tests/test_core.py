@@ -25,7 +25,7 @@ from coax.core import (
     with_coaxioms_as_axioms,
 )
 from coax.cli import emit_system
-from coax.prooftree import approx_proof, approximating_sequence
+from coax.prooftree import approx_proof, approximating_sequence, wf_proof_search
 from coax.verify import bounded_coinduction, refute_level
 
 from oracles import (
@@ -477,3 +477,19 @@ def test_analysis_is_computed_once_per_system(tiny, monkeypatch):
         refute_level(tiny, J("b"))
         bounded_coinduction(tiny, tiny.universe.empty())
     assert calls == {"up": 1, "down": 1}
+
+
+def test_plain_ascent_is_computed_once_per_system(tiny, monkeypatch):
+    """inductive and wf_proof_search share one ascending chain per system."""
+    calls = []
+    ascend = core._ascending_trace
+
+    def counting_ascend(*args):
+        calls.append(args)
+        return ascend(*args)
+
+    monkeypatch.setattr(core, "_ascending_trace", counting_ascend)
+    traces = [inductive(tiny)[1] for _ in range(2)]
+    for j in tiny.universe:
+        wf_proof_search(tiny, j, len(tiny.universe))
+    assert len(calls) == 1 and traces[0] is traces[1]

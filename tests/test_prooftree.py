@@ -35,7 +35,7 @@ from coax.prooftree import (
     wf_proof_search,
 )
 
-from oracles import random_system
+from oracles import RecursiveProofs, frontier_unfold, random_system
 
 
 def J(text: str) -> Judgement:
@@ -474,3 +474,110 @@ def test_sequence_trees_validate_and_chain(seed):
             if n:
                 assert tree_eq_n(seq[n - 1], t, n - 1)
         break
+
+
+# -- the iterative builders against the recursive references --------------------------
+
+
+def _shape(t):
+    return None if t is None else (t.root, t.paths)
+
+
+def test_approx_proofs_equal_the_recursive_builder_on_the_corpus():
+    """Every approx_proof(s, j, n), 0 <= n <= |U|, on the 500 acceptance
+    systems is the tree the recursive builder stacks."""
+    for seed in range(500):
+        system = random_system(random.Random(seed), max_size=12)
+        ref = RecursiveProofs(system)
+        for j in system.universe:
+            for n in range(len(system.universe) + 1):
+                assert _shape(approx_proof(system, j, n)) == _shape(ref.approx(j, n)), (seed, j, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_wf_proofs_sequences_and_unfoldings_equal_the_references(seed):
+    system = random_system(random.Random(seed), max_size=10)
+    ref = RecursiveProofs(system)
+    size = len(system.universe)
+    for j in system.universe:
+        for bound in range(size + 1):
+            assert _shape(wf_proof_search(system, j, bound)) == _shape(ref.wf(j, bound))
+    gen = generated(system)
+    for j in gen:
+        seq = approximating_sequence(system, j, size)
+        assert list(map(_shape, seq)) == list(map(_shape, ref.sequence(j, size)))
+        g = proof_graph(system, gen, j)
+        for depth in range(6):
+            assert _shape(unfold(g, depth)) == _shape(frontier_unfold(g, depth))
+
+
+def _chain(length: int, coaxiom: bool = False) -> InferenceSystem:
+    """c0 an axiom, c(i+1) <- c(i); with ``coaxiom``, c(length) also a coaxiom."""
+    names = [J(f"c{i}") for i in range(length + 1)]
+    rules = [Rule(names[0])] + [Rule(names[i + 1], (names[i],)) for i in range(length)]
+    return InferenceSystem(Universe(names), rules, names[-1:] if coaxiom else [])
+
+
+def _ring(length: int) -> InferenceSystem:
+    """r(i) <- r(i+1 mod length), with r0 a coaxiom: every r(i) is generated."""
+    names = [J(f"r{i}") for i in range(length)]
+    rules = [Rule(names[i], (names[(i + 1) % length],)) for i in range(length)]
+    return InferenceSystem(Universe(names), rules, names[:1])
+
+
+def _frames() -> int:
+    frame, count = sys._getframe(), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+def test_proofs_need_no_recursion():
+    """Deep proofs build with the recursion limit a few dozen frames above
+    the caller's: nothing recurses once per level."""
+    chain, ring = _chain(600), _ring(3)
+    coaxiom_chain = _chain(520, coaxiom=True)
+    graph = proof_graph(ring, generated(ring), J("r1"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 60)
+    try:
+        wf = wf_proof_search(chain, J("c600"), 600)
+        level = approx_proof(ring, J("r1"), 200)
+        cut = approx_proof(coaxiom_chain, J("c520"), 10)
+        seq = approximating_sequence(coaxiom_chain, J("c520"), 3)
+        unfolded = unfold(graph, 1500)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (len(wf), wf.depth) == (601, 600)
+    assert (len(level), level.depth) == (201, 200)  # the coaxiom r0 sits at the cut
+    assert validate_approx_level(ring, level, 200)
+    # the coaxiom c520 is the root, so below the cut c510's proof runs down to c0
+    assert (len(cut), cut.depth) == (521, 520)
+    assert [len(t) for t in seq] == [1, 521, 521, 521]
+    assert (len(unfolded), unfolded.depth) == (1501, 1500)
+
+
+def test_one_tree_construction_per_wf_proof_and_unfolding(monkeypatch):
+    """wf_proof_search and unfold make their tree once, top down, with no
+    intermediate trees."""
+    made = []
+    check = PathTree.__post_init__
+
+    def counting(self) -> None:
+        made.append(self)
+        check(self)
+
+    monkeypatch.setattr(PathTree, "__post_init__", counting)
+    for seed in range(40):
+        system = random_system(random.Random(seed), max_size=10)
+        gen = generated(system)
+        for j in system.universe:
+            del made[:]
+            t = wf_proof_search(system, j, len(system.universe))
+            assert made == ([] if t is None else [t])
+        for j in gen:
+            for depth in (0, 3):
+                del made[:]
+                t = unfold(proof_graph(system, gen, j), depth)
+                assert made == [t]

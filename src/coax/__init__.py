@@ -11,7 +11,7 @@ _EXPORTS = {
     "core": """
         BetaNotClosed CapExceeded CoaxError InferenceSystem IterationTrace
         Judgement JudgementSet Rule Universe UniverseMismatch closure_of
-        coinductive generated inductive infer_step kernel_below restrict_to
+        coinductive generated inductive infer_step kernel_below
         with_coaxioms_as_axioms
     """,
     "regular": """
@@ -29,7 +29,7 @@ _EXPORTS = {
         brute_force check_closed check_consistent refute_level
     """,
     "systems": """
-        ExtCost INFINITY Graph Grammar Abs App Var build_add build_bigstep
+        Graph Grammar Abs App Var build_add build_bigstep
         build_dist build_first build_list_preds build_path0 build_reach
         build_spath parse_grammar parse_graph parse_lambda substitute term_text
     """,

@@ -500,17 +500,6 @@ def with_coaxioms_as_axioms(sys: InferenceSystem) -> InferenceSystem:
     return InferenceSystem(sys.universe, list(sys.rules()) + extra, None)
 
 
-def restrict_to(sys: InferenceSystem, s: JudgementSet) -> InferenceSystem:
-    """The system keeping only rules whose conclusion lies in ``s``.
-
-    The universe and the coaxiom set are untouched; inference in the result
-    satisfies F'(x) = F(x) & s pointwise.
-    """
-    _require_same(sys.universe, s.universe)
-    kept = [r for r in sys.rules() if r.conclusion in s]
-    return InferenceSystem(sys.universe, kept, sys.coaxioms)
-
-
 def _ascending_trace(sys: InferenceSystem, seed: int = 0) -> list[int]:
     """Masks of the exact Kleene chain from the empty set, strictly growing,
     computed by level-synchronized counting (each rule fires the step after

@@ -13,18 +13,17 @@ system can round-trip through the extensional file format.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import (
     CapExceeded,
     InferenceSystem,
-    Judgement,
     JudgementSet,
-    Rule,
     Universe,
     _check_name,
+    inductive,
 )
 from .regular import EqSystem, ShapeMismatch, VAR, carrier
 
@@ -33,58 +32,6 @@ FIRST_TERMINAL_CAP = 8
 DIST_NODE_CAP = 10
 DIST_WEIGHT_CAP = 64
 BIGSTEP_CLOSURE_CAP = 2000
-
-
-# -- extended costs ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtCost:
-    """A natural number extended with infinity (None); infinity is absorbing
-    for + and maximal for the order, and min over no costs is infinity."""
-
-    finite: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.finite is not None and self.finite < 0:
-            raise ValueError("costs are non-negative")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.finite is None
-
-    def __add__(self, other: Union["ExtCost", int]) -> "ExtCost":
-        if isinstance(other, int):
-            other = ExtCost(other)
-        if self.finite is None or other.finite is None:
-            return INFINITY
-        return ExtCost(self.finite + other.finite)
-
-    __radd__ = __add__
-
-    def __lt__(self, other: "ExtCost") -> bool:
-        if self.finite is None:
-            return False
-        if other.finite is None:
-            return True
-        return self.finite < other.finite
-
-    def __le__(self, other: "ExtCost") -> bool:
-        return self == other or self < other
-
-    def __str__(self) -> str:
-        return "inf" if self.finite is None else str(self.finite)
-
-    @staticmethod
-    def minimum(costs: Iterable["ExtCost"]) -> "ExtCost":
-        best = INFINITY
-        for c in costs:
-            if c < best:
-                best = c
-        return best
-
-
-INFINITY = ExtCost(None)
 
 
 # -- graphs --------------------------------------------------------------------
@@ -202,16 +149,13 @@ class Grammar:
     def nullables(self) -> frozenset[str]:
         """Nonterminals deriving the empty string, by the standard bottom-up
         worklist (an inductive inference system over judgements `nullable A`)."""
-        judgements = {a: Judgement(f"nullable({a})") for a in self.nonterminals}
-        uni = _universe(map(str, judgements.values()))
-        rules = []
-        for head, body in self.productions:
-            if all(sym in self.nonterminals for sym in body):
-                rules.append(Rule(judgements[head], tuple(judgements[s] for s in body)))
-        from .core import inductive
-
-        result, _ = inductive(InferenceSystem(uni, rules))
-        return frozenset(a for a in self.nonterminals if judgements[a] in result)
+        texts = {a: f"nullable({a})" for a in self.nonterminals}
+        system, _ = _ground(texts, (
+            (head, body) for head, body in self.productions
+            if all(sym in self.nonterminals for sym in body)
+        ))
+        derived = set(inductive(system)[0].texts())
+        return frozenset(a for a, text in texts.items() if text in derived)
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -383,6 +327,36 @@ def _universe(texts: Iterable[str]) -> Universe:
     return uni
 
 
+_Instance = tuple[Hashable, Iterable[Hashable]]
+
+
+def _ground(
+    texts: Mapping[Hashable, str],
+    rules: Iterable[_Instance],
+    coaxioms: Iterable[Hashable] = (),
+) -> tuple[InferenceSystem, Universe]:
+    """The system of a builder's meta-rule instances, the grounding path every
+    builder but ``build_dist`` shares.
+
+    ``texts`` maps each meta-judgement's key to its judgement text; each
+    instance is a conclusion key and its premise keys, in any order and with
+    repeats; ``coaxioms`` are keys too.  Keys go to positions once, so no
+    instance makes a ``Judgement`` or a ``Rule``.  Builders stream their
+    instances: a generator holds one at a time, where a list of them all
+    would be walked again and again by the cyclic garbage collector.
+    """
+    uni = _universe(texts.values())
+    index = uni._index
+    position = {key: index[t] for key, t in texts.items()}.__getitem__
+    table: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
+    for conclusion, premises in rules:
+        table[position(conclusion)].append(tuple(sorted(set(map(position, premises)))))
+    mask = 0
+    for p in map(position, coaxioms):
+        mask |= 1 << p
+    return InferenceSystem._from_table(uni, table, JudgementSet(uni, mask)), uni
+
+
 def _set_text(items: Iterable[str]) -> str:
     return "{" + ",".join(sorted(items)) + "}"
 
@@ -410,18 +384,13 @@ def build_reach(g: Graph, cap: int = REACH_NODE_CAP) -> tuple[InferenceSystem, U
         raise CapExceeded(cap, f"graph has {len(g.nodes)} nodes, cap is {cap}")
     all_subsets = [frozenset(c) for r in range(len(g.nodes) + 1)
                    for c in itertools.combinations(g.nodes, r)]
-    J = {(v, ns): Judgement(f"reach({v},{_set_text(ns)})")
-         for v in g.nodes for ns in all_subsets}
-    uni = _universe(map(str, J.values()))
-    rules = []
-    for v in g.nodes:
-        targets = g.adj[v]
-        for claim in itertools.product(all_subsets, repeat=len(targets)):
-            conclusion = frozenset({v}.union(*claim)) if claim else frozenset({v})
-            premises = tuple(J[(t, ns)] for t, ns in zip(targets, claim))
-            rules.append(Rule(J[(v, conclusion)], premises))
-    coax = [J[(v, frozenset())] for v in g.nodes]
-    return InferenceSystem(uni, rules, coax), uni
+    texts = {(v, ns): f"reach({v},{_set_text(ns)})" for v in g.nodes for ns in all_subsets}
+    rules = (
+        ((v, frozenset({v}.union(*claim))), zip(g.adj[v], claim))
+        for v in g.nodes
+        for claim in itertools.product(all_subsets, repeat=len(g.adj[v]))
+    )
+    return _ground(texts, rules, ((v, frozenset()) for v in g.nodes))
 
 
 # -- first sets ------------------------------------------------------------------
@@ -455,9 +424,8 @@ def build_first(
         seqs.add((a,))
     subsets = [frozenset(c) for r in range(len(g.terminals) + 1)
                for c in itertools.combinations(sorted(g.terminals), r)]
-    J = {(seq, fs): Judgement(f"first({_seq_text(seq)},{_set_text(fs)})")
-         for seq in seqs for fs in subsets}
-    uni = _universe(map(str, J.values()))
+    texts = {(seq, fs): f"first({_seq_text(seq)},{_set_text(fs)})"
+             for seq in seqs for fs in subsets}
     nullable = g.nullables()
 
     def claims(seq: tuple[str, ...]) -> list[frozenset[str]]:
@@ -468,35 +436,27 @@ def build_first(
             return [frozenset({seq[0]})]
         return subsets
 
-    rules = []
-    for seq in seqs:
-        if not seq:
-            rules.append(Rule(J[(seq, frozenset())]))  # first of the empty sequence
-            continue
-        head, rest = seq[0], seq[1:]
-        if head in g.terminals:
-            rules.append(Rule(J[(seq, frozenset({head}))]))
-            continue
-        if not rest:
-            continue  # single nonterminals are concluded from their productions
-        if head not in nullable:
-            for fs in subsets:
-                rules.append(Rule(J[(seq, fs)], (J[((head,), fs)],)))
-        else:
-            for fs in subsets:
-                for fs2 in claims(rest):
-                    rules.append(
-                        Rule(J[(seq, fs | fs2)], (J[((head,), fs)], J[(rest, fs2)]))
-                    )
-    for a in sorted(g.nonterminals):
-        bodies = g.bodies(a)
-        # zero bodies contribute the single empty combination: first(A,{})
-        for combo in itertools.product(*(claims(b) for b in bodies)):
-            conclusion = frozenset().union(*combo)
-            premises = tuple(J[(b, fs)] for b, fs in zip(bodies, combo))
-            rules.append(Rule(J[((a,), conclusion)], premises))
-    coax = [J[((a,), frozenset())] for a in sorted(g.nonterminals)]
-    return InferenceSystem(uni, rules, coax), uni
+    def rules() -> Iterator[_Instance]:
+        for seq in seqs:
+            if not seq or seq[0] in g.terminals:
+                # the empty sequence, or one that starts with a terminal
+                yield (seq, claims(seq)[0]), ()
+                continue
+            head, rest = (seq[0],), seq[1:]
+            if not rest:
+                continue  # single nonterminals are concluded from their productions
+            if seq[0] not in nullable:
+                yield from (((seq, fs), ((head, fs),)) for fs in subsets)
+            else:
+                yield from (((seq, fs | fs2), ((head, fs), (rest, fs2)))
+                            for fs in subsets for fs2 in claims(rest))
+        for a in g.nonterminals:
+            bodies = g.bodies(a)
+            # zero bodies contribute the single empty combination: first(A,{})
+            for combo in itertools.product(*map(claims, bodies)):
+                yield ((a,), frozenset().union(*combo)), zip(bodies, combo)
+
+    return _ground(texts, rules(), (((a,), frozenset()) for a in g.nonterminals))
 
 
 # -- list predicates ---------------------------------------------------------------
@@ -532,72 +492,57 @@ def build_list_preds(
     """
     canon = _canonical_list(l)
     names = sorted(canon.states)
-    cons_states = [s for s in names if canon[s].tag == "cons"]
-    car = carrier(canon)
-
+    nils = [s for s in names if canon[s].tag == "nil"]
+    cons = {s: _head_tail(canon, s) for s in names if canon[s].tag == "cons"}
+    car_sorted = sorted(carrier(canon))
+    xs_all = [frozenset(c) for r in range(len(car_sorted) + 1)
+              for c in itertools.combinations(car_sorted, r)]
     out: dict[str, tuple[InferenceSystem, Universe]] = {}
 
     # member(x, s, b)
-    J = {(s, b): Judgement(f"member({x},{s},{b})") for s in names for b in "TF"}
-    uni = _universe(map(str, J.values()))
-    rules = []
-    for s in cons_states:
-        head, tail = _head_tail(canon, s)
-        if head == x:
-            rules.append(Rule(J[(s, "T")]))
-        else:
-            for b in "TF":
-                rules.append(Rule(J[(s, b)], (J[(tail, b)],)))
-    coax = [J[(s, "F")] for s in names]
-    out["member"] = (InferenceSystem(uni, rules, coax), uni)
+    out["member"] = _ground(
+        {(s, b): f"member({x},{s},{b})" for s in names for b in "TF"},
+        itertools.chain(
+            (((s, "T"), ()) for s, (head, _) in cons.items() if head == x),
+            (((s, b), ((tail, b),)) for s, (head, tail) in cons.items() if head != x
+             for b in "TF"),
+        ),
+        ((s, "F") for s in names),
+    )
 
     # allpos(s, b)
-    J = {(s, b): Judgement(f"allpos({s},{b})") for s in names for b in "TF"}
-    uni = _universe(map(str, J.values()))
-    rules = []
-    for s in names:
-        if canon[s].tag == "nil":
-            rules.append(Rule(J[(s, "T")]))
-            continue
-        head, tail = _head_tail(canon, s)
-        if head <= 0:
-            rules.append(Rule(J[(s, "F")]))
-        else:
-            for b in "TF":
-                rules.append(Rule(J[(s, b)], (J[(tail, b)],)))
-    coax = [J[(s, "T")] for s in names]
-    out["allpos"] = (InferenceSystem(uni, rules, coax), uni)
+    out["allpos"] = _ground(
+        {(s, b): f"allpos({s},{b})" for s in names for b in "TF"},
+        itertools.chain(
+            (((s, "T"), ()) for s in nils),
+            (((s, "F"), ()) for s, (head, _) in cons.items() if head <= 0),
+            (((s, b), ((tail, b),)) for s, (head, tail) in cons.items() if head > 0
+             for b in "TF"),
+        ),
+        ((s, "T") for s in names),
+    )
 
     # maxelem(s, z) over the carrier; carriers are closed under binary max
-    J = {(s, z): Judgement(f"maxelem({s},{z})") for s in names for z in sorted(car)}
-    uni = _universe(map(str, J.values()))
-    rules = []
-    for s in cons_states:
-        head, tail = _head_tail(canon, s)
-        if canon[tail].tag == "nil":
-            rules.append(Rule(J[(s, head)]))
-        for y in sorted(car):
-            rules.append(Rule(J[(s, max(head, y))], (J[(tail, y)],)))
-    coax = [J[(s, _head_tail(canon, s)[0])] for s in cons_states]
-    out["maxelem"] = (InferenceSystem(uni, rules, coax), uni)
+    out["maxelem"] = _ground(
+        {(s, z): f"maxelem({s},{z})" for s in names for z in car_sorted},
+        itertools.chain(
+            (((s, head), ()) for s, (head, tail) in cons.items() if canon[tail].tag == "nil"),
+            (((s, max(head, y)), ((tail, y),)) for s, (head, tail) in cons.items()
+             for y in car_sorted),
+        ),
+        ((s, head) for s, (head, _) in cons.items()),
+    )
 
     # elems(s, xs) over subsets of the carrier
-    car_sorted = sorted(car)
-    xs_all = [frozenset(c) for r in range(len(car_sorted) + 1)
-              for c in itertools.combinations(car_sorted, r)]
-    J = {(s, xs): Judgement(f"elems({s},{_int_set_text(xs)})")
-         for s in names for xs in xs_all}
-    uni = _universe(map(str, J.values()))
-    rules = []
-    for s in names:
-        if canon[s].tag == "nil":
-            rules.append(Rule(J[(s, frozenset())]))
-            continue
-        head, tail = _head_tail(canon, s)
-        for xs in xs_all:
-            rules.append(Rule(J[(s, xs | {head})], (J[(tail, xs)],)))
-    coax = [J[(s, frozenset())] for s in names]
-    out["elems"] = (InferenceSystem(uni, rules, coax), uni)
+    out["elems"] = _ground(
+        {(s, xs): f"elems({s},{_int_set_text(xs)})" for s in names for xs in xs_all},
+        itertools.chain(
+            (((s, frozenset()), ()) for s in nils),
+            (((s, xs | {head}), ((tail, xs),)) for s, (head, tail) in cons.items()
+             for xs in xs_all),
+        ),
+        ((s, frozenset()) for s in names),
+    )
 
     return out
 
@@ -700,56 +645,42 @@ def build_spath(
     rule instances are skipped.
     """
     total = _check_weighted_caps(g, node_cap, weight_cap)
-    del total
-
-    def path_text(p: Union[tuple[str, ...], None]) -> str:
-        return "bot" if p is None else _seq_text(p)
-
-    # claimable (path, weight) pairs per ordered node pair
-    claims: dict[tuple[str, str], list[tuple[Optional[tuple[str, ...]], ExtCost]]] = {}
+    # Costs are plain ints and `inf` is 2 * total + 1, as in build_dist: an
+    # edge weight plus the weight of a simple path stays below it.
+    inf = 2 * total + 1
+    # claimable (path, weight) pairs per ordered node pair, None for no path
+    claims: dict[tuple[str, str], list[tuple[Optional[tuple[str, ...]], int]]] = {}
     for v in g.nodes:
         by_target = _simple_paths(g, v)
         for u in g.nodes:
-            if v == u:
-                claims[(v, u)] = [((v,), ExtCost(0))]
-            else:
-                claims[(v, u)] = [(p, ExtCost(_path_weight(g, p))) for p in by_target[u]]
-                claims[(v, u)].append((None, INFINITY))
-    J = {
-        (v, u, p, c): Judgement(f"spath({v},{u},{path_text(p)},{c})")
+            claims[(v, u)] = [(p, _path_weight(g, p)) for p in by_target[u]]
+            if v != u:
+                claims[(v, u)].append((None, inf))
+    texts = {
+        (v, u, p): f"spath({v},{u},bot,inf)" if p is None else f"spath({v},{u},{_seq_text(p)},{c})"
         for (v, u), pairs in claims.items()
         for p, c in pairs
     }
-    uni = _universe(map(str, J.values()))
-    rules = []
-    for v in g.nodes:
-        for u in g.nodes:
-            if v == u:
-                rules.append(Rule(J[(v, u, (v,), ExtCost(0))]))
-                continue
+
+    def rules() -> Iterator[_Instance]:
+        for v in g.nodes:
             targets = g.adj[v]
-            if not targets:
-                rules.append(Rule(J[(v, u, None, INFINITY)]))
-                continue
-            for combo in itertools.product(*(claims[(t, u)] for t in targets)):
-                extended = [g.weight(v, t) + c for t, (_, c) in zip(targets, combo)]
-                best = min(range(len(targets)), key=lambda i: (extended[i], i))
-                chosen_path, _ = combo[best]
-                if chosen_path is None:
-                    new_path: Optional[tuple[str, ...]] = None
-                else:
-                    if v in chosen_path:
-                        continue  # would not be simple; never a shortest path
-                    new_path = (v,) + chosen_path
-                key = (v, u, new_path, extended[best])
-                if key not in J:
+            weights = [g.weight(v, t) for t in targets]
+            for u in g.nodes:
+                if v == u or not targets:
+                    yield (v, u, (v,) if v == u else None), ()
                     continue
-                premises = tuple(
-                    J[(t, u, p, c)] for t, (p, c) in zip(targets, combo)
-                )
-                rules.append(Rule(J[key], premises))
-    coax = [J[(v, u, None, INFINITY)] for v in g.nodes for u in g.nodes if v != u]
-    return InferenceSystem(uni, rules, coax), uni
+                for combo in itertools.product(*(claims[(t, u)] for t in targets)):
+                    extended = [inf if p is None else w + c for w, (p, c) in zip(weights, combo)]
+                    chosen = combo[extended.index(min(extended))][0]
+                    if chosen is not None and v in chosen:
+                        continue  # would not be simple; never a shortest path
+                    yield (
+                        (v, u, None if chosen is None else (v,) + chosen),
+                        ((t, u, p) for t, (p, _) in zip(targets, combo)),
+                    )
+
+    return _ground(texts, rules(), ((v, u, None) for v in g.nodes for u in g.nodes if v != u))
 
 
 # -- trees with an all-zero path -----------------------------------------------------
@@ -779,24 +710,18 @@ def build_path0(t: EqSystem) -> tuple[InferenceSystem, Universe]:
             elem = canon[s].args[0]
             if elem.kind != VAR or canon[elem.value].tag != "tree":
                 raise ShapeMismatch("child lists must hold tree states")
-    jp = {s: Judgement(f"path0({s})") for s in trees}
-    ji = {(tr, l): Judgement(f"is_in({tr},{l})") for tr in trees for l in lists}
-    uni = _universe(map(str, (*jp.values(), *ji.values())))
-    rules = []
-    for s in trees:
-        label, kids = canon[s].args[0].value, canon[s].args[1].value
-        if label == 0:
-            for cand in trees:
-                rules.append(Rule(jp[s], (ji[(cand, kids)], jp[cand])))
-    for l in lists:
-        if canon[l].tag != "cons":
-            continue
-        head, tail = canon[l].args[0].value, canon[l].args[1].value
-        rules.append(Rule(ji[(head, l)]))
-        for cand in trees:
-            rules.append(Rule(ji[(cand, l)], (ji[(cand, tail)],)))
-    coax = list(jp.values())
-    return InferenceSystem(uni, rules, coax), uni
+    # keys: a tree state for path0(t), a (tree, list) pair for is_in(t,l)
+    texts = {s: f"path0({s})" for s in trees}
+    texts.update(((tr, l), f"is_in({tr},{l})") for tr in trees for l in lists)
+    kids = {s: canon[s].args[1].value for s in trees if canon[s].args[0].value == 0}
+    cons = {l: (canon[l].args[0].value, canon[l].args[1].value)
+            for l in lists if canon[l].tag == "cons"}
+    rules = itertools.chain(
+        ((s, ((cand, ks), cand)) for s, ks in kids.items() for cand in trees),
+        (((head, l), ()) for l, (head, _) in cons.items()),
+        (((cand, l), ((cand, tail),)) for l, (_, tail) in cons.items() for cand in trees),
+    )
+    return _ground(texts, rules, trees)
 
 
 # -- digit stream addition -----------------------------------------------------------
@@ -835,19 +760,18 @@ def build_add(
         triples.append(tri)
         work.append((step(c1, tri[0])[1], step(c2, tri[1])[1], step(c3, tri[2])[1]))
     carries = (-1, 0, 1, 2)
-    J = {(tri, c): Judgement(f"add({tri[0]},{tri[1]},{tri[2]},{c})")
-         for tri in triples for c in carries}
-    uni = _universe(map(str, J.values()))
-    rules = []
-    for tri in triples:
-        d1, t1 = step(c1, tri[0])
-        d2, t2 = step(c2, tri[1])
-        d3, t3 = step(c3, tri[2])
-        for c in carries:
-            s = c + d1 + d2
-            if s % 10 == d3:
-                rules.append(Rule(J[(tri, s // 10)], (J[((t1, t2, t3), c)],)))
-    return InferenceSystem(uni, rules, list(J.values())), uni
+    texts = {(tri, c): f"add({tri[0]},{tri[1]},{tri[2]},{c})"
+             for tri in triples for c in carries}
+
+    def rules() -> Iterator[_Instance]:
+        for tri in triples:
+            (d1, t1), (d2, t2), (d3, t3) = step(c1, tri[0]), step(c2, tri[1]), step(c3, tri[2])
+            for c in carries:
+                s = c + d1 + d2
+                if s % 10 == d3:
+                    yield (tri, s // 10), (((t1, t2, t3), c),)
+
+    return _ground(texts, rules(), texts)
 
 
 # -- big-step evaluation with divergence ----------------------------------------------
@@ -905,24 +829,23 @@ def build_bigstep(
                 changed = True
     ordered = sorted(seen, key=term_text)
     INF_TEXT = "inf"
-    J: dict[tuple[Term, object], Judgement] = {}
+    texts: dict[tuple[Term, object], str] = {}
     for e in ordered:
         for w in sorted(vals[e], key=term_text):
-            J[(e, w)] = Judgement(f"eval({term_text(e)},{term_text(w)})")
-        J[(e, INF_TEXT)] = Judgement(f"eval({term_text(e)},inf)")
-    uni = _universe(map(str, J.values()))
-    rules = []
-    for e in ordered:
-        if isinstance(e, Abs):
-            rules.append(Rule(J[(e, e)]))
-            continue
-        rules.append(Rule(J[(e, INF_TEXT)], (J[(e.fn, INF_TEXT)],)))
-        for f in sorted(vals[e.fn], key=term_text):
-            rules.append(Rule(J[(e, INF_TEXT)], (J[(e.fn, f)], J[(e.arg, INF_TEXT)])))
-            for v in sorted(vals[e.arg], key=term_text):
-                body = substitute(f.body, v)
-                for w in (*sorted(vals[body], key=term_text), INF_TEXT):
-                    premises = (J[(e.fn, f)], J[(e.arg, v)], J[(body, w)])
-                    rules.append(Rule(J[(e, w)], premises))
-    coax = [J[(e, INF_TEXT)] for e in ordered]
-    return InferenceSystem(uni, rules, coax), uni
+            texts[(e, w)] = f"eval({term_text(e)},{term_text(w)})"
+        texts[(e, INF_TEXT)] = f"eval({term_text(e)},inf)"
+
+    def rules() -> Iterator[_Instance]:
+        for e in ordered:
+            if isinstance(e, Abs):
+                yield (e, e), ()
+                continue
+            yield (e, INF_TEXT), ((e.fn, INF_TEXT),)
+            for f in sorted(vals[e.fn], key=term_text):
+                yield (e, INF_TEXT), ((e.fn, f), (e.arg, INF_TEXT))
+                for v in sorted(vals[e.arg], key=term_text):
+                    body = substitute(f.body, v)
+                    for w in (*sorted(vals[body], key=term_text), INF_TEXT):
+                        yield (e, w), ((e.fn, f), (e.arg, v), (body, w))
+
+    return _ground(texts, rules(), ((e, INF_TEXT) for e in ordered))

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 import networkx as nx
 
 from coax.core import InferenceSystem, Judgement, JudgementSet, Rule, Universe
-from coax.prooftree import PathTree, ProofGraph
+from coax.prooftree import PathTree, ProofGraph, TreeVerdict, validate_proof_tree
 from coax.regular import Arg, Binding, EqSystem
 from coax.systems import Abs, App, Graph, Grammar, Term, Var, substitute
 
@@ -67,6 +67,31 @@ def kleene_by_hand(
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)
+
+
+def restrict_to(system: InferenceSystem, s: JudgementSet) -> InferenceSystem:
+    """The system keeping only rules whose conclusion lies in ``s``.
+
+    The universe and the coaxiom set are untouched; inference in the result
+    satisfies F'(x) = F(x) & s pointwise.
+    """
+    assert system.universe == s.universe
+    kept = [r for r in system.rules() if r.conclusion in s]
+    return InferenceSystem(system.universe, kept, system.coaxioms)
+
+
+def relaxed_validate_approx_level(system: InferenceSystem, t: PathTree, n: int) -> TreeVerdict:
+    """validate_approx_level by its definition: t validated in the system
+    whose coaxioms are made axioms, then every node above the cut against the
+    genuine rules."""
+    extra = [Rule(j) for j in system.coaxioms]
+    overall = validate_proof_tree(InferenceSystem(system.universe, [*system.rules(), *extra]), t)
+    if not overall:
+        return overall
+    for path in t.nodes():
+        if len(path) < n and t.children(path) not in system.premise_sets(t.label(path)):
+            return TreeVerdict(False, path, f"depth {len(path)} < {n} node rests on a coaxiom")
+    return TreeVerdict(True)
 
 
 # -- recursive proof builders: the references for the iterative ones ----------------

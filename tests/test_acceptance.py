@@ -17,7 +17,6 @@ from coax.core import (
     generated,
     inductive,
     kernel_below,
-    restrict_to,
     with_coaxioms_as_axioms,
 )
 from coax.prooftree import PathTree, approx_proof, approximating_sequence, validate_approx_level
@@ -47,6 +46,7 @@ from oracles import (
     random_grammar,
     random_graph,
     random_system,
+    restrict_to,
     rules_of,
 )
 

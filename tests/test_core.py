@@ -21,7 +21,6 @@ from coax.core import (
     inductive,
     infer_step,
     kernel_below,
-    restrict_to,
     with_coaxioms_as_axioms,
 )
 from coax.cli import emit_system
@@ -34,6 +33,7 @@ from oracles import (
     naive_interpretations,
     random_system,
     random_deterministic_system,
+    restrict_to,
     rules_of,
 )
 

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import threading
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +36,7 @@ from coax.prooftree import (
     wf_proof_search,
 )
 
-from oracles import RecursiveProofs, frontier_unfold, random_system
+from oracles import RecursiveProofs, frontier_unfold, random_system, relaxed_validate_approx_level
 
 
 def J(text: str) -> Judgement:
@@ -305,6 +306,40 @@ def test_validate_approx_level_flags_shallow_coaxioms(loopy):
     verdict = validate_approx_level(loopy, leaf, 1)
     assert not verdict.ok
     assert verdict.path == ()
+
+
+def _random_tree(rng: random.Random, system: InferenceSystem, depth: int) -> PathTree:
+    """A tree whose nodes mostly take one of their premise sets as children,
+    else none (a leaf, which passes only for an axiom or a coaxiom), else
+    labels drawn at random; now and then the root lies outside the universe."""
+    members = list(system.universe)
+
+    def grow(c: Judgement, d: int) -> PathTree:
+        sets = system.premise_sets(c) if c in system.universe else ()
+        r = rng.random()
+        if d >= depth or r < 0.25:
+            kids: Sequence[Judgement] = ()
+        elif r < 0.8 and sets:
+            kids = rng.choice(sets)
+        else:
+            kids = rng.sample(members, rng.randint(1, 2))
+        return PathTree.branch(c, [grow(k, d + 1) for k in kids])
+
+    return grow(J("zzz") if rng.random() < 0.05 else rng.choice(members), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_validate_approx_level_verdicts_match_the_relaxed_system(seed):
+    """Taking childless coaxioms as leaves gives every verdict, with its path
+    and reason, that validating in the coaxioms-as-axioms system gave."""
+    rng = random.Random(seed)
+    system = random_system(rng, max_size=8)
+    trees = [_random_tree(rng, system, depth=3) for _ in range(20)]
+    trees += [t for j in system.universe for n in range(3) if (t := approx_proof(system, j, n))]
+    for t in trees:
+        for n in range(4):
+            assert validate_approx_level(system, t, n) == relaxed_validate_approx_level(system, t, n)
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,10 +22,8 @@ from coax.regular import (
     finite_list,
 )
 from coax.systems import (
-    INFINITY,
     Abs,
     App,
-    ExtCost,
     Graph,
     Grammar,
     Var,
@@ -42,6 +40,7 @@ from coax.systems import (
     parse_lambda,
     substitute,
     term_text,
+    _ground,
 )
 
 from oracles import (
@@ -65,23 +64,78 @@ def gen_texts(system: InferenceSystem) -> frozenset[str]:
     return frozenset(str(j) for j in generated(system))
 
 
-# -- extended costs -----------------------------------------------------------------
+# -- the shared grounding path ---------------------------------------------------------
 
 
-def test_extcost_arithmetic_and_order():
-    assert ExtCost(2) + ExtCost(3) == ExtCost(5)
-    assert ExtCost(2) + 3 == ExtCost(5)
-    assert 3 + ExtCost(2) == ExtCost(5)
-    assert ExtCost(2) + INFINITY == INFINITY
-    assert INFINITY + INFINITY == INFINITY
-    assert ExtCost(1) < ExtCost(2) < INFINITY
-    assert not INFINITY < INFINITY
-    assert INFINITY <= INFINITY
-    assert ExtCost.minimum([]) == INFINITY
-    assert ExtCost.minimum([INFINITY, ExtCost(7), ExtCost(3)]) == ExtCost(3)
-    assert str(INFINITY) == "inf" and str(ExtCost(4)) == "4"
-    with pytest.raises(ValueError):
-        ExtCost(-1)
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.text("ab(),{}-", min_size=1, max_size=4), min_size=1, max_size=6, unique=True),
+    st.data(),
+)
+def test_ground_equals_the_public_constructor(names, data):
+    """_ground builds the system the public constructor builds from the same
+    instances made Rules: instances shuffled and repeated, premise keys
+    repeated and unsorted, coaxiom keys repeated, keys of mixed types."""
+    keys = [i if i % 2 else ("k", frozenset({i})) for i in range(len(names))]
+    texts = dict(zip(keys, names))
+    key = st.sampled_from(keys)
+    instances = data.draw(st.lists(st.tuples(key, st.lists(key, max_size=4)), max_size=12))
+    coaxioms = data.draw(st.lists(key, max_size=6))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    stream = instances + rng.sample(instances, len(instances) // 2)
+    rng.shuffle(stream)
+
+    system, universe = _ground(texts, ((c, iter(ps)) for c, ps in stream), iter(coaxioms))
+    J = {k: Judgement(t) for k, t in texts.items()}
+    reference = InferenceSystem(
+        Universe(J.values()),
+        [Rule(J[c], tuple(map(J.__getitem__, ps))) for c, ps in stream],
+        [J[k] for k in coaxioms],
+    )
+    assert system.universe is universe and universe == reference.universe
+    assert system._table == reference._table
+    assert list(system.rules()) == list(reference.rules())
+    for j in universe:
+        assert system.premise_sets(j) == reference.premise_sets(j)
+    assert system.coaxioms == reference.coaxioms
+    assert emit_system(system) == emit_system(reference)
+
+
+def test_builders_make_no_judgement_and_no_rule(monkeypatch):
+    """Every builder grounds keys straight to positions: building each
+    family, and the nullables of a grammar, makes no Judgement and no Rule."""
+    made: list[str] = []
+    for cls in (Judgement, Rule):
+        original = cls.__post_init__
+
+        def counted(self, original=original):
+            made.append(type(self).__name__)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    Judgement("probe")
+    assert made == ["Judgement"]
+    made.clear()
+
+    rng = random.Random(0)
+    g = random_graph(rng, max_nodes=5)
+    grammar = random_grammar(rng)
+    tree = EqSystem(
+        {
+            "t": Binding("tree", (Arg.atom(0), Arg.var("l"))),
+            "l": Binding("cons", (Arg.var("t"), Arg.var("l"))),
+        },
+        "t",
+    )
+    builds = [
+        build_reach(g), build_dist(g), build_spath(g), build_first(grammar),
+        *build_list_preds(random_list_term(rng), 1).values(), build_path0(tree),
+        build_add(cycle_stream([1, 2]), cycle_stream([8, 7]), cycle_stream([9])),
+        build_bigstep(random_lambda(rng)),
+    ]
+    grammar.nullables()
+    assert made == []
+    assert all(system.rule_count for system, _ in builds)
 
 
 # -- graphs -------------------------------------------------------------------------
@@ -364,15 +418,15 @@ def test_dist_matches_dijkstra(seed):
     assert gen_texts(system) == expected
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10**9))
-def test_spath_unique_valid_and_consistent_with_dist(seed):
-    rng = random.Random(seed)
-    g = random_graph(rng, max_nodes=6)
-    system, _ = build_spath(g)
+def _check_spath(g: Graph) -> frozenset[str]:
+    """build_spath generates exactly one claim per ordered pair: `bot` and
+    `inf` when networkx finds no path, else a real path of the networkx
+    distance, which is the cost build_dist generates for that pair."""
+    texts = gen_texts(build_spath(g)[0])
+    dist = gen_texts(build_dist(g)[0])
     truth = nx_distances(g)
     by_pair: dict[tuple[str, str], list[tuple[list[str], str]]] = {}
-    for t in gen_texts(system):
+    for t in texts:
         v, u, steps, d = _parse_spath(t)
         by_pair.setdefault((v, u), []).append((steps, d))
     for v in g.nodes:
@@ -380,6 +434,7 @@ def test_spath_unique_valid_and_consistent_with_dist(seed):
             claims = by_pair.get((v, u), [])
             assert len(claims) == 1, (v, u, claims)
             steps, d = claims[0]
+            assert f"dist({v},{u},{d})" in dist
             if truth[(v, u)] is None:
                 assert (steps, d) == ([], "inf")
                 continue
@@ -391,6 +446,28 @@ def test_spath_unique_valid_and_consistent_with_dist(seed):
                 assert y in g.adj[x]
                 weight += g.weight(x, y)
             assert weight == int(d)
+    return texts
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**9))
+def test_spath_unique_valid_and_consistent_with_dist(seed):
+    _check_spath(random_graph(random.Random(seed), max_nodes=6))
+
+
+def test_spath_with_weight_0_edges_and_a_path_of_weight_W():
+    """Weight-0 edges (one closing a cycle, two making a tie), an isolated
+    node, and a shortest path a -> d that uses every weighted edge, so it
+    weighs exactly the total weight W = 5."""
+    weights = {("a", "b"): 0, ("a", "f"): 0, ("f", "b"): 0, ("b", "c"): 2, ("c", "d"): 3, ("d", "b"): 0}
+    g = Graph("abcdef", weights, weights)
+    texts = _check_spath(g)
+    assert sum(weights.values()) == 5
+    # the tie between a's neighbours b and f goes to b, the least
+    assert "spath(a,d,[a,b,c,d],5)" in texts
+    assert "spath(f,d,[f,b,c,d],5)" in texts
+    assert "spath(d,c,[d,b,c],2)" in texts
+    assert "spath(a,e,bot,inf)" in texts and "spath(e,a,bot,inf)" in texts
 
 
 def _dist_rules(g: Graph) -> tuple[Universe, list[tuple[list[Judgement], Judgement]], list[Judgement]]:

@@ -379,6 +379,10 @@ def _emit_tree(t: PathTree, fmt: str, io: _Io) -> None:
 def cmd_prove(args: argparse.Namespace, io: _Io) -> int:
     from . import prooftree
 
+    if args.unfold is not None and not args.graph:
+        raise ValueError("--unfold needs --graph")
+    if args.depth is not None and (args.level is not None or args.graph):
+        raise ValueError("--depth bounds --wf proofs only")
     system = _load_system(args.system)
     j = Judgement(args.judgement)
     if j not in system.universe:

@@ -427,15 +427,22 @@ class _Compiled:
                 self.rules_by_premise[pos].append(rid)
         self._masks: list[tuple[int, tuple[int, ...]]] | None = None
 
-    def premise_masks(self) -> list[tuple[int, tuple[int, ...]]]:
-        """Per conclusion position, its premise sets as bitmasks.  Only the
-        one-step operator reads them, so they are built on its first use."""
+    def step(self, mask: int) -> int:
+        """The inference operator on masks: every conclusion of a rule whose
+        premises all lie in ``mask``.  Its premise sets, as bitmasks per
+        conclusion bit, are built on first use."""
         if self._masks is None:
             self._masks = [
-                (c, tuple(sum(1 << p for p in prs) for prs in sets))
+                (1 << c, tuple(sum(1 << p for p in prs) for prs in sets))
                 for c, sets in self.table.items()
             ]
-        return self._masks
+        out = 0
+        for bit, masks in self._masks:
+            for pm in masks:
+                if pm & mask == pm:
+                    out |= bit
+                    break
+        return out
 
 
 @dataclass(frozen=True)
@@ -479,15 +486,7 @@ def infer_step(sys: InferenceSystem, s: JudgementSet) -> JudgementSet:
     premises all lie in ``s``.  Coaxioms play no part here.
     """
     _require_same(sys.universe, s.universe)
-    compiled = sys._compile()
-    sm = s.mask
-    out = 0
-    for cpos, masks in compiled.premise_masks():
-        for pm in masks:
-            if pm & sm == pm:
-                out |= 1 << cpos
-                break
-    return JudgementSet(sys.universe, out)
+    return JudgementSet(sys.universe, sys._compile().step(s.mask))
 
 
 def with_coaxioms_as_axioms(sys: InferenceSystem) -> InferenceSystem:
@@ -500,10 +499,12 @@ def with_coaxioms_as_axioms(sys: InferenceSystem) -> InferenceSystem:
     return InferenceSystem(sys.universe, list(sys.rules()) + extra, None)
 
 
-def _ascending_trace(sys: InferenceSystem, seed: int = 0) -> list[int]:
+def _ascending_trace(sys: InferenceSystem, seed: int = 0) -> tuple[list[int], list[int]]:
     """Masks of the exact Kleene chain from the empty set, strictly growing,
     computed by level-synchronized counting (each rule fires the step after
-    its last premise arrived) rather than whole-system rescans.
+    its last premise arrived) rather than whole-system rescans; and, per
+    position, the step at which its judgement entered the chain (0 for
+    never).
 
     The members of ``seed`` enter at step 1, as axioms do: seeded with the
     coaxiom mask, this is the inductive chain of the coaxioms-as-axioms
@@ -511,23 +512,22 @@ def _ascending_trace(sys: InferenceSystem, seed: int = 0) -> list[int]:
     """
     compiled = sys._compile()
     missing = [len(prs) for prs in compiled.rule_premises]
-    current = 0
     frontier = [rid for rid, m in enumerate(missing) if m == 0]
+    entry = [(seed >> pos) & 1 for pos in range(len(sys.universe))]
+    new_positions = [pos for pos, n in enumerate(entry) if n]
     steps = [0]
     next_mask = seed
-    new_positions = [pos for pos in range(len(sys.universe)) if (seed >> pos) & 1]
     while True:
         # premise sets are duplicate-free, so each rule joins one frontier once
         for rid in frontier:
             cpos = compiled.rule_conclusion[rid]
-            bit = 1 << cpos
-            if not next_mask & bit:
-                next_mask |= bit
+            if not entry[cpos]:
+                entry[cpos] = len(steps)
+                next_mask |= 1 << cpos
                 new_positions.append(cpos)
-        if next_mask == current:
+        if next_mask == steps[-1]:
             break
         steps.append(next_mask)
-        current = next_mask
         frontier = []
         for pos in new_positions:
             for rid in compiled.rules_by_premise[pos]:
@@ -535,11 +535,13 @@ def _ascending_trace(sys: InferenceSystem, seed: int = 0) -> list[int]:
                 if missing[rid] == 0:
                     frontier.append(rid)
         new_positions = []
-    return steps
+    return steps, entry
 
 
-def _descending_trace(sys: InferenceSystem, start_mask: int) -> list[int]:
-    """Masks of the exact Kleene chain descending from a closed start set.
+def _descending_trace(sys: InferenceSystem, start_mask: int) -> tuple[list[int], list[int]]:
+    """Masks of the exact Kleene chain descending from a closed start set;
+    and, per position, the first step that lacks its judgement: 0 outside
+    the start set, -1 for a judgement that survives.
 
     A rule dies the moment one premise has died; a judgement dies the step
     after its last live rule died.  This mirrors _ascending_trace dually and
@@ -553,29 +555,21 @@ def _descending_trace(sys: InferenceSystem, start_mask: int) -> list[int]:
         cpos = compiled.rule_conclusion[rid]
         if not (start_mask >> cpos) & 1:
             continue  # rules concluding outside the start set never matter
-        dead = any(not (start_mask >> p) & 1 for p in prs)
-        if dead:
+        if any(not (start_mask >> p) & 1 for p in prs):
             rule_dead[rid] = True
         else:
             live_rules[cpos] += 1
-    judgement_dead = [not (start_mask >> pos) & 1 for pos in range(uni_size)]
-
-    current = start_mask
-    steps = [current]
+    death = [-((start_mask >> pos) & 1) for pos in range(uni_size)]
+    steps = [start_mask]
     # judgements of the start set with no live rule die in the first step;
     # afterwards deaths propagate one level at a time
-    frontier = [
-        pos
-        for pos in range(uni_size)
-        if (start_mask >> pos) & 1 and live_rules[pos] == 0
-    ]
+    frontier = [pos for pos, d in enumerate(death) if d and live_rules[pos] == 0]
     while frontier:
-        next_mask = current
+        next_mask = steps[-1]
         for pos in frontier:
             next_mask &= ~(1 << pos)
-            judgement_dead[pos] = True
+            death[pos] = len(steps)
         steps.append(next_mask)
-        current = next_mask
         new_frontier: list[int] = []
         for pos in frontier:
             for rid in compiled.rules_by_premise[pos]:
@@ -583,13 +577,13 @@ def _descending_trace(sys: InferenceSystem, start_mask: int) -> list[int]:
                     continue
                 rule_dead[rid] = True
                 cpos = compiled.rule_conclusion[rid]
-                if judgement_dead[cpos]:
+                if death[cpos] >= 0:
                     continue
                 live_rules[cpos] -= 1
                 if live_rules[cpos] == 0:
                     new_frontier.append(cpos)
         frontier = new_frontier
-    return steps
+    return steps, death
 
 
 def _as_trace(universe: Universe, masks: list[int]) -> IterationTrace:
@@ -597,40 +591,31 @@ def _as_trace(universe: Universe, masks: list[int]) -> IterationTrace:
     return IterationTrace(tuple(JudgementSet(universe, m) for m in masks))
 
 
-def _levels(trace: IterationTrace) -> dict[str, int]:
-    """First step of an ascending trace at which each judgement appears
-    (>= 1), keyed on its text: one more than the height of its shortest
-    proof."""
-    out: dict[str, int] = {}
-    steps = trace.steps
-    for n in range(1, len(steps)):
-        for text in (steps[n] - steps[n - 1]).texts():
-            out[text] = n
-    return out
-
-
 class _Ascent:
     """An ascending Kleene chain of one system, kept with the system.
 
     ``ascent`` is the chain from the empty set, the members of ``seed``
-    entering at step 1 as axioms do.  ``levels`` gives the text of each
-    member of its result its first step in the chain, so
-    ``levels[j.text] - 1`` is the height of a shortest proof of j.  Unseeded, it is the chain that ``inductive``
-    and well-founded proofs share; traces are immutable.
+    entering at step 1 as axioms do, and ``entry`` gives each position the
+    step at which its judgement entered it (0 for never).  ``levels`` gives
+    the text of each member of its result that step, so ``levels[j.text] -
+    1`` is the height of a shortest proof of j.  Unseeded, it is the chain
+    that ``inductive`` and well-founded proofs share; traces are immutable.
     """
 
-    __slots__ = ("ascent", "_levels")
+    __slots__ = ("ascent", "entry", "_by_text")
 
     def __init__(self, sys: InferenceSystem, seed: int = 0):
-        self.ascent = _as_trace(sys.universe, _ascending_trace(sys, seed))
-        self._levels: dict[str, int] | None = None
+        masks, self.entry = _ascending_trace(sys, seed)
+        self.ascent = _as_trace(sys.universe, masks)
+        self._by_text: dict[str, int] | None = None
 
     @property
     def levels(self) -> dict[str, int]:
         """Read by proofs only, so made on their first need."""
-        if self._levels is None:
-            self._levels = _levels(self.ascent)
-        return self._levels
+        if self._by_text is None:
+            texts = self.ascent.result.universe.texts
+            self._by_text = {t: n for t, n in zip(texts, self.entry) if n}
+        return self._by_text
 
 
 class _Analysis(_Ascent):
@@ -642,15 +627,16 @@ class _Analysis(_Ascent):
     coaxioms.  ``descent`` is the chain descending from the closure;
     ``descent.at(n)`` holds exactly the judgements with an approximated
     proof of level n, and its result is the generated interpretation.
+    ``death`` gives each position the first step of ``descent`` that lacks
+    its judgement: 0 outside the closure, -1 inside the generated set.
     """
 
-    __slots__ = ("descent",)
+    __slots__ = ("descent", "death")
 
     def __init__(self, sys: InferenceSystem):
         super().__init__(sys, sys.coaxioms.mask)
-        self.descent = _as_trace(
-            sys.universe, _descending_trace(sys, self.ascent.result.mask)
-        )
+        masks, self.death = _descending_trace(sys, self.ascent.result.mask)
+        self.descent = _as_trace(sys.universe, masks)
 
 
 def inductive(sys: InferenceSystem) -> tuple[JudgementSet, IterationTrace]:
@@ -664,7 +650,7 @@ def inductive(sys: InferenceSystem) -> tuple[JudgementSet, IterationTrace]:
 def coinductive(sys: InferenceSystem) -> tuple[JudgementSet, IterationTrace]:
     """Greatest fixed point of the inference operator: judgements with
     arbitrary, possibly infinite proof trees.  Coaxioms are ignored."""
-    masks = _descending_trace(sys, sys.universe.full().mask)
+    masks, _ = _descending_trace(sys, sys.universe.full().mask)
     trace = _as_trace(sys.universe, masks)
     return trace.result, trace
 
@@ -688,7 +674,7 @@ def kernel_below(
     escaped = infer_step(sys, beta) - beta
     if escaped:
         raise BetaNotClosed(next(iter(escaped)))
-    masks = _descending_trace(sys, beta.mask)
+    masks, _ = _descending_trace(sys, beta.mask)
     trace = _as_trace(sys.universe, masks)
     return trace.result, trace
 

@@ -161,13 +161,14 @@ def validate_proof_tree(
     """Check that every node (leaves included) is the conclusion of a rule of
     the system whose premise set is exactly its children's labels; a childless
     member of ``leaves`` passes as an axiom would."""
-    for path in t.nodes():
+    paths, kids = t.children_index()
+    for path, numbers in zip(paths, kids):
         c = t.label(path)
         if c not in sys.universe:
             return TreeVerdict(False, path, f"{c} is outside the universe")
-        kids = t.children(path)
-        if (kids or c not in leaves) and kids not in sys.premise_sets(c):
-            return TreeVerdict(False, path, f"no rule concludes {c} from {kids}")
+        children = tuple(paths[k][-1] for k in numbers)
+        if (children or c not in leaves) and children not in sys.premise_sets(c):
+            return TreeVerdict(False, path, f"no rule concludes {c} from {children}")
     return TreeVerdict(True)
 
 
@@ -322,14 +323,15 @@ def validate_approx_level(sys: InferenceSystem, t: PathTree, n: int) -> TreeVerd
     """Check that t is a proof tree in the coaxioms-as-axioms system AND that
     every node above the cut (depth < n) is justified by a genuine rule.  The
     first check takes childless coaxioms as leaves, as ``_wf_build`` does,
-    rather than building that system."""
+    rather than building that system.  Each pass reads the children of
+    every node from one ``children_index``."""
     overall = validate_proof_tree(sys, t, sys.coaxioms)
     if not overall:
         return overall
-    for path in t.nodes():
-        if len(path) >= n:
-            continue
-        if t.children(path) not in sys.premise_sets(t.label(path)):
+    paths, kids = t.children_index()
+    for path, numbers in zip(paths, kids):
+        children = tuple(paths[k][-1] for k in numbers)
+        if len(path) < n and children not in sys.premise_sets(t.label(path)):
             return TreeVerdict(
                 False, path, f"depth {len(path)} < {n} node rests on a coaxiom"
             )

@@ -32,6 +32,7 @@ FIRST_TERMINAL_CAP = 8
 DIST_NODE_CAP = 10
 DIST_WEIGHT_CAP = 64
 BIGSTEP_CLOSURE_CAP = 2000
+LAMBDA_DEPTH_CAP = 200
 
 
 # -- graphs --------------------------------------------------------------------
@@ -207,7 +208,10 @@ Term = Union[Var, Abs, App]
 
 def parse_lambda(text: str) -> Term:
     """Minimal lambda syntax: `\\x. body`, application by juxtaposition
-    (left-associative), parentheses.  The term must be closed."""
+    (left-associative), parentheses.  The term must be closed, and neither
+    its binders and parentheses nor the term itself may nest deeper than
+    ``LAMBDA_DEPTH_CAP`` levels: the parser, the builder, the printer and
+    substitution all recurse on terms."""
     tokens = _lex_lambda(text)
     pos = 0
 
@@ -224,30 +228,35 @@ def parse_lambda(text: str) -> Term:
         pos += 1
         return tok
 
-    def parse_term(env: tuple[str, ...]) -> Term:
+    def bound(depth: int) -> None:
+        if depth > LAMBDA_DEPTH_CAP:
+            raise ValueError(f"lambda term nests deeper than {LAMBDA_DEPTH_CAP} levels")
+
+    def parse_term(env: tuple[str, ...], depth: int) -> Term:
+        bound(depth)
         if peek() == "\\":
             take("\\")
             name = take()
             if not name.isidentifier():
                 raise ValueError(f"bad binder name {name!r}")
             take(".")
-            return Abs(parse_term((name,) + env))
-        return parse_app(env)
+            return Abs(parse_term((name,) + env, depth + 1))
+        return parse_app(env, depth)
 
-    def parse_app(env: tuple[str, ...]) -> Term:
-        t = parse_atom(env)
+    def parse_app(env: tuple[str, ...], depth: int) -> Term:
+        t = parse_atom(env, depth)
         while True:
             nxt = peek()
             if nxt is None or nxt in (")", "."):
                 return t
             # a trailing abstraction extends as far right as possible
-            t = App(t, parse_term(env) if nxt == "\\" else parse_atom(env))
+            t = App(t, parse_term(env, depth) if nxt == "\\" else parse_atom(env, depth))
 
-    def parse_atom(env: tuple[str, ...]) -> Term:
+    def parse_atom(env: tuple[str, ...], depth: int) -> Term:
         tok = peek()
         if tok == "(":
             take("(")
-            t = parse_term(env)
+            t = parse_term(env, depth + 1)
             take(")")
             return t
         tok = take()
@@ -258,9 +267,18 @@ def parse_lambda(text: str) -> Term:
         except ValueError:
             raise ValueError(f"free variable {tok!r}: goal terms must be closed") from None
 
-    term = parse_term(())
+    term = parse_term((), 0)
     if pos != len(tokens):
         raise ValueError(f"trailing input from {tokens[pos]!r}")
+    # applications nest to the left in the term, not in the parser
+    stack = [(term, 0)]
+    while stack:
+        t, depth = stack.pop()
+        bound(depth)
+        if isinstance(t, Abs):
+            stack.append((t.body, depth + 1))
+        elif isinstance(t, App):
+            stack += (t.fn, depth + 1), (t.arg, depth + 1)
     return term
 
 
@@ -638,11 +656,13 @@ def build_spath(
     its weight, `spath(v,u,bot,inf)` when there is none.
 
     Each rule consults one claimed (path, weight) per neighbour and concludes
-    via the neighbour minimizing the extended weight, ties broken towards the
-    alphabetically least neighbour.  Claims range over the simple paths: with
-    positive weights no shortest path repeats a node, and prepending `v` to a
+    via the neighbour minimizing the extended weight, then the number of
+    edges of its claimed path, ties broken towards the alphabetically least
+    neighbour.  Claims range over the simple paths.  Prepending `v` to a
     claim that already contains v would fall outside the universe, so such
-    rule instances are skipped.
+    rule instances are skipped; none is needed, since among the shortest
+    paths one with the fewest edges never runs back through its source, even
+    across weight-0 cycles.
     """
     total = _check_weighted_caps(g, node_cap, weight_cap)
     # Costs are plain ints and `inf` is 2 * total + 1, as in build_dist: an
@@ -671,8 +691,9 @@ def build_spath(
                     yield (v, u, (v,) if v == u else None), ()
                     continue
                 for combo in itertools.product(*(claims[(t, u)] for t in targets)):
-                    extended = [inf if p is None else w + c for w, (p, c) in zip(weights, combo)]
-                    chosen = combo[extended.index(min(extended))][0]
+                    # least extended weight, then fewest edges; bot's w + inf tops all
+                    ranks = [(w + c, len(p or ())) for w, (p, c) in zip(weights, combo)]
+                    chosen = combo[ranks.index(min(ranks))][0]
                     if chosen is not None and v in chosen:
                         continue  # would not be simple; never a shortest path
                     yield (

@@ -88,14 +88,9 @@ def refute_level(sys: InferenceSystem, j: Judgement) -> Optional[int]:
     """The least n such that j fails to survive n descending steps from the
     closure of the coaxioms — i.e. j has no approximated proof of level n —
     or None when j survives to stabilization (exactly the generated set on a
-    finite universe)."""
-    descent = sys._analyze().descent
-    if j in descent.result:
-        return None
-    for n, step in enumerate(descent.steps):
-        if j not in step:
-            return n
-    raise AssertionError("unreachable: j missing from the limit but in every step")
+    finite universe).  The analysis records that step as j dies."""
+    death = sys._analyze().death[sys.universe.position(j)]
+    return None if death < 0 else death
 
 
 @dataclass(frozen=True)
@@ -131,25 +126,13 @@ def brute_force(sys: InferenceSystem, cap: Optional[int] = None) -> BruteForceRe
     full = (1 << n) - 1
     gamma = sys.coaxioms.mask
 
-    # flat premise tables; F evaluated directly on integer masks
-    compiled = sys._compile()
-    tables = compiled.premise_masks()
-
-    def f(mask: int) -> int:
-        out = 0
-        for cpos, masks in tables:
-            for pm in masks:
-                if pm & mask == pm:
-                    out |= 1 << cpos
-                    break
-        return out
-
+    step = sys._compile().step  # F on integer masks
     fixed: list[int] = []
     mu = full
     nu = 0
     beta_star = full  # least pre-fixed point above the coaxioms
     for mask in range(1 << n):
-        fm = f(mask)
+        fm = step(mask)
         pre = fm & ~mask == 0
         post = mask & ~fm == 0
         if pre:

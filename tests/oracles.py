@@ -94,9 +94,6 @@ def relaxed_validate_approx_level(system: InferenceSystem, t: PathTree, n: int) 
     return TreeVerdict(True)
 
 
-# -- recursive proof builders: the references for the iterative ones ----------------
-
-
 def first_steps(chain: list[frozenset[str]]) -> dict[str, int]:
     """The first index of a Kleene chain at which each member appears."""
     out: dict[str, int] = {}
@@ -104,6 +101,41 @@ def first_steps(chain: list[frozenset[str]]) -> dict[str, int]:
         for j in s:
             out.setdefault(j, n)
     return out
+
+
+def death_steps(chain: list[frozenset[str]], universe: tuple[str, ...]) -> dict[str, int]:
+    """The first index of a descending Kleene chain that lacks each judgement
+    of the universe, -1 for one in every step."""
+    return {j: next((n for n, s in enumerate(chain) if j not in s), -1) for j in universe}
+
+
+def steps_by_hand(system: InferenceSystem) -> tuple[list[int], list[int], list[int]]:
+    """Per position, as the engines record them: the entry step into the
+    plain ascending chain and into the coaxiom-seeded one (0 for never), and
+    the first step of the descent from the closure that lacks the judgement
+    (0 outside the closure, -1 for a survivor), all by plain-set iteration."""
+    texts = system.universe.texts
+    rules = rules_of(system)
+    plain = first_steps(kleene_by_hand(rules, frozenset()))
+    up = kleene_by_hand(rules + [(c, frozenset()) for c in system.coaxioms.texts()], frozenset())
+    seeded = first_steps(up)
+    dead = death_steps(kleene_by_hand(rules, up[-1]), texts)
+    return [plain.get(t, 0) for t in texts], [seeded.get(t, 0) for t in texts], [dead[t] for t in texts]
+
+
+def scan_refute_level(system: InferenceSystem, j: Judgement) -> Optional[int]:
+    """refute_level as a scan of the analysis' descending chain for the first
+    step that lacks j, None when j is in its limit."""
+    descent = system._analyze().descent
+    if j in descent.result:
+        return None
+    for n, step in enumerate(descent.steps):
+        if j not in step:
+            return n
+    raise AssertionError("unreachable: j missing from the limit but in every step")
+
+
+# -- recursive proof builders: the references for the iterative ones ----------------
 
 
 def recursive_wf_build(

@@ -48,6 +48,8 @@ from oracles import (
     random_system,
     restrict_to,
     rules_of,
+    scan_refute_level,
+    steps_by_hand,
 )
 
 CORPUS_SEEDS = range(500)
@@ -207,6 +209,20 @@ def test_acceptance_06_approximated_proofs_exist_exactly_on_descent():
                 assert present == (str(j) in level), (seed, str(j), n)
             level = literal_step(rules, level)
     _report("6/10 approximated proof of level n iff n descents survive, same corpus", started)
+
+
+def test_acceptance_engine_records_entry_and_death_steps_on_500_systems():
+    started = time.perf_counter()
+    for seed in CORPUS_SEEDS:
+        system = _corpus_system(seed)
+        plain, seeded, dead = steps_by_hand(system)
+        analysis = system._analyze()
+        assert system._ascend().entry == plain, seed
+        assert analysis.entry == seeded, seed
+        assert analysis.death == dead, seed
+        for j in system.universe:
+            assert refute_level(system, j) == scan_refute_level(system, j), (seed, str(j))
+    _report("entry and death steps = hand-iterated chains, same corpus", started)
 
 
 def test_acceptance_07_bounded_coinduction_sound_for_all_subsets():

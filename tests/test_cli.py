@@ -498,6 +498,25 @@ def test_prove_rejects_negative_depths(tmp_path, capsys, flags):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--unfold", "2"],
+        ["--wf", "--unfold", "2"],
+        ["--level", "1", "--unfold", "2"],
+        ["--level", "1", "--depth", "3"],
+        ["--graph", "--depth", "3"],
+        ["--graph", "--unfold", "2", "--depth", "3"],
+    ],
+)
+def test_prove_rejects_options_that_do_nothing(tmp_path, capsys, flags):
+    """--unfold works only with --graph, and --depth only for --wf proofs."""
+    path = write(tmp_path, "loopy.coax", LOOPY)
+    code, out, err = invoke(capsys, "prove", path, "a", *flags)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --")
+
+
 def test_prove_graph(tmp_path, capsys):
     path = write(tmp_path, "loopy.coax", LOOPY)
     code, out, _ = invoke(capsys, "prove", path, "a", "--graph")
@@ -667,6 +686,44 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     badlam = write(tmp_path, "bad.lam", "\\x. y\n")
     code, _, err = invoke(capsys, "builtin", "bigstep", badlam)
     assert code == 2 and "free variable" in err
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        "(" * 400 + "\\x. x" + ")" * 400,
+        "\\x. " * 1500 + "x",
+        "\\x. " + " ".join(["x"] * 1501),
+        "(" * 200 + "\\x. x" + ")" * 200,
+        "\\x. " * 201 + "x",
+        "\\x. " + " ".join(["x"] * 201),
+    ],
+    ids=["400-parens", "1500-binders", "1500-arguments", "200-parens", "201-binders", "200-arguments"],
+)
+def test_builtin_bigstep_rejects_terms_nested_too_deep(tmp_path, capsys, term):
+    """Parentheses, binders and a left-nested application one level past
+    LAMBDA_DEPTH_CAP, and far past it."""
+    path = write(tmp_path, "deep.lam", term)
+    code, out, err = invoke(capsys, "builtin", "bigstep", path)
+    assert code == 2 and out == ""
+    assert err == "error: lambda term nests deeper than 200 levels\n"
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        "(" * 199 + "\\x. x" + ")" * 199,
+        "\\x. " * 200 + "x",
+        "\\x. " + " ".join(["x"] * 200),
+        "(\\x. x) (" + "\\x. " * 199 + "x)",
+    ],
+    ids=["199-parens", "200-binders", "199-arguments", "redex-of-199-binders"],
+)
+def test_builtin_bigstep_builds_terms_at_the_depth_bound(tmp_path, capsys, term):
+    path = write(tmp_path, "deep.lam", term)
+    code, out, err = invoke(capsys, "builtin", "bigstep", path)
+    assert code == 0 and err == ""
+    assert run(["solve", write(tmp_path, "deep.coax", out)]) == 0
 
 
 def test_builtin_rejects_node_names_that_would_collide(capsys, monkeypatch):

@@ -35,6 +35,8 @@ from oracles import (
     random_deterministic_system,
     restrict_to,
     rules_of,
+    scan_refute_level,
+    steps_by_hand,
 )
 
 
@@ -453,6 +455,24 @@ def test_analysis_chains_match_the_rebuilt_systems(seed):
     assert analysis.ascent.steps == relaxed_up.steps
     assert closure_of(system) == relaxed_up.result
     assert analysis.descent.steps == kernel_below(system, relaxed_up.result)[1].steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_engines_record_entry_and_death_steps(seed):
+    """The entry steps of the plain and the coaxiom-seeded ascent and the
+    death steps of the descent from the closure equal those of the chains
+    iterated by hand; refute_level equals a scan of the descent."""
+    system = random_system(random.Random(seed), max_size=11)
+    plain, seeded, dead = steps_by_hand(system)
+    analysis = system._analyze()
+    assert system._ascend().entry == plain
+    assert analysis.entry == seeded
+    assert analysis.death == dead
+    texts = system.universe.texts
+    assert analysis.levels == {t: n for t, n in zip(texts, seeded) if n}
+    for j in system.universe:
+        assert refute_level(system, j) == scan_refute_level(system, j)
 
 
 def test_analysis_is_computed_once_per_system(tiny, monkeypatch):

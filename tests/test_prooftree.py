@@ -25,6 +25,7 @@ from coax.prooftree import (
     NotConsistent,
     NotInGenerated,
     PathTree,
+    TreeVerdict,
     approx_proof,
     approximating_sequence,
     proof_graph,
@@ -306,6 +307,34 @@ def test_validate_approx_level_flags_shallow_coaxioms(loopy):
     verdict = validate_approx_level(loopy, leaf, 1)
     assert not verdict.ok
     assert verdict.path == ()
+
+
+def test_validation_of_a_deep_proof_reads_no_children(monkeypatch):
+    """Both validators read each node's children from one index, never from
+    PathTree.children, which scans every path once per node; so a
+    2000-step chain validates in linear passes."""
+    n = 2000
+    chain = [J(f"c{i}") for i in range(n + 1)]
+    rules = [Rule(chain[i + 1], (chain[i],)) for i in range(n)]
+    proved = InferenceSystem(Universe(chain), [Rule(chain[0]), *rules])
+    t = wf_proof_search(proved, chain[n], n)
+    assert t is not None and t.depth == n
+    coaxiomatic = InferenceSystem(Universe(chain), rules, [chain[0]])
+
+    def no_children(self, path):
+        raise AssertionError("PathTree.children called")
+
+    monkeypatch.setattr(PathTree, "children", no_children)
+    leaf = tuple(chain[n - 1 :: -1])
+    assert validate_proof_tree(proved, t).ok
+    assert validate_approx_level(proved, t, n + 1).ok
+    assert validate_proof_tree(coaxiomatic, t) == TreeVerdict(
+        False, leaf, "no rule concludes c0 from ()"
+    )
+    assert validate_approx_level(coaxiomatic, t, n).ok
+    assert validate_approx_level(coaxiomatic, t, n + 1) == TreeVerdict(
+        False, leaf, f"depth {n} < {n + 1} node rests on a coaxiom"
+    )
 
 
 def _random_tree(rng: random.Random, system: InferenceSystem, depth: int) -> PathTree:

@@ -470,6 +470,36 @@ def test_spath_with_weight_0_edges_and_a_path_of_weight_W():
     assert "spath(a,e,bot,inf)" in texts and "spath(e,a,bot,inf)" in texts
 
 
+@st.composite
+def _zero_weight_graphs(draw) -> Graph:
+    """1-5 nodes, each with up to three out-edges, self-loops included, of
+    weights 0-3, so that weight-0 cycles and equal-weight ties abound."""
+    nodes = "abcde"[: draw(st.integers(1, 5))]
+    weights = {}
+    for u in nodes:
+        for v in draw(st.lists(st.sampled_from(nodes), max_size=3, unique=True)):
+            weights[(u, v)] = draw(st.integers(0, 3))
+    return Graph(nodes, weights, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_zero_weight_graphs())
+def test_spath_on_graphs_with_weight_0_cycles(g):
+    _check_spath(g)
+
+
+def test_spath_through_a_weight_0_cycle_back_to_the_source():
+    """The least neighbour b of a reaches c only through a again, at the
+    same weight 0 as the direct edge; the path with fewer edges wins."""
+    weights = {("a", "b"): 0, ("a", "c"): 0, ("b", "a"): 0}
+    texts = _check_spath(Graph("abc", weights, weights))
+    assert texts == {
+        "spath(a,a,[a],0)", "spath(a,b,[a,b],0)", "spath(a,c,[a,c],0)",
+        "spath(b,a,[b,a],0)", "spath(b,b,[b],0)", "spath(b,c,[b,a,c],0)",
+        "spath(c,a,bot,inf)", "spath(c,b,bot,inf)", "spath(c,c,[c],0)",
+    }
+
+
 def _dist_rules(g: Graph) -> tuple[Universe, list[tuple[list[Judgement], Judgement]], list[Judgement]]:
     """build_dist's universe, rules and coaxioms as Judgement pairs, grounded
     directly from its docstring, with None for an infinite cost."""

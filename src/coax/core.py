@@ -250,7 +250,7 @@ class JudgementSet:
 
     def texts(self) -> list[str]:
         """The members' texts, in universe order."""
-        return list(map(self.universe.texts.__getitem__, self._positions()))
+        return list(map(list(self.universe.texts).__getitem__, self._positions()))
 
 
 @dataclass(frozen=True, order=True)
@@ -363,14 +363,26 @@ class InferenceSystem:
 
     def premise_sets(self, conclusion: Judgement) -> tuple[tuple[Judgement, ...], ...]:
         """All premise sets of rules concluding the given judgement."""
-        pos = self.universe.position(conclusion)
+        return self._labels()[self.universe.position(conclusion)]
+
+    def _labels(self) -> list[tuple[tuple[Judgement, ...], ...]]:
+        """Per position, the premise sets of ``_table`` as judgements."""
         if self._view is None:
-            members = self.universe.members
+            members = list(self.universe.members)
             view: list[tuple[tuple[Judgement, ...], ...]] = [()] * len(members)
             for c, sets in self._table.items():
                 view[c] = tuple(tuple(map(members.__getitem__, prs)) for prs in sets)
             self._view = view
-        return self._view[pos]
+        return self._view
+
+    def _least_rules(self, s: JudgementSet) -> Iterator[tuple[int, tuple[Judgement, ...] | None]]:
+        """Each member position of s, in order, with its least premise set
+        inside s as judgements, or None when no rule supports it there."""
+        _require_same(self.universe, s.universe)
+        mask, table, view = s.mask, self._table, self._labels()
+        for c in s._positions():
+            pairs = zip(table.get(c, ()), view[c])
+            yield c, next((ls for prs, ls in pairs if all((mask >> p) & 1 for p in prs)), None)
 
     def rules(self) -> Iterator[Rule]:
         members = self.universe.members
@@ -596,26 +608,17 @@ class _Ascent:
 
     ``ascent`` is the chain from the empty set, the members of ``seed``
     entering at step 1 as axioms do, and ``entry`` gives each position the
-    step at which its judgement entered it (0 for never).  ``levels`` gives
-    the text of each member of its result that step, so ``levels[j.text] -
-    1`` is the height of a shortest proof of j.  Unseeded, it is the chain
-    that ``inductive`` and well-founded proofs share; traces are immutable.
+    step at which its judgement entered it (0 for never), so ``entry[p] -
+    1`` is the height of a shortest proof of a member.  Unseeded, it is the
+    chain that ``inductive`` and well-founded proofs share; traces are
+    immutable.
     """
 
-    __slots__ = ("ascent", "entry", "_by_text")
+    __slots__ = ("ascent", "entry")
 
     def __init__(self, sys: InferenceSystem, seed: int = 0):
         masks, self.entry = _ascending_trace(sys, seed)
         self.ascent = _as_trace(sys.universe, masks)
-        self._by_text: dict[str, int] | None = None
-
-    @property
-    def levels(self) -> dict[str, int]:
-        """Read by proofs only, so made on their first need."""
-        if self._by_text is None:
-            texts = self.ascent.result.universe.texts
-            self._by_text = {t: n for t, n in zip(texts, self.entry) if n}
-        return self._by_text
 
 
 class _Analysis(_Ascent):
@@ -623,12 +626,12 @@ class _Analysis(_Ascent):
 
     ``ascent`` is the Kleene chain from the empty set with the coaxioms
     entering as axioms; it ends at the closure of the coaxioms, and
-    ``levels[j.text] - 1`` is the height of a shortest proof of j modulo
-    coaxioms.  ``descent`` is the chain descending from the closure;
-    ``descent.at(n)`` holds exactly the judgements with an approximated
-    proof of level n, and its result is the generated interpretation.
-    ``death`` gives each position the first step of ``descent`` that lacks
-    its judgement: 0 outside the closure, -1 inside the generated set.
+    ``entry[p] - 1`` is the height of a shortest proof modulo coaxioms.
+    ``descent`` is the chain descending from the closure and ends at the
+    generated interpretation.  ``death`` gives each position the first step
+    of ``descent`` that lacks its judgement: 0 outside the closure, -1 inside
+    the generated set.  So a judgement has an approximated proof of level n
+    exactly when its death step is not within 0..n.
     """
 
     __slots__ = ("descent", "death")

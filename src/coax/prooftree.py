@@ -8,6 +8,10 @@ makes the level-n approximation order a plain set comparison.
 Depth convention: the root sits at depth 0 and depth counts edges, so "a
 coaxiom used at depth >= n" means its node's path has length >= n.
 
+Queries read the cached analysis by position: whether a proof exists is one
+lookup in its entry or death steps, and rules are chosen on the position
+table against those steps or a support mask.
+
 No builder recurses, so no recursion limit bounds a proof's depth.
 Well-founded proofs and unfoldings are materialized once, top down
 (``_expand``), in O(nodes x depth); approximated proofs stack one tree per
@@ -191,40 +195,42 @@ def _expand(
 
 def _wf_build(
     sys: InferenceSystem,
-    levels: dict[str, int],
-    j: Judgement,
+    entry: list[int],
+    pos: int,
     budget: int,
-    memo: dict[tuple[str, int], PathTree],
-    leaves: Container[Judgement] = (),
+    memo: dict[tuple[int, int], PathTree],
+    leaves: int = 0,
 ) -> PathTree:
     """Greedy canonical construction: take the least premise set whose members
-    are all provable within the remaining budget; members of ``leaves`` stand
-    as leaves, as axioms do.  Well-defined whenever levels[j.text] - 1 <= budget.
+    are all provable within the remaining budget b (entry steps in 1..b);
+    members of the ``leaves`` mask stand as leaves, as axioms do.
+    Well-defined whenever entry[pos] - 1 <= budget.
 
-    The rule choice for every (judgement, budget) pair the proof reaches is
+    The rule choice for every (position, budget) pair the proof reaches is
     made first, then the tree is expanded once; a node's budget is the root's
-    less its depth.  Tables here are keyed on judgement texts, which hash at
-    C speed."""
-    key = (j.text, budget)
+    less its depth."""
+    key = (pos, budget)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    chosen: dict[tuple[str, int], tuple[Judgement, ...]] = {}
-    todo = [(j, budget)]
+    table, view, index = sys._table, sys._labels(), sys.universe._index
+    chosen: dict[tuple[int, int], tuple[Judgement, ...]] = {}
+    todo = [key]
     while todo:
-        c, b = todo.pop()
-        pair = (c.text, b)
+        pair = todo.pop()
         if pair in chosen:
             continue
-        for prs in ((),) if c in leaves else sys.premise_sets(c):
-            if all(levels.get(p.text, b + 2) <= b for p in prs):
+        c, b = pair
+        rules = (((), ()),) if (leaves >> c) & 1 else zip(table.get(c, ()), view[c])
+        for prs, labels in rules:
+            if all(0 < entry[p] <= b for p in prs):
                 break
         else:  # pragma: no cover - guarded by the level precondition
-            raise AssertionError(f"no admissible rule for {c} at budget {b}")
-        chosen[pair] = prs
-        for p in prs:
-            todo.append((p, b - 1))
-    tree = memo[key] = _expand(j, lambda c, d: chosen[c.text, budget - d])
+            raise AssertionError(f"no admissible rule at position {c}, budget {b}")
+        chosen[pair] = labels
+        todo.extend([(p, b - 1) for p in prs])
+    root = sys.universe.members[pos]
+    tree = memo[key] = _expand(root, lambda c, d: chosen[index[c.text], budget - d])
     return tree
 
 
@@ -264,13 +270,13 @@ def _stack(
     return memo[root.text, n]
 
 
-def _below_the_cut(
-    sys: InferenceSystem, levels: dict[str, int]
-) -> Callable[[Judgement], PathTree]:
+def _below_the_cut(sys: InferenceSystem, entry: list[int]) -> Callable[[Judgement], PathTree]:
     """A shortest proof modulo coaxioms of a closure member, the subtree an
-    approximated proof hangs below its cut; memoized on (judgement, budget)."""
-    memo: dict[tuple[str, int], PathTree] = {}
-    return lambda c: _wf_build(sys, levels, c, levels[c.text] - 1, memo, sys.coaxioms)
+    approximated proof hangs below its cut, chosen against the coaxiom-seeded
+    entry steps; memoized on (position, budget)."""
+    memo: dict[tuple[int, int], PathTree] = {}
+    index, leaves = sys.universe._index, sys.coaxioms.mask
+    return lambda c: _wf_build(sys, entry, index[c.text], entry[index[c.text]] - 1, memo, leaves)
 
 
 def wf_proof_search(
@@ -287,11 +293,11 @@ def wf_proof_search(
         raise ValueError(f"depth bound must be >= 0, got {depth_bound}")
     if j not in sys.universe:
         return None
-    levels = sys._ascend().levels
-    level = levels.get(j.text)
-    if level is None or level - 1 > depth_bound:
+    entry = sys._ascend().entry
+    pos = sys.universe._index[j.text]
+    if not 0 < entry[pos] <= depth_bound + 1:
         return None
-    return _wf_build(sys, levels, j, min(depth_bound, len(sys.universe)), {})
+    return _wf_build(sys, entry, pos, min(depth_bound, len(sys.universe)), {})
 
 
 def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTree]:
@@ -302,21 +308,23 @@ def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTre
     descending steps from the closure of the coaxioms.  Above the cut the tree
     follows genuine rules whose premises survive one step fewer; below it each
     subtree is a shortest proof modulo coaxioms.  A negative n raises
-    ValueError.
+    ValueError, a judgement outside the universe UniverseMismatch.
     """
-    analysis = sys._analyze()
-    descent = analysis.descent
-    if j not in descent.at(n):
+    if n < 0:
+        raise ValueError(f"approximation level must be >= 0, got {n}")
+    death = sys._analyze().death
+    if 0 <= death[sys.universe.position(j)] <= n:
         return None
+    table, view, index = sys._table, sys._labels(), sys.universe._index
 
     def least(c: Judgement, k: int) -> tuple[Judgement, ...]:
-        lower = descent.at(k - 1)
-        for prs in sys.premise_sets(c):
-            if all(p in lower for p in prs):
-                return prs
+        pos = index[c.text]
+        for prs, labels in zip(table.get(pos, ()), view[pos]):
+            if all(not 0 <= death[p] < k for p in prs):
+                return labels
         raise AssertionError(f"{c} unsupported at level {k}")  # pragma: no cover
 
-    return _stack(j, n, least, _below_the_cut(sys, analysis.levels), {})
+    return _stack(j, n, least, _below_the_cut(sys, sys._analyze().entry), {})
 
 
 def validate_approx_level(sys: InferenceSystem, t: PathTree, n: int) -> TreeVerdict:
@@ -365,14 +373,12 @@ def proof_graph(sys: InferenceSystem, s: JudgementSet, j: Judgement) -> ProofGra
     """
     if j not in s:
         raise ValueError(f"root {j} is not in the support set")
+    members = sys.universe.members
     choice: dict[Judgement, tuple[Judgement, ...]] = {}
-    for c in s:
-        for prs in sys.premise_sets(c):
-            if all(p in s for p in prs):
-                choice[c] = prs
-                break
-        else:
-            raise NotConsistent(c)
+    for c, labels in sys._least_rules(s):
+        if labels is None:
+            raise NotConsistent(members[c])
+        choice[members[c]] = labels
     return ProofGraph(s, choice, j)
 
 
@@ -411,15 +417,17 @@ def approximating_sequence(
     Construction: fix for every generated judgement one shortest proof
     modulo coaxioms (its t_0) and one genuine rule whose premises are all
     generated; t_{n+1} stacks that rule over the premises' t_n.  Exists
-    exactly for generated judgements.
+    exactly for generated judgements.  A negative upto raises ValueError.
     """
+    if upto < 0:
+        raise ValueError(f"sequence bound must be >= 0, got {upto}")
     analysis = sys._analyze()
-    gen, levels = analysis.descent.result, analysis.levels
-    if j not in gen:
+    if analysis.death[sys.universe.position(j)] >= 0:
         raise NotInGenerated(j)
-    chosen = proof_graph(sys, gen, j).choice
-    below = _below_the_cut(sys, levels)
+    chosen = dict(sys._least_rules(analysis.descent.result))
+    index = sys.universe._index
+    below = _below_the_cut(sys, analysis.entry)
     memo: dict[tuple[str, int], PathTree] = {}
     return tuple(
-        _stack(j, n, lambda g, k: chosen[g], below, memo) for n in range(upto + 1)
+        _stack(j, n, lambda g, k: chosen[index[g.text]], below, memo) for n in range(upto + 1)
     )

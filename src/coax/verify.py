@@ -64,9 +64,10 @@ def check_closed(sys: InferenceSystem, s: JudgementSet) -> Verdict:
 def check_consistent(sys: InferenceSystem, s: JudgementSet) -> Verdict:
     """s is consistent iff every member is the conclusion of some rule whose
     premises lie inside s."""
-    for c in s:
-        if not any(all(p in s for p in prs) for prs in sys.premise_sets(c)):
-            return Verdict(False, c, f"{c} has no supporting rule inside the set")
+    for c, labels in sys._least_rules(s):
+        if labels is None:
+            j = sys.universe.members[c]
+            return Verdict(False, j, f"{j} has no supporting rule inside the set")
     return Verdict(True)
 
 

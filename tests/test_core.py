@@ -469,8 +469,6 @@ def test_engines_record_entry_and_death_steps(seed):
     assert system._ascend().entry == plain
     assert analysis.entry == seeded
     assert analysis.death == dead
-    texts = system.universe.texts
-    assert analysis.levels == {t: n for t, n in zip(texts, seeded) if n}
     for j in system.universe:
         assert refute_level(system, j) == scan_refute_level(system, j)
 

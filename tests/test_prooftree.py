@@ -16,6 +16,7 @@ from coax.core import (
     Judgement,
     Rule,
     Universe,
+    UniverseMismatch,
     closure_of,
     generated,
     inductive,
@@ -300,6 +301,28 @@ def test_approx_proof_small(loopy):
         assert validate_approx_level(loopy, t, n).ok
 
 
+def test_proof_queries_reject_bad_arguments(loopy):
+    """A negative level raises ValueError before the judgement is looked up;
+    a judgement outside the universe raises UniverseMismatch, except in
+    wf_proof_search, which finds no proof of it."""
+    for j in (J("a"), J("zzz")):
+        with pytest.raises(ValueError, match="got -1"):
+            approx_proof(loopy, j, -1)
+        with pytest.raises(ValueError, match="got -1"):
+            approximating_sequence(loopy, j, -1)
+        with pytest.raises(ValueError, match="got -1"):
+            wf_proof_search(loopy, j, -1)
+    for n in (0, 2):
+        with pytest.raises(UniverseMismatch):
+            approx_proof(loopy, J("zzz"), n)
+        with pytest.raises(UniverseMismatch):
+            approximating_sequence(loopy, J("zzz"), n)
+        assert wf_proof_search(loopy, J("zzz"), n) is None
+    other = Universe(map(J, "abcd"))
+    with pytest.raises(UniverseMismatch):
+        proof_graph(loopy, other.subset(map(J, "abc")), J("a"))
+
+
 def test_validate_approx_level_flags_shallow_coaxioms(loopy):
     # the coaxiom leaf b at depth 0 is fine at level 0 but not at level 1
     leaf = PathTree.leaf(J("b"))
@@ -548,13 +571,14 @@ def _shape(t):
 
 
 def test_approx_proofs_equal_the_recursive_builder_on_the_corpus():
-    """Every approx_proof(s, j, n), 0 <= n <= |U|, on the 500 acceptance
-    systems is the tree the recursive builder stacks."""
+    """Every approx_proof(s, j, n), 0 <= n <= |U| + 2, past the end of the
+    descent, on the 500 acceptance systems is the tree the recursive
+    builder stacks."""
     for seed in range(500):
         system = random_system(random.Random(seed), max_size=12)
         ref = RecursiveProofs(system)
         for j in system.universe:
-            for n in range(len(system.universe) + 1):
+            for n in range(len(system.universe) + 3):
                 assert _shape(approx_proof(system, j, n)) == _shape(ref.approx(j, n)), (seed, j, n)
 
 

@@ -17,7 +17,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter, lt
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class CoaxError(Exception):
@@ -177,6 +177,12 @@ def _require_same(u: Universe, v: Universe) -> None:
         raise UniverseMismatch("judgement sets belong to different universes")
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, in increasing order, read
+    off its binary text in one pass."""
+    return [i for i, ch in enumerate(bin(mask)[:1:-1]) if ch == "1"]
+
+
 class JudgementSet:
     """A subset of a universe, stored as a bitmask over member positions.
 
@@ -217,17 +223,8 @@ class JudgementSet:
     def __contains__(self, j: Judgement) -> bool:
         return (self.mask >> self.universe.position(j)) & 1 == 1
 
-    def _positions(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
     def __iter__(self) -> Iterator[Judgement]:
-        members = self.universe.members
-        for i in self._positions():
-            yield members[i]
+        return map(self.universe.members.__getitem__, _bits(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -250,7 +247,7 @@ class JudgementSet:
 
     def texts(self) -> list[str]:
         """The members' texts, in universe order."""
-        return list(map(list(self.universe.texts).__getitem__, self._positions()))
+        return list(map(list(self.universe.texts).__getitem__, _bits(self.mask)))
 
 
 @dataclass(frozen=True, order=True)
@@ -286,14 +283,13 @@ class InferenceSystem:
     sets sorted lexicographically, and the conclusions in order.  Positions
     sort as their judgements do, so "the canonically least rule for j" is
     well defined everywhere a choice has to be made.  The coaxiom set may
-    be empty, in which case the system is ordinary.  Systems are immutable,
-    so the judgement view of the rules, the compiled tables and the coaxiom
-    analysis are computed on first need and kept.
+    be empty, in which case the system is ordinary.  The engines and the
+    one-step operator read this one table.  Systems are immutable, so the
+    judgement view of the rules and the chains of the analysis are computed
+    on first need and kept.
     """
 
-    __slots__ = (
-        "universe", "coaxioms", "_table", "_view", "_compiled", "_ascent", "_analysis"
-    )
+    __slots__ = ("universe", "coaxioms", "_table", "_view", "_ascent", "_analysis")
 
     def __init__(
         self,
@@ -355,7 +351,6 @@ class InferenceSystem:
         else:
             self.coaxioms = universe.subset(coaxioms)
         self._view: list[tuple[tuple[Judgement, ...], ...]] | None = None
-        self._compiled: _Compiled | None = None
         self._ascent: _Ascent | None = None
         self._analysis: _Analysis | None = None
 
@@ -380,7 +375,7 @@ class InferenceSystem:
         inside s as judgements, or None when no rule supports it there."""
         _require_same(self.universe, s.universe)
         mask, table, view = s.mask, self._table, self._labels()
-        for c in s._positions():
+        for c in _bits(mask):
             pairs = zip(table.get(c, ()), view[c])
             yield c, next((ls for prs, ls in pairs if all((mask >> p) & 1 for p in prs)), None)
 
@@ -405,10 +400,22 @@ class InferenceSystem:
             f"{self.rule_count} rules, {len(self.coaxioms)} coaxioms)"
         )
 
-    def _compile(self) -> "_Compiled":
-        if self._compiled is None:
-            self._compiled = _Compiled(self)
-        return self._compiled
+    def _operator(self) -> Callable[[int], int]:
+        """The inference operator on masks: every conclusion of a rule whose
+        premises all lie in the mask.  Each call of this method builds its
+        premise masks afresh from the table, one per rule."""
+        rules = [
+            (sum(1 << p for p in prs), 1 << c) for c, sets in self._table.items() for prs in sets
+        ]
+
+        def step(mask: int) -> int:
+            out = 0
+            for premises, bit in rules:
+                if premises & mask == premises:
+                    out |= bit
+            return out
+
+        return step
 
     def _ascend(self) -> "_Ascent":
         if self._ascent is None:
@@ -419,42 +426,6 @@ class InferenceSystem:
         if self._analysis is None:
             self._analysis = _Analysis(self)
         return self._analysis
-
-
-class _Compiled:
-    """Flat rule tables for the iteration engines, read off the position
-    table: rule ids number the rules in canonical order."""
-
-    __slots__ = ("table", "rule_premises", "rule_conclusion", "rules_by_premise", "_masks")
-
-    def __init__(self, sys: InferenceSystem):
-        self.table = table = sys._table
-        self.rule_premises: list[tuple[int, ...]] = [
-            prs for sets in table.values() for prs in sets
-        ]
-        self.rule_conclusion: list[int] = [c for c, sets in table.items() for _ in sets]
-        self.rules_by_premise: list[list[int]] = [[] for _ in range(len(sys.universe))]
-        for rid, prs in enumerate(self.rule_premises):
-            for pos in prs:
-                self.rules_by_premise[pos].append(rid)
-        self._masks: list[tuple[int, tuple[int, ...]]] | None = None
-
-    def step(self, mask: int) -> int:
-        """The inference operator on masks: every conclusion of a rule whose
-        premises all lie in ``mask``.  Its premise sets, as bitmasks per
-        conclusion bit, are built on first use."""
-        if self._masks is None:
-            self._masks = [
-                (1 << c, tuple(sum(1 << p for p in prs) for prs in sets))
-                for c, sets in self.table.items()
-            ]
-        out = 0
-        for bit, masks in self._masks:
-            for pm in masks:
-                if pm & mask == pm:
-                    out |= bit
-                    break
-        return out
 
 
 @dataclass(frozen=True)
@@ -492,13 +463,11 @@ class IterationTrace:
 
 
 def infer_step(sys: InferenceSystem, s: JudgementSet) -> JudgementSet:
-    """One application of the inference operator.
-
-    Returns every judgement that is the conclusion of some rule whose
-    premises all lie in ``s``.  Coaxioms play no part here.
-    """
+    """One application of the inference operator: every judgement that is
+    the conclusion of some rule whose premises all lie in ``s``.  Coaxioms
+    play no part here."""
     _require_same(sys.universe, s.universe)
-    return JudgementSet(sys.universe, sys._compile().step(s.mask))
+    return JudgementSet(sys.universe, sys._operator()(s.mask))
 
 
 def with_coaxioms_as_axioms(sys: InferenceSystem) -> InferenceSystem:
@@ -512,88 +481,92 @@ def with_coaxioms_as_axioms(sys: InferenceSystem) -> InferenceSystem:
 
 
 def _ascending_trace(sys: InferenceSystem, seed: int = 0) -> tuple[list[int], list[int]]:
-    """Masks of the exact Kleene chain from the empty set, strictly growing,
-    computed by level-synchronized counting (each rule fires the step after
-    its last premise arrived) rather than whole-system rescans; and, per
-    position, the step at which its judgement entered the chain (0 for
-    never).
-
-    The members of ``seed`` enter at step 1, as axioms do: seeded with the
-    coaxiom mask, this is the inductive chain of the coaxioms-as-axioms
-    system, without building that system.
+    """Masks of the exact Kleene chain from the empty set, strictly growing;
+    and, per position, the step at which its judgement entered the chain (0
+    for never).  Each rule watches one premise that has not entered yet;
+    when it enters, the rule moves its watch to a later missing premise, or
+    fires, and its conclusion enters when the next step is built, so a
+    premise never counts before its own step.  The members of ``seed``
+    enter at step 1, as axioms do: seeded with the coaxiom mask, this is
+    the inductive chain of the coaxioms-as-axioms system, without building
+    that system.
     """
-    compiled = sys._compile()
-    missing = [len(prs) for prs in compiled.rule_premises]
-    frontier = [rid for rid, m in enumerate(missing) if m == 0]
-    entry = [(seed >> pos) & 1 for pos in range(len(sys.universe))]
-    new_positions = [pos for pos, n in enumerate(entry) if n]
+    entry = [0] * len(sys.universe)
+    watchers: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in entry]
+    fired = _bits(seed)  # conclusions that enter at the next step
+    for c, sets in sys._table.items():
+        for prs in sets:
+            if prs:
+                watchers[prs[0]].append((c, prs, 0))
+            else:
+                fired.append(c)
     steps = [0]
-    next_mask = seed
     while True:
-        # premise sets are duplicate-free, so each rule joins one frontier once
-        for rid in frontier:
-            cpos = compiled.rule_conclusion[rid]
-            if not entry[cpos]:
-                entry[cpos] = len(steps)
-                next_mask |= 1 << cpos
-                new_positions.append(cpos)
-        if next_mask == steps[-1]:
-            break
-        steps.append(next_mask)
-        frontier = []
-        for pos in new_positions:
-            for rid in compiled.rules_by_premise[pos]:
-                missing[rid] -= 1
-                if missing[rid] == 0:
-                    frontier.append(rid)
-        new_positions = []
-    return steps, entry
+        mask, entered = steps[-1], []
+        for c in fired:
+            if not entry[c]:
+                entry[c] = len(steps)
+                mask |= 1 << c
+                entered.append(c)
+        if not entered:
+            return steps, entry
+        steps.append(mask)
+        fired = []
+        for pos in entered:
+            for c, prs, i in watchers[pos]:
+                if entry[c]:
+                    continue  # the conclusion is in already
+                for j in range(i + 1, len(prs)):
+                    if not entry[prs[j]]:
+                        watchers[prs[j]].append((c, prs, j))
+                        break
+                else:
+                    fired.append(c)
 
 
 def _descending_trace(sys: InferenceSystem, start_mask: int) -> tuple[list[int], list[int]]:
     """Masks of the exact Kleene chain descending from a closed start set;
     and, per position, the first step that lacks its judgement: 0 outside
-    the start set, -1 for a judgement that survives.
-
-    A rule dies the moment one premise has died; a judgement dies the step
-    after its last live rule died.  This mirrors _ascending_trace dually and
-    is only meaningful when F(start) <= start, which callers ensure.
+    the start set, -1 for a judgement that survives.  Only the live rules,
+    of start-set members with all premises in the start set, are read and
+    indexed by premise.  A rule dies the moment one premise has died; a
+    judgement dies the step after its last live rule died.  Only meaningful
+    when F(start) <= start, which callers ensure.
     """
-    compiled = sys._compile()
-    uni_size = len(sys.universe)
-    rule_dead = [False] * len(compiled.rule_premises)
-    live_rules = [0] * uni_size
-    for rid, prs in enumerate(compiled.rule_premises):
-        cpos = compiled.rule_conclusion[rid]
-        if not (start_mask >> cpos) & 1:
-            continue  # rules concluding outside the start set never matter
-        if any(not (start_mask >> p) & 1 for p in prs):
-            rule_dead[rid] = True
-        else:
-            live_rules[cpos] += 1
-    death = [-((start_mask >> pos) & 1) for pos in range(uni_size)]
+    members = _bits(start_mask)
+    death = [0] * len(sys.universe)
+    for pos in members:
+        death[pos] = -1
+    conclusion: list[int] = []  # per live rule, -1 once it has died
+    live = [0] * len(death)  # live rules per conclusion
+    rules_by_premise: defaultdict[int, list[int]] = defaultdict(list)
+    for c in members:
+        for prs in sys._table.get(c, ()):
+            if all(death[p] for p in prs):  # -1 inside the start set, 0 outside
+                for p in prs:
+                    rules_by_premise[p].append(len(conclusion))
+                conclusion.append(c)
+                live[c] += 1
     steps = [start_mask]
     # judgements of the start set with no live rule die in the first step;
     # afterwards deaths propagate one level at a time
-    frontier = [pos for pos, d in enumerate(death) if d and live_rules[pos] == 0]
+    frontier = [pos for pos in members if not live[pos]]
     while frontier:
-        next_mask = steps[-1]
+        mask = steps[-1]
         for pos in frontier:
-            next_mask &= ~(1 << pos)
+            mask ^= 1 << pos
             death[pos] = len(steps)
-        steps.append(next_mask)
+        steps.append(mask)
         new_frontier: list[int] = []
         for pos in frontier:
-            for rid in compiled.rules_by_premise[pos]:
-                if rule_dead[rid]:
+            for rid in rules_by_premise.get(pos, ()):
+                c = conclusion[rid]
+                if c < 0:
                     continue
-                rule_dead[rid] = True
-                cpos = compiled.rule_conclusion[rid]
-                if death[cpos] >= 0:
-                    continue
-                live_rules[cpos] -= 1
-                if live_rules[cpos] == 0:
-                    new_frontier.append(cpos)
+                conclusion[rid] = -1  # c is alive, since this rule was live
+                live[c] -= 1
+                if not live[c]:
+                    new_frontier.append(c)
         frontier = new_frontier
     return steps, death
 

@@ -20,6 +20,7 @@ from .core import (
     Judgement,
     JudgementSet,
     Rule,
+    _require_same,
     closure_of,
 )
 
@@ -54,10 +55,16 @@ class Verdict:
 
 
 def check_closed(sys: InferenceSystem, s: JudgementSet) -> Verdict:
-    """s is closed iff every rule with premises inside s concludes inside s."""
-    for rule in sys.rules():
-        if rule.conclusion not in s and all(p in s for p in rule.premises):
-            return Verdict(False, rule, f"rule escapes the set at {rule.conclusion}")
+    """s is closed iff every rule with premises inside s concludes inside s.
+    The witness is the first escaping rule in canonical order."""
+    _require_same(sys.universe, s.universe)
+    mask, members = s.mask, sys.universe.members
+    for c, sets in sys._table.items():
+        if not (mask >> c) & 1:
+            for prs in sets:
+                if all((mask >> p) & 1 for p in prs):
+                    rule = Rule(members[c], tuple(map(members.__getitem__, prs)))
+                    return Verdict(False, rule, f"rule escapes the set at {rule.conclusion}")
     return Verdict(True)
 
 
@@ -116,8 +123,8 @@ def brute_force(sys: InferenceSystem, cap: Optional[int] = None) -> BruteForceRe
     """Enumerate every subset of the universe and read the interpretations off
     the definitions: the least pre-fixed point, the greatest post-fixed point,
     and the greatest fixed point below the least pre-fixed point above the
-    coaxioms.  Independent of the Kleene iteration engine by design.
-    """
+    coaxioms.  Independent of the engines by design: the one-step operator
+    builds premise masks of its own from the rule table."""
     if cap is None:
         cap = _oracle_cap()
     n = len(sys.universe)
@@ -127,7 +134,7 @@ def brute_force(sys: InferenceSystem, cap: Optional[int] = None) -> BruteForceRe
     full = (1 << n) - 1
     gamma = sys.coaxioms.mask
 
-    step = sys._compile().step  # F on integer masks
+    step = sys._operator()  # F on integer masks
     fixed: list[int] = []
     mu = full
     nu = 0

@@ -93,6 +93,14 @@ def test_judgement_set_algebra():
     assert not (s <= t)
     assert uni.empty() <= s
     assert len(s) == 2 and J("a") in s and J("c") not in s
+    # members are read off big masks in one pass, as a bit-by-bit scan reads them
+    big = Universe._from_texts(f"j{i:05d}" for i in range(30_000))
+    n = len(big)
+    for mask in ((1 << n) - 1, sum(1 << i for i in range(0, n, 97)), 1 << (n - 1), 0):
+        want = [i for i in range(n) if mask >> i & 1]
+        got = JudgementSet(big, mask)
+        assert got.texts() == [big.texts[i] for i in want]
+        assert [j.text for j in got] == got.texts() and len(got) == len(want)
 
 
 def test_judgement_sets_refuse_cross_universe_mixing():

@@ -336,7 +336,7 @@ def _solve(sys: InferenceSystem, mode: str) -> tuple[JudgementSet, Optional[Iter
         return inductive(sys)
     if mode == "coind":
         return coinductive(sys)
-    descent = sys._analyze().descent
+    _, descent = sys._analyze()
     return descent.result, descent
 
 
@@ -346,11 +346,11 @@ def cmd_solve(args: argparse.Namespace, io: _Io) -> int:
     if args.format == "json":
         payload: dict = {"mode": args.mode, "result": result.texts()}
         if args.trace and trace is not None:
-            payload["trace"] = [step.texts() for step in trace.steps]
+            payload["trace"] = [step.texts() for step in trace]
         io.emit(_json_dump(payload))
     else:
         if args.trace and trace is not None:
-            for n, step in enumerate(trace.steps):
+            for n, step in enumerate(trace):
                 io.emit(" ".join([f"# step {n}:", *step.texts()]))
         io.emit("\n".join(result.texts()))
     return 0

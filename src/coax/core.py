@@ -8,7 +8,9 @@ derivable outright.
 Everything here is exact: the universe is finite, sets are bitmasks over it,
 and all interpretations (inductive, coinductive, and the coaxiom-generated one
 in between) are computed by Kleene iteration, which stabilizes in at most
-``|universe|`` strict steps on a finite lattice.
+``|universe|`` strict steps on a finite lattice.  Each chain is kept once, as
+its start set and, per position, the step at which the judgement enters or
+leaves it: memory per chain grows with the universe, not with the steps.
 """
 
 from __future__ import annotations
@@ -351,8 +353,8 @@ class InferenceSystem:
         else:
             self.coaxioms = universe.subset(coaxioms)
         self._view: list[tuple[tuple[Judgement, ...], ...]] | None = None
-        self._ascent: _Ascent | None = None
-        self._analysis: _Analysis | None = None
+        self._ascent: IterationTrace | None = None
+        self._analysis: tuple[IterationTrace, IterationTrace] | None = None
 
     # -- inspection ----------------------------------------------------------
 
@@ -417,46 +419,78 @@ class InferenceSystem:
 
         return step
 
-    def _ascend(self) -> "_Ascent":
+    def _ascend(self) -> "IterationTrace":
+        """The plain ascent, which ``inductive`` and well-founded proofs share:
+        ``record[p] - 1`` is the height of a shortest proof of member p."""
         if self._ascent is None:
-            self._ascent = _Ascent(self)
+            self._ascent = _ascending_trace(self)
         return self._ascent
 
-    def _analyze(self) -> "_Analysis":
+    def _analyze(self) -> "tuple[IterationTrace, IterationTrace]":
+        """The coaxiom analysis that every coaxiom query reads: the ascent
+        with the coaxioms entering as axioms, which ends at their closure,
+        and the descent from that closure to the generated interpretation.
+        A judgement has an approximated proof of level n exactly when its
+        death step, the descent's record, is not within 0..n."""
         if self._analysis is None:
-            self._analysis = _Analysis(self)
+            up = _ascending_trace(self, self.coaxioms.mask)
+            self._analysis = up, _descending_trace(self, up.result.mask)
         return self._analysis
 
 
 @dataclass(frozen=True)
 class IterationTrace:
     """The Kleene chain S0, S1, ... produced by iterating the inference
-    operator, recorded up to and including the stabilization witness (the last
-    two entries are equal).  ``len(trace)`` counts transformer applications,
-    i.e. ``len(steps) - 1``.
+    operator from ``start``, up to and including the stabilization witness
+    (the last two steps are equal).  ``len(trace)`` counts transformer
+    applications, i.e. ``len(steps) - 1``.
+
+    The chain is kept once, as the engine recorded it: ``record`` gives each
+    position the step at which its judgement enters an ascending chain or
+    leaves a descending one; -1 for a member of ``start`` that never leaves,
+    0 for a non-member that never enters.  Step n is ``start`` with the
+    positions of steps 1..n flipped, so a trace holds one int per position
+    however long the chain is.  ``steps``, iteration and ``at`` build the
+    masks they return when read; ``result`` is the final set, as the engine
+    left it.
     """
 
-    steps: tuple[JudgementSet, ...]
+    start: JudgementSet
+    record: list[int]
+    result: JudgementSet
 
     def __post_init__(self) -> None:
-        if len(self.steps) < 2 or self.steps[-1] != self.steps[-2]:
-            raise ValueError("trace must end with a stabilization witness")
+        if len(self.record) != len(self.start.universe):
+            raise ValueError("a trace records one step per position of its universe")
+        _require_same(self.start.universe, self.result.universe)
+
+    def __hash__(self) -> int:
+        return hash((self.start, *self.record))
 
     def __len__(self) -> int:
-        return len(self.steps) - 1
+        return max(max(self.record, default=0), 0) + 1
 
     def __iter__(self) -> Iterator[JudgementSet]:
-        return iter(self.steps)
+        flips: list[list[int]] = [[] for _ in range(len(self) + 1)]
+        for p, k in enumerate(self.record):
+            if k > 0:
+                flips[k].append(p)
+        mask = self.start.mask
+        for positions in flips:  # none at step 0, nor at the witness
+            for p in positions:
+                mask ^= 1 << p
+            yield JudgementSet(self.start.universe, mask)
 
     @property
-    def result(self) -> JudgementSet:
-        return self.steps[-1]
+    def steps(self) -> tuple[JudgementSet, ...]:
+        return tuple(self)
 
     def at(self, n: int) -> JudgementSet:
         """The n-th iterate; past stabilization the chain is constant."""
         if n < 0:
             raise ValueError(f"iterate index must be >= 0, got {n}")
-        return self.steps[min(n, len(self.steps) - 1)]
+        flips = "".join("1" if 0 < k <= n else "0" for k in reversed(self.record))
+        return JudgementSet(self.start.universe, self.start.mask ^ int(flips or "0", 2))
 
 
 # -- the inference operator and its fixed points -----------------------------
@@ -480,16 +514,15 @@ def with_coaxioms_as_axioms(sys: InferenceSystem) -> InferenceSystem:
     return InferenceSystem(sys.universe, list(sys.rules()) + extra, None)
 
 
-def _ascending_trace(sys: InferenceSystem, seed: int = 0) -> tuple[list[int], list[int]]:
-    """Masks of the exact Kleene chain from the empty set, strictly growing;
-    and, per position, the step at which its judgement entered the chain (0
-    for never).  Each rule watches one premise that has not entered yet;
-    when it enters, the rule moves its watch to a later missing premise, or
-    fires, and its conclusion enters when the next step is built, so a
-    premise never counts before its own step.  The members of ``seed``
-    enter at step 1, as axioms do: seeded with the coaxiom mask, this is
-    the inductive chain of the coaxioms-as-axioms system, without building
-    that system.
+def _ascending_trace(sys: InferenceSystem, seed: int = 0) -> IterationTrace:
+    """The exact Kleene chain from the empty set, strictly growing, recorded
+    as the step at which each judgement enters it (0 for never).  Each rule
+    watches one premise that has not entered yet; when it enters, the rule
+    moves its watch to a later missing premise, or fires, and its conclusion
+    enters when the next step is built, so a premise never counts before its
+    own step.  The members of ``seed`` enter at step 1, as axioms do: seeded
+    with the coaxiom mask, this is the inductive chain of the
+    coaxioms-as-axioms system, without building that system.
     """
     entry = [0] * len(sys.universe)
     watchers: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in entry]
@@ -500,17 +533,17 @@ def _ascending_trace(sys: InferenceSystem, seed: int = 0) -> tuple[list[int], li
                 watchers[prs[0]].append((c, prs, 0))
             else:
                 fired.append(c)
-    steps = [0]
+    mask, step = 0, 1
     while True:
-        mask, entered = steps[-1], []
+        entered = []
         for c in fired:
             if not entry[c]:
-                entry[c] = len(steps)
+                entry[c] = step
                 mask |= 1 << c
                 entered.append(c)
         if not entered:
-            return steps, entry
-        steps.append(mask)
+            return IterationTrace(sys.universe.empty(), entry, JudgementSet(sys.universe, mask))
+        step += 1
         fired = []
         for pos in entered:
             for c, prs, i in watchers[pos]:
@@ -524,14 +557,14 @@ def _ascending_trace(sys: InferenceSystem, seed: int = 0) -> tuple[list[int], li
                     fired.append(c)
 
 
-def _descending_trace(sys: InferenceSystem, start_mask: int) -> tuple[list[int], list[int]]:
-    """Masks of the exact Kleene chain descending from a closed start set;
-    and, per position, the first step that lacks its judgement: 0 outside
-    the start set, -1 for a judgement that survives.  Only the live rules,
-    of start-set members with all premises in the start set, are read and
-    indexed by premise.  A rule dies the moment one premise has died; a
-    judgement dies the step after its last live rule died.  Only meaningful
-    when F(start) <= start, which callers ensure.
+def _descending_trace(sys: InferenceSystem, start_mask: int) -> IterationTrace:
+    """The exact Kleene chain descending from a closed start set, recorded
+    as the first step that lacks each judgement: 0 outside the start set,
+    -1 for a judgement that survives.  Only the live rules, of start-set
+    members with all premises in the start set, are read and indexed by
+    premise.  A rule dies the moment one premise has died; a judgement dies
+    the step after its last live rule died.  Only meaningful when F(start)
+    <= start, which callers ensure.
     """
     members = _bits(start_mask)
     death = [0] * len(sys.universe)
@@ -547,16 +580,15 @@ def _descending_trace(sys: InferenceSystem, start_mask: int) -> tuple[list[int],
                     rules_by_premise[p].append(len(conclusion))
                 conclusion.append(c)
                 live[c] += 1
-    steps = [start_mask]
+    mask, step = start_mask, 1
     # judgements of the start set with no live rule die in the first step;
     # afterwards deaths propagate one level at a time
     frontier = [pos for pos in members if not live[pos]]
     while frontier:
-        mask = steps[-1]
         for pos in frontier:
             mask ^= 1 << pos
-            death[pos] = len(steps)
-        steps.append(mask)
+            death[pos] = step
+        step += 1
         new_frontier: list[int] = []
         for pos in frontier:
             for rid in rules_by_premise.get(pos, ()):
@@ -568,73 +600,43 @@ def _descending_trace(sys: InferenceSystem, start_mask: int) -> tuple[list[int],
                 if not live[c]:
                     new_frontier.append(c)
         frontier = new_frontier
-    return steps, death
+    uni = sys.universe
+    return IterationTrace(JudgementSet(uni, start_mask), death, JudgementSet(uni, mask))
 
 
-def _as_trace(universe: Universe, masks: list[int]) -> IterationTrace:
-    masks = masks + [masks[-1]]  # stabilization witness
-    return IterationTrace(tuple(JudgementSet(universe, m) for m in masks))
-
-
-class _Ascent:
-    """An ascending Kleene chain of one system, kept with the system.
-
-    ``ascent`` is the chain from the empty set, the members of ``seed``
-    entering at step 1 as axioms do, and ``entry`` gives each position the
-    step at which its judgement entered it (0 for never), so ``entry[p] -
-    1`` is the height of a shortest proof of a member.  Unseeded, it is the
-    chain that ``inductive`` and well-founded proofs share; traces are
-    immutable.
-    """
-
-    __slots__ = ("ascent", "entry")
-
-    def __init__(self, sys: InferenceSystem, seed: int = 0):
-        masks, self.entry = _ascending_trace(sys, seed)
-        self.ascent = _as_trace(sys.universe, masks)
-
-
-class _Analysis(_Ascent):
-    """The coaxiom analysis of one system, which every coaxiom query reads.
-
-    ``ascent`` is the Kleene chain from the empty set with the coaxioms
-    entering as axioms; it ends at the closure of the coaxioms, and
-    ``entry[p] - 1`` is the height of a shortest proof modulo coaxioms.
-    ``descent`` is the chain descending from the closure and ends at the
-    generated interpretation.  ``death`` gives each position the first step
-    of ``descent`` that lacks its judgement: 0 outside the closure, -1 inside
-    the generated set.  So a judgement has an approximated proof of level n
-    exactly when its death step is not within 0..n.
-    """
-
-    __slots__ = ("descent", "death")
-
-    def __init__(self, sys: InferenceSystem):
-        super().__init__(sys, sys.coaxioms.mask)
-        masks, self.death = _descending_trace(sys, self.ascent.result.mask)
-        self.descent = _as_trace(sys.universe, masks)
+def _escaping_rule(sys: InferenceSystem, s: JudgementSet) -> tuple[int, tuple[int, ...]] | None:
+    """The first rule in canonical order whose premises all lie in ``s`` and
+    whose conclusion does not, as (conclusion, premises) positions; None when
+    ``s`` is closed.  Its conclusion is the least one that escapes ``s``."""
+    _require_same(sys.universe, s.universe)
+    mask = s.mask
+    for c, sets in sys._table.items():
+        if not (mask >> c) & 1:
+            for prs in sets:
+                if all((mask >> p) & 1 for p in prs):
+                    return c, prs
+    return None
 
 
 def inductive(sys: InferenceSystem) -> tuple[JudgementSet, IterationTrace]:
     """Least fixed point of the inference operator: judgements with finite,
     well-founded proof trees.  Coaxioms are ignored.  The chain is computed
     once per system and shared."""
-    trace = sys._ascend().ascent
+    trace = sys._ascend()
     return trace.result, trace
 
 
 def coinductive(sys: InferenceSystem) -> tuple[JudgementSet, IterationTrace]:
     """Greatest fixed point of the inference operator: judgements with
     arbitrary, possibly infinite proof trees.  Coaxioms are ignored."""
-    masks, _ = _descending_trace(sys, sys.universe.full().mask)
-    trace = _as_trace(sys.universe, masks)
+    trace = _descending_trace(sys, sys.universe.full().mask)
     return trace.result, trace
 
 
 def closure_of(sys: InferenceSystem) -> JudgementSet:
     """Least set that contains the coaxioms and is closed under the rules:
     the inductive interpretation after turning coaxioms into axioms."""
-    return sys._analyze().ascent.result
+    return sys._analyze()[0].result
 
 
 def kernel_below(
@@ -644,14 +646,12 @@ def kernel_below(
 
     ``beta`` must be closed (one inference step from it stays inside it);
     otherwise descent need not converge to a fixed point and BetaNotClosed is
-    raised, carrying a violating conclusion.
+    raised, carrying the least violating conclusion.
     """
-    _require_same(sys.universe, beta.universe)
-    escaped = infer_step(sys, beta) - beta
-    if escaped:
-        raise BetaNotClosed(next(iter(escaped)))
-    masks, _ = _descending_trace(sys, beta.mask)
-    trace = _as_trace(sys.universe, masks)
+    escape = _escaping_rule(sys, beta)
+    if escape is not None:
+        raise BetaNotClosed(sys.universe.members[escape[0]])
+    trace = _descending_trace(sys, beta.mask)
     return trace.result, trace
 
 
@@ -660,4 +660,4 @@ def generated(sys: InferenceSystem) -> JudgementSet:
     below the closure of the coaxiom set, reached by descending from the
     closure.  It equals the coinductive interpretation of the system
     restricted to conclusions inside the closure."""
-    return sys._analyze().descent.result
+    return sys._analyze()[1].result

@@ -293,7 +293,7 @@ def wf_proof_search(
         raise ValueError(f"depth bound must be >= 0, got {depth_bound}")
     if j not in sys.universe:
         return None
-    entry = sys._ascend().entry
+    entry = sys._ascend().record
     pos = sys.universe._index[j.text]
     if not 0 < entry[pos] <= depth_bound + 1:
         return None
@@ -312,7 +312,8 @@ def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTre
     """
     if n < 0:
         raise ValueError(f"approximation level must be >= 0, got {n}")
-    death = sys._analyze().death
+    up, down = sys._analyze()
+    death = down.record
     if 0 <= death[sys.universe.position(j)] <= n:
         return None
     table, view, index = sys._table, sys._labels(), sys.universe._index
@@ -324,7 +325,7 @@ def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTre
                 return labels
         raise AssertionError(f"{c} unsupported at level {k}")  # pragma: no cover
 
-    return _stack(j, n, least, _below_the_cut(sys, sys._analyze().entry), {})
+    return _stack(j, n, least, _below_the_cut(sys, up.record), {})
 
 
 def validate_approx_level(sys: InferenceSystem, t: PathTree, n: int) -> TreeVerdict:
@@ -421,12 +422,12 @@ def approximating_sequence(
     """
     if upto < 0:
         raise ValueError(f"sequence bound must be >= 0, got {upto}")
-    analysis = sys._analyze()
-    if analysis.death[sys.universe.position(j)] >= 0:
+    up, down = sys._analyze()
+    if down.record[sys.universe.position(j)] >= 0:
         raise NotInGenerated(j)
-    chosen = dict(sys._least_rules(analysis.descent.result))
+    chosen = dict(sys._least_rules(down.result))
     index = sys.universe._index
-    below = _below_the_cut(sys, analysis.entry)
+    below = _below_the_cut(sys, up.record)
     memo: dict[tuple[str, int], PathTree] = {}
     return tuple(
         _stack(j, n, lambda g, k: chosen[index[g.text]], below, memo) for n in range(upto + 1)

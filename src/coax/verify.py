@@ -20,7 +20,7 @@ from .core import (
     Judgement,
     JudgementSet,
     Rule,
-    _require_same,
+    _escaping_rule,
     closure_of,
 )
 
@@ -57,15 +57,13 @@ class Verdict:
 def check_closed(sys: InferenceSystem, s: JudgementSet) -> Verdict:
     """s is closed iff every rule with premises inside s concludes inside s.
     The witness is the first escaping rule in canonical order."""
-    _require_same(sys.universe, s.universe)
-    mask, members = s.mask, sys.universe.members
-    for c, sets in sys._table.items():
-        if not (mask >> c) & 1:
-            for prs in sets:
-                if all((mask >> p) & 1 for p in prs):
-                    rule = Rule(members[c], tuple(map(members.__getitem__, prs)))
-                    return Verdict(False, rule, f"rule escapes the set at {rule.conclusion}")
-    return Verdict(True)
+    escape = _escaping_rule(sys, s)
+    if escape is None:
+        return Verdict(True)
+    c, prs = escape
+    members = sys.universe.members
+    rule = Rule(members[c], tuple(map(members.__getitem__, prs)))
+    return Verdict(False, rule, f"rule escapes the set at {rule.conclusion}")
 
 
 def check_consistent(sys: InferenceSystem, s: JudgementSet) -> Verdict:
@@ -97,7 +95,7 @@ def refute_level(sys: InferenceSystem, j: Judgement) -> Optional[int]:
     closure of the coaxioms — i.e. j has no approximated proof of level n —
     or None when j survives to stabilization (exactly the generated set on a
     finite universe).  The analysis records that step as j dies."""
-    death = sys._analyze().death[sys.universe.position(j)]
+    death = sys._analyze()[1].record[sys.universe.position(j)]
     return None if death < 0 else death
 
 

@@ -126,7 +126,7 @@ def steps_by_hand(system: InferenceSystem) -> tuple[list[int], list[int], list[i
 def scan_refute_level(system: InferenceSystem, j: Judgement) -> Optional[int]:
     """refute_level as a scan of the analysis' descending chain for the first
     step that lacks j, None when j is in its limit."""
-    descent = system._analyze().descent
+    _, descent = system._analyze()
     if j in descent.result:
         return None
     for n, step in enumerate(descent.steps):

@@ -216,10 +216,10 @@ def test_acceptance_engine_records_entry_and_death_steps_on_500_systems():
     for seed in CORPUS_SEEDS:
         system = _corpus_system(seed)
         plain, seeded, dead = steps_by_hand(system)
-        analysis = system._analyze()
-        assert system._ascend().entry == plain, seed
-        assert analysis.entry == seeded, seed
-        assert analysis.death == dead, seed
+        up, down = system._analyze()
+        assert system._ascend().record == plain, seed
+        assert up.record == seeded, seed
+        assert down.record == dead, seed
         for j in system.universe:
             assert refute_level(system, j) == scan_refute_level(system, j), (seed, str(j))
     _report("entry and death steps = hand-iterated chains, same corpus", started)

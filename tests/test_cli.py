@@ -338,6 +338,18 @@ def test_solve_trace_and_json(tmp_path, capsys):
     assert payload["trace"][0] == ["a", "b", "c"]  # descent starts at the closure
 
 
+def test_solve_trace_prints_the_witness_when_nothing_dies(tmp_path, capsys):
+    """A descent where nothing dies has one step: the closure and its
+    stabilization witness are both printed."""
+    path = write(tmp_path, "ring.coax", "rule a <- b\nrule b <- a\ncoaxiom a\n")
+    code, out, _ = invoke(capsys, "solve", path, "--trace", "--mode", "gen")
+    assert code == 0 and out.splitlines() == ["# step 0: a b", "# step 1: a b", "a", "b"]
+    code, out, _ = invoke(capsys, "solve", path, "--trace", "--mode", "gen", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["trace"] == [["a", "b"], ["a", "b"]]
+    assert payload["result"] == ["a", "b"]
+
+
 def test_solve_trace_does_not_carry_over_to_the_next_call(tmp_path, capsys):
     """The argument parser is built once per process; a flag of one call
     must not leak into the next."""

@@ -2,6 +2,7 @@
 closure/kernel/generated, and their lattice laws."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +26,7 @@ from coax.core import (
 )
 from coax.cli import emit_system
 from coax.prooftree import approx_proof, approximating_sequence, wf_proof_search
-from coax.verify import bounded_coinduction, refute_level
+from coax.verify import bounded_coinduction, check_closed, refute_level
 
 from oracles import (
     kleene_by_hand,
@@ -307,16 +308,22 @@ def test_trace_shape(tiny):
     assert trace.at(10**6) == trace.result
     with pytest.raises(ValueError):
         trace.at(-1)
+    empty = tiny.universe.empty()
     with pytest.raises(ValueError):
-        # a trace must end with its stabilization witness
-        type(trace)((tiny.universe.empty(), tiny.universe.full()))
+        # a trace records one step per position of its universe
+        type(trace)(empty, [0] * (len(tiny.universe) - 1), empty)
+    with pytest.raises(UniverseMismatch):
+        type(trace)(empty, [0] * len(tiny.universe), Universe([J("a")]).empty())
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
 def test_traces_are_exact_kleene_chains(seed):
     """Every recorded ascending/descending step equals one application of the
-    operator to the previous step - the engine takes no shortcuts."""
+    operator to the previous step - the engine takes no shortcuts.  Every
+    trace's steps, its stabilization witness included, and every iterate
+    ``at(n)``, past the end too, equal the chain iterated by hand on plain
+    sets."""
     rng = random.Random(seed)
     system = random_system(rng, max_size=11)
     _, up = inductive(system)
@@ -327,6 +334,23 @@ def test_traces_are_exact_kleene_chains(seed):
         assert infer_step(system, a) == b
     assert len(up) <= len(system.universe) + 1
     assert len(down) <= len(system.universe) + 1
+
+    uni, rules = system.universe, rules_of(system)
+    relaxed = rules + [(c, frozenset()) for c in system.coaxioms.texts()]
+    closure = kleene_by_hand(relaxed, frozenset())[-1]
+    seeded_up, analysis_down = system._analyze()
+    for trace, trace_rules, start in [
+        (up, rules, frozenset()),
+        (down, rules, frozenset(uni.texts)),
+        (kernel_below(system, closure_of(system))[1], rules, closure),
+        (seeded_up, relaxed, frozenset()),
+        (analysis_down, rules, closure),
+    ]:
+        chain = [uni.subset(map(J, s)) for s in kleene_by_hand(trace_rules, start)]
+        assert trace.steps == (*chain, chain[-1])
+        assert len(trace) == len(chain) and trace.result == chain[-1]
+        for n in range(len(trace) + 2):
+            assert trace.at(n) == chain[min(n, len(chain) - 1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -389,6 +413,27 @@ def test_kernel_below_requires_closed_bound(tiny):
     assert exc.value.conclusion == J("d")
     # the witness is genuine: one step from the bound leaves it
     assert J("d") in infer_step(tiny, not_closed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_kernel_below_and_check_closed_name_the_same_escape(seed):
+    """On random sets, kernel_below raises BetaNotClosed exactly when
+    check_closed refuses the set, and names the conclusion of check_closed's
+    witness: the least judgement that one inference step adds."""
+    rng = random.Random(seed)
+    system = random_system(rng, max_size=11)
+    for _ in range(20):
+        s = JudgementSet(system.universe, rng.getrandbits(len(system.universe)))
+        verdict = check_closed(system, s)
+        escaped = infer_step(system, s) - s
+        assert verdict.ok == (not escaped)
+        if verdict.ok:
+            kernel_below(system, s)
+            continue
+        with pytest.raises(BetaNotClosed) as exc:
+            kernel_below(system, s)
+        assert exc.value.conclusion == verdict.witness.conclusion == next(iter(escaped))
 
 
 def test_kernel_below_is_greatest_fixed_point_below(tiny):
@@ -458,11 +503,11 @@ def test_analysis_chains_match_the_rebuilt_systems(seed):
     is step for step the inductive chain of the coaxioms-as-axioms system;
     its descending chain is kernel_below's from that closure."""
     system = random_system(random.Random(seed), max_size=11)
-    analysis = system._analyze()
+    up, down = system._analyze()
     _, relaxed_up = inductive(with_coaxioms_as_axioms(system))
-    assert analysis.ascent.steps == relaxed_up.steps
+    assert up.steps == relaxed_up.steps
     assert closure_of(system) == relaxed_up.result
-    assert analysis.descent.steps == kernel_below(system, relaxed_up.result)[1].steps
+    assert down.steps == kernel_below(system, relaxed_up.result)[1].steps
 
 
 @settings(max_examples=60, deadline=None)
@@ -473,12 +518,37 @@ def test_engines_record_entry_and_death_steps(seed):
     iterated by hand; refute_level equals a scan of the descent."""
     system = random_system(random.Random(seed), max_size=11)
     plain, seeded, dead = steps_by_hand(system)
-    analysis = system._analyze()
-    assert system._ascend().entry == plain
-    assert analysis.entry == seeded
-    assert analysis.death == dead
+    up, down = system._analyze()
+    assert system._ascend().record == plain
+    assert up.record == seeded
+    assert down.record == dead
     for j in system.universe:
         assert refute_level(system, j) == scan_refute_level(system, j)
+
+
+def _peak_mb(engine, system) -> float:
+    tracemalloc.start()
+    try:
+        engine(system)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_chains_are_kept_in_memory_linear_in_the_universe():
+    """A trace keeps one record entry per position, not one mask per step:
+    on a 20,000-step chain each engine peaks at a few MB, where the step
+    masks alone would take 20,000 x 2.5 kB."""
+    n = 20_000
+    uni = Universe._from_texts(f"c{i:05d}" for i in range(n + 1))
+    chain = {i + 1: [(i,)] for i in range(n)}  # c(i+1) <- c(i)
+    with_axiom = InferenceSystem._from_table(uni, {0: [()], **chain})
+    without_axiom = InferenceSystem._from_table(uni, chain)  # one judgement dies per step
+    assert _peak_mb(inductive, with_axiom) <= 10
+    assert _peak_mb(generated, with_axiom) <= 10
+    assert _peak_mb(coinductive, without_axiom) <= 10
+    assert len(inductive(with_axiom)[1]) == len(coinductive(without_axiom)[1]) == n + 2
+    assert generated(with_axiom) == uni.full() and not coinductive(without_axiom)[0]
 
 
 def test_analysis_is_computed_once_per_system(tiny, monkeypatch):

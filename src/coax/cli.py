@@ -60,34 +60,25 @@ class SystemFile:
 
     ``universe``, ``rules`` and ``coaxioms`` read the same data back as
     tokens; ``rules`` lists the rules grouped by conclusion, in order of
-    first appearance, each with its premises sorted.  Built by hand from
-    tokens, ``SystemFile(universe, rules, coaxioms)`` accepts premises in
-    any order and repeated, and rules and coaxioms more than once.
+    first appearance, each with its premises sorted.  ``parse_system_file``
+    is the one way to make a ``SystemFile`` from tokens.
     """
 
     __slots__ = ("names", "universe_ids", "rule_ids", "coaxiom_ids", "warnings")
 
     def __init__(
         self,
-        universe: Optional[Iterable[str]],
-        rules: Iterable[tuple[str, Iterable[str]]],
-        coaxioms: Iterable[str],
-        warnings: Iterable[str] = (),
-    ):
-        ids, at = _interner()
-        universe_ids = None if universe is None else tuple(map(at, universe))
-        rule_ids: defaultdict[int, dict[tuple[int, ...], None]] = defaultdict(dict)
-        for c, prs in rules:
-            rule_ids[at(c)][tuple(sorted(set(map(at, prs))))] = None
-        coaxiom_ids = tuple(dict.fromkeys(map(at, coaxioms)))
-        self._set(list(ids), universe_ids, rule_ids, coaxiom_ids, tuple(warnings))
-
-    def _set(self, names, universe_ids, rule_ids, coaxiom_ids, warnings) -> None:
-        self.names: list[str] = names
-        self.universe_ids: Optional[tuple[int, ...]] = universe_ids
-        self.rule_ids: Mapping[int, Iterable[tuple[int, ...]]] = rule_ids
-        self.coaxiom_ids: tuple[int, ...] = coaxiom_ids
-        self.warnings: tuple[str, ...] = warnings
+        names: list[str],
+        universe_ids: Optional[tuple[int, ...]],
+        rule_ids: Mapping[int, Iterable[tuple[int, ...]]],
+        coaxiom_ids: tuple[int, ...],
+        warnings: tuple[str, ...],
+    ) -> None:
+        self.names = names
+        self.universe_ids = universe_ids
+        self.rule_ids = rule_ids
+        self.coaxiom_ids = coaxiom_ids
+        self.warnings = warnings
 
     @property
     def universe(self) -> Optional[tuple[str, ...]]:
@@ -176,15 +167,13 @@ def parse_system_file(text: str) -> SystemFile:
             warnings.append(f"line {lineno}: duplicate rule for {tokens[1]} ignored")
         else:
             premise_sets[ps] = None
-    sf = SystemFile.__new__(SystemFile)
-    sf._set(
+    return SystemFile(
         list(ids),
         None if universe is None else tuple(universe),
         rules,
         tuple(coaxioms),
         tuple(warnings),
     )
-    return sf
 
 
 def system_from_file(sf: SystemFile) -> InferenceSystem:
@@ -386,8 +375,7 @@ def cmd_prove(args: argparse.Namespace, io: _Io) -> int:
     system = _load_system(args.system)
     j = Judgement(args.judgement)
     if j not in system.universe:
-        print(f"error: {j} is not in the universe", file=_sys.stderr)
-        return 2
+        raise ValueError(f"{j} is not in the universe")
     if args.level is not None:
         tree = prooftree.approx_proof(system, j, args.level)
         if tree is None:
@@ -517,8 +505,8 @@ def cmd_builtin(args: argparse.Namespace, io: _Io) -> int:
         system, _ = systems.build_bigstep(systems.parse_lambda(_read(args.term)), **caps)
     elif name in ("member", "allpos", "maxelem", "elems"):
         x = args.element if name == "member" else 0
-        built = systems.build_list_preds(regular.parse_eq_system(_read(args.term)), x)
-        system, _ = built[name]
+        term = regular.parse_eq_system(_read(args.term))
+        system, _ = systems._list_pred_builders(term, x)[name]()
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown builder {name}")
     if args.format == "json":

@@ -285,13 +285,14 @@ class InferenceSystem:
     sets sorted lexicographically, and the conclusions in order.  Positions
     sort as their judgements do, so "the canonically least rule for j" is
     well defined everywhere a choice has to be made.  The coaxiom set may
-    be empty, in which case the system is ordinary.  The engines and the
-    one-step operator read this one table.  Systems are immutable, so the
-    judgement view of the rules and the chains of the analysis are computed
-    on first need and kept.
+    be empty, in which case the system is ordinary.  The engines, the
+    one-step operator and the proof builders read this one table; no
+    judgement view of it is kept, and ``premise_sets`` and ``rules`` make
+    their judgements when called.  Systems are immutable, so the chains of
+    the analysis are computed on first need and kept.
     """
 
-    __slots__ = ("universe", "coaxioms", "_table", "_view", "_ascent", "_analysis")
+    __slots__ = ("universe", "coaxioms", "_table", "_ascent", "_analysis")
 
     def __init__(
         self,
@@ -352,7 +353,6 @@ class InferenceSystem:
             self.coaxioms = coaxioms
         else:
             self.coaxioms = universe.subset(coaxioms)
-        self._view: list[tuple[tuple[Judgement, ...], ...]] | None = None
         self._ascent: IterationTrace | None = None
         self._analysis: tuple[IterationTrace, IterationTrace] | None = None
 
@@ -360,26 +360,18 @@ class InferenceSystem:
 
     def premise_sets(self, conclusion: Judgement) -> tuple[tuple[Judgement, ...], ...]:
         """All premise sets of rules concluding the given judgement."""
-        return self._labels()[self.universe.position(conclusion)]
+        members = self.universe.members
+        sets = self._table.get(self.universe.position(conclusion), ())
+        return tuple(tuple(map(members.__getitem__, prs)) for prs in sets)
 
-    def _labels(self) -> list[tuple[tuple[Judgement, ...], ...]]:
-        """Per position, the premise sets of ``_table`` as judgements."""
-        if self._view is None:
-            members = list(self.universe.members)
-            view: list[tuple[tuple[Judgement, ...], ...]] = [()] * len(members)
-            for c, sets in self._table.items():
-                view[c] = tuple(tuple(map(members.__getitem__, prs)) for prs in sets)
-            self._view = view
-        return self._view
-
-    def _least_rules(self, s: JudgementSet) -> Iterator[tuple[int, tuple[Judgement, ...] | None]]:
+    def _least_rules(self, s: JudgementSet) -> Iterator[tuple[int, tuple[int, ...] | None]]:
         """Each member position of s, in order, with its least premise set
-        inside s as judgements, or None when no rule supports it there."""
+        inside s, or None when no rule supports it there."""
         _require_same(self.universe, s.universe)
-        mask, table, view = s.mask, self._table, self._labels()
+        mask, table = s.mask, self._table
         for c in _bits(mask):
-            pairs = zip(table.get(c, ()), view[c])
-            yield c, next((ls for prs, ls in pairs if all((mask >> p) & 1 for p in prs)), None)
+            sets = table.get(c, ())
+            yield c, next((prs for prs in sets if all((mask >> p) & 1 for p in prs)), None)
 
     def rules(self) -> Iterator[Rule]:
         members = self.universe.members
@@ -510,8 +502,10 @@ def with_coaxioms_as_axioms(sys: InferenceSystem) -> InferenceSystem:
     Inference in the result satisfies F'(s) = F(s) | coaxioms pointwise; its
     inductive interpretation is the closure of the coaxiom set.
     """
-    extra = [Rule(j) for j in sys.coaxioms]
-    return InferenceSystem(sys.universe, list(sys.rules()) + extra, None)
+    table = dict(sys._table)
+    for c in _bits(sys.coaxioms.mask):
+        table[c] = table.get(c, ()) + ((),)
+    return InferenceSystem._from_table(sys.universe, table)
 
 
 def _ascending_trace(sys: InferenceSystem, seed: int = 0) -> IterationTrace:

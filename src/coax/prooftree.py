@@ -9,13 +9,16 @@ Depth convention: the root sits at depth 0 and depth counts edges, so "a
 coaxiom used at depth >= n" means its node's path has length >= n.
 
 Queries read the cached analysis by position: whether a proof exists is one
-lookup in its entry or death steps, and rules are chosen on the position
-table against those steps or a support mask.
+lookup in its entry or death steps.  Builders choose rules on the position
+table ``InferenceSystem._table`` against those steps or a support mask, and
+memoize on (position, budget) or (position, level); a judgement is made only
+as a tree label, a ``ProofGraph`` field or a return value.  The validators
+compare the positions of each node's children with the same table.
 
 No builder recurses, so no recursion limit bounds a proof's depth.
 Well-founded proofs and unfoldings are materialized once, top down
 (``_expand``), in O(nodes x depth); approximated proofs stack one tree per
-(judgement, level) above the cut (``_stack``), which is cubic in the levels.
+(position, level) above the cut (``_stack``), which is cubic in the levels.
 """
 
 from __future__ import annotations
@@ -165,32 +168,51 @@ def validate_proof_tree(
     """Check that every node (leaves included) is the conclusion of a rule of
     the system whose premise set is exactly its children's labels; a childless
     member of ``leaves`` passes as an axiom would."""
+    return _validate(sys, t, leaves, 0)
+
+
+def _validate(
+    sys: InferenceSystem, t: PathTree, leaves: Container[Judgement], n: int
+) -> TreeVerdict:
+    """Both validators in one pass over one ``children_index``, on positions:
+    a node outside the universe, or concluded by no rule from its children (a
+    childless member of ``leaves`` excepted), fails at once; the first
+    childless leaf above depth n that is no axiom fails if no such node does."""
     paths, kids = t.children_index()
+    index, table = sys.universe._index, sys._table
+    shallow = TreeVerdict(True)
     for path, numbers in zip(paths, kids):
         c = t.label(path)
-        if c not in sys.universe:
+        pos = index.get(c.text)
+        if pos is None:
             return TreeVerdict(False, path, f"{c} is outside the universe")
-        children = tuple(paths[k][-1] for k in numbers)
-        if (children or c not in leaves) and children not in sys.premise_sets(c):
-            return TreeVerdict(False, path, f"no rule concludes {c} from {children}")
-    return TreeVerdict(True)
+        children = tuple(index.get(paths[k][-1].text) for k in numbers)
+        if children in table.get(pos, ()):
+            continue
+        if children or c not in leaves:
+            labels = tuple(paths[k][-1] for k in numbers)
+            return TreeVerdict(False, path, f"no rule concludes {c} from {labels}")
+        if shallow and len(path) < n:
+            shallow = TreeVerdict(False, path, f"depth {len(path)} < {n} node rests on a coaxiom")
+    return shallow
 
 
 def _expand(
-    root: Judgement, children: Callable[[Judgement, int], Sequence[Judgement]]
+    members: Sequence[Judgement], root: int, children: Callable[[int, int], Sequence[int]]
 ) -> PathTree:
-    """The tree whose node labelled c at depth d has the labels children(c, d)
-    as its children, materialized in one top-down pass from an explicit
-    stack: each child's path is its parent's path plus one label."""
+    """The tree whose node of position c at depth d has the positions
+    children(c, d) as its children, labelled by ``members``, materialized in
+    one top-down pass from an explicit stack: each child's path is its
+    parent's path plus its label."""
     paths: list[Path] = []
-    stack: list[Path] = [()]
+    stack: list[tuple[Path, int]] = [((), root)]
     while stack:
-        path = stack.pop()
-        for p in children(path[-1] if path else root, len(path)):
-            child = path + (p,)
+        path, c = stack.pop()
+        for p in children(c, len(path)):
+            child = path + (members[p],)
             paths.append(child)
-            stack.append(child)
-    return PathTree(root, frozenset(paths))
+            stack.append((child, p))
+    return PathTree(members[root], frozenset(paths))
 
 
 def _wf_build(
@@ -213,70 +235,69 @@ def _wf_build(
     hit = memo.get(key)
     if hit is not None:
         return hit
-    table, view, index = sys._table, sys._labels(), sys.universe._index
-    chosen: dict[tuple[int, int], tuple[Judgement, ...]] = {}
+    table = sys._table
+    chosen: dict[tuple[int, int], tuple[int, ...]] = {}
     todo = [key]
     while todo:
         pair = todo.pop()
         if pair in chosen:
             continue
         c, b = pair
-        rules = (((), ()),) if (leaves >> c) & 1 else zip(table.get(c, ()), view[c])
-        for prs, labels in rules:
+        for prs in ((),) if (leaves >> c) & 1 else table.get(c, ()):
             if all(0 < entry[p] <= b for p in prs):
                 break
         else:  # pragma: no cover - guarded by the level precondition
             raise AssertionError(f"no admissible rule at position {c}, budget {b}")
-        chosen[pair] = labels
+        chosen[pair] = prs
         todo.extend([(p, b - 1) for p in prs])
-    root = sys.universe.members[pos]
-    tree = memo[key] = _expand(root, lambda c, d: chosen[index[c.text], budget - d])
+    tree = memo[key] = _expand(sys.universe.members, pos, lambda c, d: chosen[c, budget - d])
     return tree
 
 
 def _stack(
-    root: Judgement,
+    members: Sequence[Judgement],
+    root: int,
     n: int,
-    premises: Callable[[Judgement, int], tuple[Judgement, ...]],
-    base: Callable[[Judgement], PathTree],
-    memo: dict[tuple[str, int], PathTree],
+    premises: Callable[[int, int], tuple[int, ...]],
+    base: Callable[[int], PathTree],
+    memo: dict[tuple[int, int], PathTree],
 ) -> PathTree:
-    """The tree t(root, n), where t(c, 0) = base(c) and t(c, k) stacks
-    premises(c, k) under c, each premise p carrying t(p, k - 1); memoized on
-    (c.text, k) in ``memo`` and built from an explicit stack.  An entry holds
-    its premises once they are chosen; nodes at level 1 rest on base trees
-    only, so they are built at once."""
+    """The tree t(root, n) over positions labelled by ``members``, where
+    t(c, 0) = base(c) and t(c, k) stacks premises(c, k) under c, each premise
+    p carrying t(p, k - 1); memoized on (c, k) in ``memo`` and built from an
+    explicit stack.  An entry holds its premises once they are chosen; nodes
+    at level 1 rest on base trees only, so they are built at once."""
     if n <= 0:
         return base(root)
-    stack: list[tuple[Judgement, int, Optional[tuple[Judgement, ...]]]] = [(root, n, None)]
+    stack: list[tuple[int, int, Optional[tuple[int, ...]]]] = [(root, n, None)]
     while stack:
         c, k, prs = stack.pop()
-        key = (c.text, k)
+        key = (c, k)
         if prs is None:
             if key in memo:
                 continue
             prs = premises(c, k)
             if k == 1:
-                memo[key] = PathTree.branch(c, map(base, prs))
+                memo[key] = PathTree.branch(members[c], map(base, prs))
                 continue
             top = len(stack)
             for p in prs:
-                if (p.text, k - 1) not in memo:
+                if (p, k - 1) not in memo:
                     stack.append((p, k - 1, None))
             if len(stack) > top:  # come back once the missing subtrees are made
                 stack.insert(top, (c, k, prs))
                 continue
-        memo[key] = PathTree.branch(c, [memo[p.text, k - 1] for p in prs])
-    return memo[root.text, n]
+        memo[key] = PathTree.branch(members[c], [memo[p, k - 1] for p in prs])
+    return memo[root, n]
 
 
-def _below_the_cut(sys: InferenceSystem, entry: list[int]) -> Callable[[Judgement], PathTree]:
-    """A shortest proof modulo coaxioms of a closure member, the subtree an
-    approximated proof hangs below its cut, chosen against the coaxiom-seeded
-    entry steps; memoized on (position, budget)."""
+def _below_the_cut(sys: InferenceSystem, entry: list[int]) -> Callable[[int], PathTree]:
+    """A shortest proof modulo coaxioms of the closure member at a position,
+    the subtree an approximated proof hangs below its cut, chosen against the
+    coaxiom-seeded entry steps; memoized on (position, budget)."""
     memo: dict[tuple[int, int], PathTree] = {}
-    index, leaves = sys.universe._index, sys.coaxioms.mask
-    return lambda c: _wf_build(sys, entry, index[c.text], entry[index[c.text]] - 1, memo, leaves)
+    leaves = sys.coaxioms.mask
+    return lambda c: _wf_build(sys, entry, c, entry[c] - 1, memo, leaves)
 
 
 def wf_proof_search(
@@ -294,7 +315,7 @@ def wf_proof_search(
     if j not in sys.universe:
         return None
     entry = sys._ascend().record
-    pos = sys.universe._index[j.text]
+    pos = sys.universe.position(j)
     if not 0 < entry[pos] <= depth_bound + 1:
         return None
     return _wf_build(sys, entry, pos, min(depth_bound, len(sys.universe)), {})
@@ -314,37 +335,27 @@ def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTre
         raise ValueError(f"approximation level must be >= 0, got {n}")
     up, down = sys._analyze()
     death = down.record
-    if 0 <= death[sys.universe.position(j)] <= n:
+    pos = sys.universe.position(j)
+    if 0 <= death[pos] <= n:
         return None
-    table, view, index = sys._table, sys._labels(), sys.universe._index
+    table = sys._table
 
-    def least(c: Judgement, k: int) -> tuple[Judgement, ...]:
-        pos = index[c.text]
-        for prs, labels in zip(table.get(pos, ()), view[pos]):
+    def least(c: int, k: int) -> tuple[int, ...]:
+        for prs in table.get(c, ()):
             if all(not 0 <= death[p] < k for p in prs):
-                return labels
-        raise AssertionError(f"{c} unsupported at level {k}")  # pragma: no cover
+                return prs
+        raise AssertionError(f"position {c} unsupported at level {k}")  # pragma: no cover
 
-    return _stack(j, n, least, _below_the_cut(sys, up.record), {})
+    return _stack(sys.universe.members, pos, n, least, _below_the_cut(sys, up.record), {})
 
 
 def validate_approx_level(sys: InferenceSystem, t: PathTree, n: int) -> TreeVerdict:
     """Check that t is a proof tree in the coaxioms-as-axioms system AND that
     every node above the cut (depth < n) is justified by a genuine rule.  The
     first check takes childless coaxioms as leaves, as ``_wf_build`` does,
-    rather than building that system.  Each pass reads the children of
-    every node from one ``children_index``."""
-    overall = validate_proof_tree(sys, t, sys.coaxioms)
-    if not overall:
-        return overall
-    paths, kids = t.children_index()
-    for path, numbers in zip(paths, kids):
-        children = tuple(paths[k][-1] for k in numbers)
-        if len(path) < n and children not in sys.premise_sets(t.label(path)):
-            return TreeVerdict(
-                False, path, f"depth {len(path)} < {n} node rests on a coaxiom"
-            )
-    return TreeVerdict(True)
+    rather than building that system, and any failure of it comes before a
+    failure of the second; both are made in one pass."""
+    return _validate(sys, t, sys.coaxioms, n)
 
 
 @dataclass
@@ -376,10 +387,10 @@ def proof_graph(sys: InferenceSystem, s: JudgementSet, j: Judgement) -> ProofGra
         raise ValueError(f"root {j} is not in the support set")
     members = sys.universe.members
     choice: dict[Judgement, tuple[Judgement, ...]] = {}
-    for c, labels in sys._least_rules(s):
-        if labels is None:
+    for c, prs in sys._least_rules(s):
+        if prs is None:
             raise NotConsistent(members[c])
-        choice[members[c]] = labels
+        choice[members[c]] = tuple(map(members.__getitem__, prs))
     return ProofGraph(s, choice, j)
 
 
@@ -392,8 +403,9 @@ def unfold(g: ProofGraph, depth: int) -> PathTree:
     """
     if depth < 0:
         raise ValueError(f"unfold depth must be >= 0, got {depth}")
-    choice = g.choice
-    return _expand(g.root, lambda c, d: choice[c] if d < depth else ())
+    uni = g.support.universe
+    choice = {uni.position(c): tuple(map(uni.position, prs)) for c, prs in g.choice.items()}
+    return _expand(uni.members, uni.position(g.root), lambda c, d: choice[c] if d < depth else ())
 
 
 def tree_le_n(t1: PathTree, t2: PathTree, n: int) -> bool:
@@ -423,12 +435,13 @@ def approximating_sequence(
     if upto < 0:
         raise ValueError(f"sequence bound must be >= 0, got {upto}")
     up, down = sys._analyze()
-    if down.record[sys.universe.position(j)] >= 0:
+    pos = sys.universe.position(j)
+    if down.record[pos] >= 0:
         raise NotInGenerated(j)
     chosen = dict(sys._least_rules(down.result))
-    index = sys.universe._index
     below = _below_the_cut(sys, up.record)
-    memo: dict[tuple[str, int], PathTree] = {}
+    members = sys.universe.members
+    memo: dict[tuple[int, int], PathTree] = {}
     return tuple(
-        _stack(j, n, lambda g, k: chosen[index[g.text]], below, memo) for n in range(upto + 1)
+        _stack(members, pos, n, lambda g, _: chosen[g], below, memo) for n in range(upto + 1)
     )

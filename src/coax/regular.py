@@ -101,7 +101,7 @@ class EqSystem:
                     raise ValueError(f"{name}: atoms must be integers, got {arg.value!r}")
             if b.tag == "digit" and not 0 <= b.args[0].value <= 9:  # type: ignore[operator]
                 raise ValueError(f"{name}: digit must be 0..9")
-        reachable = _reachable(bindings, root)
+        reachable = set(_bfs_order(bindings, root))
         if set(bindings) - reachable:
             unreachable = sorted(set(bindings) - reachable)
             raise ValueError(f"unreachable states: {', '.join(unreachable)}")
@@ -182,21 +182,9 @@ class EqSystem:
         """The subterm rooted at the given state, canonicalized."""
         if state not in self.bindings:
             raise ValueError(f"unknown state {state!r}")
-        reachable = _reachable(self.bindings, state)
+        reachable = set(_bfs_order(self.bindings, state))
         sub = {name: b for name, b in self.bindings.items() if name in reachable}
         return EqSystem(sub, state).canonical()
-
-
-def _reachable(bindings: dict[str, Binding], root: str) -> set[str]:
-    seen = {root}
-    work = [root]
-    while work:
-        name = work.pop()
-        for arg in bindings[name].args:
-            if arg.kind == VAR and arg.value not in seen:
-                seen.add(arg.value)  # type: ignore[arg-type]
-                work.append(arg.value)  # type: ignore[arg-type]
-    return seen
 
 
 def _bfs_order(bindings: dict[str, Binding], root: str) -> list[str]:
@@ -246,20 +234,11 @@ def _bisim_classes(bindings: dict[str, Binding]) -> dict[str, frozenset[str]]:
 
 
 def bisim_equal(a: EqSystem, b: EqSystem) -> bool:
-    """True iff the two terms have equal infinite unfoldings."""
+    """True iff the two terms have equal infinite unfoldings, that is, iff
+    their canonical forms are equal."""
     if a.family != b.family:
         raise SignatureMismatch(f"cannot compare a {a.family} with a {b.family}")
-    # run refinement on the disjoint union and ask whether the roots coincide
-    union: dict[str, Binding] = {}
-    for prefix, sys_ in (("a:", a), ("b:", b)):
-        for name, bind in sys_.bindings.items():
-            args = tuple(
-                Arg.var(prefix + a_.value) if a_.kind == VAR else a_  # type: ignore[operator]
-                for a_ in bind.args
-            )
-            union[prefix + name] = Binding(bind.tag, args)
-    classes = _bisim_classes(union)
-    return classes["a:" + a.root] == classes["b:" + b.root]
+    return a.canonical() == b.canonical()
 
 
 def subterms(a: EqSystem) -> tuple[EqSystem, ...]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import (
     CapExceeded,
@@ -78,11 +78,13 @@ class Graph:
 
 def parse_graph(text: str) -> Graph:
     """`node x` and `edge u v [w]` lines; `#` comments; nodes mentioned in
-    edges are declared implicitly.  Node names may not contain `,` `(` `)`
-    `{` or `}`, which delimit the judgements built from them."""
+    edges are declared implicitly.  A missing weight counts as 1; the graph
+    is weighted when any edge gives one.  An edge may be repeated only with
+    the same weight.  Node names may not contain `,` `(` `)` `{` or `}`,
+    which delimit the judgements built from them."""
     nodes: set[str] = set()
     edges: list[tuple[str, str]] = []
-    weights: dict[tuple[str, str], int] = {}
+    weights: dict[tuple[str, str], int] = {}  # every edge, weighted or not
     weighted = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -93,21 +95,25 @@ def parse_graph(text: str) -> Graph:
             names = parts[1:]
         elif parts[0] == "edge" and len(parts) in (3, 4):
             names = parts[1:3]
-            edges.append((parts[1], parts[2]))
+            w = 1
             if len(parts) == 4:
                 weighted = True
                 try:
-                    weights[(parts[1], parts[2])] = int(parts[3])
+                    w = int(parts[3])
                 except ValueError:
                     raise ValueError(f"line {lineno}: weight must be an integer") from None
+            first = weights.setdefault((parts[1], parts[2]), w)
+            if first != w:
+                raise ValueError(
+                    f"line {lineno}: edge {parts[1]} {parts[2]} has weight {w}, "
+                    f"an earlier line gave it {first}"
+                )
+            edges.append((parts[1], parts[2]))
         else:
             raise ValueError(f"line {lineno}: expected `node x` or `edge u v [w]`")
         for name in names:
             _check_name(lineno, "node name", name, ",(){}")
         nodes.update(names)
-    if weighted:
-        for e in edges:
-            weights.setdefault(e, 1)
     return Graph(nodes, edges, weights if weighted else None)
 
 
@@ -508,61 +514,72 @@ def build_list_preds(
 
     The member judgement is specialized to the given query element x.
     """
+    return {name: build() for name, build in _list_pred_builders(l, x).items()}
+
+
+def _list_pred_builders(
+    l: EqSystem, x: int
+) -> dict[str, Callable[[], tuple[InferenceSystem, Universe]]]:
+    """The groundings of ``build_list_preds``, one call each, over one shared
+    preparation of the canonical list, so that a caller that wants one
+    predicate grounds only that one: ``elems`` alone has a judgement per
+    state and subset of the carrier."""
     canon = _canonical_list(l)
     names = sorted(canon.states)
     nils = [s for s in names if canon[s].tag == "nil"]
     cons = {s: _head_tail(canon, s) for s in names if canon[s].tag == "cons"}
     car_sorted = sorted(carrier(canon))
-    xs_all = [frozenset(c) for r in range(len(car_sorted) + 1)
-              for c in itertools.combinations(car_sorted, r)]
-    out: dict[str, tuple[InferenceSystem, Universe]] = {}
 
-    # member(x, s, b)
-    out["member"] = _ground(
-        {(s, b): f"member({x},{s},{b})" for s in names for b in "TF"},
-        itertools.chain(
-            (((s, "T"), ()) for s, (head, _) in cons.items() if head == x),
-            (((s, b), ((tail, b),)) for s, (head, tail) in cons.items() if head != x
-             for b in "TF"),
-        ),
-        ((s, "F") for s in names),
-    )
+    def member() -> tuple[InferenceSystem, Universe]:
+        return _ground(
+            {(s, b): f"member({x},{s},{b})" for s in names for b in "TF"},
+            itertools.chain(
+                (((s, "T"), ()) for s, (head, _) in cons.items() if head == x),
+                (((s, b), ((tail, b),)) for s, (head, tail) in cons.items() if head != x
+                 for b in "TF"),
+            ),
+            ((s, "F") for s in names),
+        )
 
-    # allpos(s, b)
-    out["allpos"] = _ground(
-        {(s, b): f"allpos({s},{b})" for s in names for b in "TF"},
-        itertools.chain(
-            (((s, "T"), ()) for s in nils),
-            (((s, "F"), ()) for s, (head, _) in cons.items() if head <= 0),
-            (((s, b), ((tail, b),)) for s, (head, tail) in cons.items() if head > 0
-             for b in "TF"),
-        ),
-        ((s, "T") for s in names),
-    )
+    def allpos() -> tuple[InferenceSystem, Universe]:
+        return _ground(
+            {(s, b): f"allpos({s},{b})" for s in names for b in "TF"},
+            itertools.chain(
+                (((s, "T"), ()) for s in nils),
+                (((s, "F"), ()) for s, (head, _) in cons.items() if head <= 0),
+                (((s, b), ((tail, b),)) for s, (head, tail) in cons.items() if head > 0
+                 for b in "TF"),
+            ),
+            ((s, "T") for s in names),
+        )
 
-    # maxelem(s, z) over the carrier; carriers are closed under binary max
-    out["maxelem"] = _ground(
-        {(s, z): f"maxelem({s},{z})" for s in names for z in car_sorted},
-        itertools.chain(
-            (((s, head), ()) for s, (head, tail) in cons.items() if canon[tail].tag == "nil"),
-            (((s, max(head, y)), ((tail, y),)) for s, (head, tail) in cons.items()
-             for y in car_sorted),
-        ),
-        ((s, head) for s, (head, _) in cons.items()),
-    )
+    def maxelem() -> tuple[InferenceSystem, Universe]:
+        # over the carrier; carriers are closed under binary max
+        return _ground(
+            {(s, z): f"maxelem({s},{z})" for s in names for z in car_sorted},
+            itertools.chain(
+                (((s, head), ()) for s, (head, tail) in cons.items() if canon[tail].tag == "nil"),
+                (((s, max(head, y)), ((tail, y),)) for s, (head, tail) in cons.items()
+                 for y in car_sorted),
+            ),
+            ((s, head) for s, (head, _) in cons.items()),
+        )
 
-    # elems(s, xs) over subsets of the carrier
-    out["elems"] = _ground(
-        {(s, xs): f"elems({s},{_int_set_text(xs)})" for s in names for xs in xs_all},
-        itertools.chain(
-            (((s, frozenset()), ()) for s in nils),
-            (((s, xs | {head}), ((tail, xs),)) for s, (head, tail) in cons.items()
-             for xs in xs_all),
-        ),
-        ((s, frozenset()) for s in names),
-    )
+    def elems() -> tuple[InferenceSystem, Universe]:
+        # over subsets of the carrier
+        xs_all = [frozenset(c) for r in range(len(car_sorted) + 1)
+                  for c in itertools.combinations(car_sorted, r)]
+        return _ground(
+            {(s, xs): f"elems({s},{_int_set_text(xs)})" for s in names for xs in xs_all},
+            itertools.chain(
+                (((s, frozenset()), ()) for s in nils),
+                (((s, xs | {head}), ((tail, xs),)) for s, (head, tail) in cons.items()
+                 for xs in xs_all),
+            ),
+            ((s, frozenset()) for s in names),
+        )
 
-    return out
+    return {"member": member, "allpos": allpos, "maxelem": maxelem, "elems": elems}
 
 
 # -- weighted distances and shortest paths -------------------------------------------

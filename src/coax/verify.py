@@ -69,8 +69,8 @@ def check_closed(sys: InferenceSystem, s: JudgementSet) -> Verdict:
 def check_consistent(sys: InferenceSystem, s: JudgementSet) -> Verdict:
     """s is consistent iff every member is the conclusion of some rule whose
     premises lie inside s."""
-    for c, labels in sys._least_rules(s):
-        if labels is None:
+    for c, prs in sys._least_rules(s):
+        if prs is None:
             j = sys.universe.members[c]
             return Verdict(False, j, f"{j} has no supporting rule inside the set")
     return Verdict(True)

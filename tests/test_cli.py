@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import coax
 from coax.cli import (
-    SystemFile,
     emit_system,
     main,
     parse_candidate_file,
@@ -31,7 +31,7 @@ from coax.cli import (
 from coax.core import InferenceSystem, Judgement, Rule, Universe, generated
 from coax.prooftree import PathTree, proof_graph, unfold, validate_approx_level
 from coax.systems import build_list_preds, build_reach, parse_graph
-from coax.regular import cycle_list
+from coax.regular import cycle_list, finite_list
 
 from oracles import random_system, string_parse_system_file, string_system_from_file
 
@@ -112,10 +112,17 @@ def test_system_from_file_checks_declared_universe():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9), st.booleans())
 def test_hand_built_system_files_load_as_the_public_constructor_does(seed, declared):
-    """A hand-built SystemFile may list premises unsorted and repeated, and
-    rules and coaxioms more than once; it loads as the system the public
-    constructor builds from the same Judgement pairs.  Tokens outside a
-    declared universe are rejected, the least of them named."""
+    """A system file written by hand may list premises unsorted and
+    repeated, and rules and coaxioms more than once; it loads as the system
+    the public constructor builds from the same Judgement pairs.  Tokens
+    outside a declared universe are rejected, the least of them named."""
+
+    def parsed(universe, rules, coaxioms):
+        lines = [] if universe is None else ["universe " + " ".join(universe)]
+        lines += [f"rule {c} <- " + " ".join(prs) if prs else f"axiom {c}" for c, prs in rules]
+        lines += [f"coaxiom {c}" for c in coaxioms]
+        return parse_system_file("".join(line + "\n" for line in lines))
+
     rng = random.Random(seed)
     names = [f"j{i}" for i in range(rng.randint(1, 12))]  # j10 sorts before j2
     rules = [
@@ -126,7 +133,7 @@ def test_hand_built_system_files_load_as_the_public_constructor_does(seed, decla
     rng.shuffle(rules)
     coaxioms = tuple(rng.choices(names, k=rng.randint(0, 4)))
     universe = tuple(rng.sample(names, len(names))) if declared else None
-    system = system_from_file(SystemFile(universe, tuple(rules), coaxioms))
+    system = system_from_file(parsed(universe, rules, coaxioms))
 
     of = {t: Judgement(t) for t in names}
     mentioned = {c for c, _ in rules}.union(*(prs for _, prs in rules), coaxioms)
@@ -150,7 +157,7 @@ def test_hand_built_system_files_load_as_the_public_constructor_does(seed, decla
             ((), ("k2",), "k2"),
             ((("k3", ("k1",)),), ("k2",), "k1"),
         ):
-            stray = SystemFile(universe, tuple(rules) + extra_rules, coaxioms + extra_coaxioms)
+            stray = parsed(universe, rules + list(extra_rules), coaxioms + extra_coaxioms)
             with pytest.raises(ValueError) as exc:
                 system_from_file(stray)
             assert str(exc.value) == f"judgement {least} is not in the declared universe"
@@ -556,8 +563,9 @@ def test_prove_dot_outputs(tmp_path, capsys):
 
 def test_prove_unknown_judgement(tmp_path, capsys):
     path = write(tmp_path, "loopy.coax", LOOPY)
-    code, _, err = invoke(capsys, "prove", path, "zzz")
-    assert code == 2 and "not in the universe" in err
+    for opts in ((), ("--level", "1"), ("--graph",)):
+        code, out, err = invoke(capsys, "prove", path, "zzz", *opts)
+        assert (code, out, err) == (2, "", "error: zzz is not in the universe\n")
 
 
 # -- check ----------------------------------------------------------------------------
@@ -624,6 +632,14 @@ def test_builtin_reach_round_trips(tmp_path, capsys):
     assert {str(j) for j in generated(back)} == {"reach(a,{a,b})", "reach(b,{b})"}
 
 
+def test_builtin_rejects_an_edge_repeated_with_another_weight(tmp_path, capsys):
+    graph = write(tmp_path, "g.graph", "edge a b 5\nedge a b 1\n")
+    for builder in ("reach", "dist", "spath"):
+        code, out, err = invoke(capsys, "builtin", builder, graph)
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: edge a b has weight 1, an earlier line gave it 5\n"
+
+
 def test_builtin_member(tmp_path, capsys):
     term = write(tmp_path, "ones.term", "c0 = cons 1 c0\n")
     code, out, _ = invoke(capsys, "builtin", "member", term, "1")
@@ -632,6 +648,23 @@ def test_builtin_member(tmp_path, capsys):
     assert {str(j) for j in generated(back)} == {"member(1,s0,T)"}
     direct = build_list_preds(cycle_list([1]), 1)["member"][0]
     assert list(back.rules()) == list(direct.rules())
+
+
+def test_builtin_list_predicate_grounds_only_the_one_printed(tmp_path, capsys):
+    """`builtin member` on a 14-element list grounds 30 judgements; grounding
+    `elems` too would make 2**14 * 15 of them."""
+    items = list(range(1, 15))
+    term = write(tmp_path, "l.term", finite_list(items).to_text() + "\n")
+    tracemalloc.start()
+    try:
+        code, out, _ = invoke(capsys, "builtin", "member", term, "3")
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out == emit_system(build_list_preds(finite_list(items), 3)["member"][0])
+    assert len(out.splitlines()) == 46
+    assert peak_mb <= 10, f"builtin member peaked at {peak_mb:.1f} MB"
 
 
 def test_builtin_list_predicates(tmp_path, capsys):

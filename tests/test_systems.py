@@ -176,6 +176,25 @@ def test_parse_graph():
         parse_graph("vertex a")
 
 
+def test_parse_graph_rejects_an_edge_repeated_with_another_weight():
+    """A missing weight counts as 1, so an edge may be repeated only with the
+    weight it was first given; the error names the repeating line."""
+    for text, line, w, first in (
+        ("edge a b 5\nedge a b 1\n", 2, 1, 5),
+        ("edge a b 1\nnode c\nedge a b 5\n", 3, 5, 1),
+        ("edge a b\nedge a b 2\n", 2, 2, 1),
+        ("edge a b 2\n# again\nedge a b\n", 3, 1, 2),
+    ):
+        with pytest.raises(ValueError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == f"line {line}: edge a b has weight {w}, an earlier line gave it {first}"
+    for text in ("edge a b 3\nedge a b 3\n", "edge a b\nedge a b 1\n", "edge a b\nedge a b\n"):
+        g = parse_graph(text)
+        assert g.edges == (("a", "b"),)
+    assert parse_graph("edge a b 3\nedge a b 3\nedge b a\n").weights == {("a", "b"): 3, ("b", "a"): 1}
+    assert parse_graph("edge a b\nedge a b\n").weights is None
+
+
 # -- grammars -----------------------------------------------------------------------
 
 
@@ -623,11 +642,18 @@ def test_graph_names_are_rejected_or_ground_injectively(names, edges):
     text = "".join(f"node {v}\n" for v in names) + "".join(
         f"edge {names[i % len(names)]} {names[j % len(names)]} {w}\n" for i, j, w in edges
     )
+    bad_name = any(set(",(){}") & set(v) for v in names)  # caught on the node lines
+    first: dict[tuple[int, int], int] = {}
+    reweighted = any(first.setdefault((i % len(names), j % len(names)), w) != w for i, j, w in edges)
     try:
         g = parse_graph(text)
     except ValueError as exc:
-        assert "node name" in str(exc) and any(set(",(){}") & set(v) for v in names)
+        if bad_name:
+            assert "node name" in str(exc)
+        else:
+            assert reweighted and "an earlier line gave it" in str(exc)
         return
+    assert not bad_name and not reweighted
     n, total = len(g.nodes), sum(g.weight(u, v) for u, v in g.edges)
     assert len(build_reach(g)[1]) == n * 2**n
     assert len(build_dist(g)[1]) == n * n * (total + 2)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
+import itertools
 import json
 import sys as _sys
 from collections import defaultdict
@@ -100,9 +102,12 @@ class SystemFile:
 
 
 def _interner() -> tuple[dict[str, int], Callable[[str], int]]:
-    """A token-to-id map and its lookup, which gives a new token the next id."""
-    ids: defaultdict[str, int] = defaultdict()
-    ids.default_factory = ids.__len__
+    """A token-to-id map and its lookup, which gives a new token the next id.
+
+    The ids come from a counter, not from the map's own ``__len__``: a
+    factory bound to the map would make a reference cycle, which only the
+    cyclic collector frees, and ``run`` pauses that collector."""
+    ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)
     return ids, ids.__getitem__
 
 
@@ -292,7 +297,33 @@ def graph_dot(g: ProofGraph) -> str:
 
 
 def _json_dump(obj: object) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for the command
+    payloads: dicts with text keys, lists, and text, int, bool or None
+    leaves.  json's indenting encoder builds a reference cycle of closures on
+    every call, which only the cyclic collector frees (see ``run``)."""
+    out: list[str] = []
+    _json_write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_write(obj: object, newline: str, out: list[str]) -> None:
+    # recursive: payloads nest a few levels at most; proof trees, which nest
+    # deeply, are written by tree_json
+    if isinstance(obj, dict) and obj:
+        opener, closer = "{", "}"
+        items = [(json.dumps(key) + ": ", obj[key]) for key in sorted(obj)]
+    elif isinstance(obj, list) and obj:
+        opener, closer = "[", "]"
+        items = [("", item) for item in obj]
+    else:
+        out.append(json.dumps(obj))
+        return
+    inner = newline + "  "
+    for i, (head, value) in enumerate(items):
+        out.append(("," if i else opener) + inner + head)
+        _json_write(value, inner, out)
+    out.append(newline + closer)
 
 
 def _read(path: str) -> str:
@@ -635,22 +666,33 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str]) -> int:
-    """Parse arguments, dispatch, and write buffered output to stdout."""
-    args = _parser().parse_args(list(argv))
-    command = {
-        "solve": cmd_solve,
-        "query": cmd_query,
-        "prove": cmd_prove,
-        "check": cmd_check,
-        "oracle": cmd_oracle,
-        "builtin": cmd_builtin,
-    }[args.command]
-    io = _Io()
+    """Parse arguments, dispatch, and write buffered output to stdout.
+
+    The cyclic garbage collector is paused for the command and switched back
+    on afterwards only if it was on before.  A command makes no reference
+    cycles (``tests/test_cli.py`` checks every one), so the collector would
+    only rescan the live rule tables over and over; library calls leave it
+    alone, since they do not own the process."""
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        status = command(args, io)
+        args = _parser().parse_args(list(argv))
+        command = {
+            "solve": cmd_solve,
+            "query": cmd_query,
+            "prove": cmd_prove,
+            "check": cmd_check,
+            "oracle": cmd_oracle,
+            "builtin": cmd_builtin,
+        }[args.command]
+        io = _Io()
+        try:
+            return command(args, io)
+        finally:
+            _sys.stdout.write("".join(io.out))
     finally:
-        _sys.stdout.write("".join(io.out))
-    return status
+        if was_enabled:
+            gc.enable()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

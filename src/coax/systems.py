@@ -28,6 +28,7 @@ from .core import (
 from .regular import EqSystem, ShapeMismatch, VAR, carrier
 
 REACH_NODE_CAP = 10
+ELEMS_ELEMENT_CAP = 14  # elems grounds 2^k judgements per list state
 FIRST_TERMINAL_CAP = 8
 DIST_NODE_CAP = 10
 DIST_WEIGHT_CAP = 64
@@ -218,74 +219,71 @@ def parse_lambda(text: str) -> Term:
     its binders and parentheses nor the term itself may nest deeper than
     ``LAMBDA_DEPTH_CAP`` levels: the parser, the builder, the printer and
     substitution all recurse on terms."""
-    tokens = _lex_lambda(text)
-    pos = 0
-
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected: Optional[str] = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of lambda term")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, found {tok!r}")
-        pos += 1
-        return tok
-
-    def bound(depth: int) -> None:
-        if depth > LAMBDA_DEPTH_CAP:
-            raise ValueError(f"lambda term nests deeper than {LAMBDA_DEPTH_CAP} levels")
-
-    def parse_term(env: tuple[str, ...], depth: int) -> Term:
-        bound(depth)
-        if peek() == "\\":
-            take("\\")
-            name = take()
-            if not name.isidentifier():
-                raise ValueError(f"bad binder name {name!r}")
-            take(".")
-            return Abs(parse_term((name,) + env, depth + 1))
-        return parse_app(env, depth)
-
-    def parse_app(env: tuple[str, ...], depth: int) -> Term:
-        t = parse_atom(env, depth)
-        while True:
-            nxt = peek()
-            if nxt is None or nxt in (")", "."):
-                return t
-            # a trailing abstraction extends as far right as possible
-            t = App(t, parse_term(env, depth) if nxt == "\\" else parse_atom(env, depth))
-
-    def parse_atom(env: tuple[str, ...], depth: int) -> Term:
-        tok = peek()
-        if tok == "(":
-            take("(")
-            t = parse_term(env, depth + 1)
-            take(")")
-            return t
-        tok = take()
-        if not tok.isidentifier():
-            raise ValueError(f"unexpected token {tok!r}")
-        try:
-            return Var(env.index(tok))
-        except ValueError:
-            raise ValueError(f"free variable {tok!r}: goal terms must be closed") from None
-
-    term = parse_term((), 0)
-    if pos != len(tokens):
-        raise ValueError(f"trailing input from {tokens[pos]!r}")
+    tokens = _lex_lambda(text)[::-1]  # a stack: the next token is last
+    term = _parse_term(tokens, (), 0)
+    if tokens:
+        raise ValueError(f"trailing input from {tokens[-1]!r}")
     # applications nest to the left in the term, not in the parser
     stack = [(term, 0)]
     while stack:
         t, depth = stack.pop()
-        bound(depth)
+        _bound_depth(depth)
         if isinstance(t, Abs):
             stack.append((t.body, depth + 1))
         elif isinstance(t, App):
             stack += (t.fn, depth + 1), (t.arg, depth + 1)
     return term
+
+
+def _bound_depth(depth: int) -> None:
+    if depth > LAMBDA_DEPTH_CAP:
+        raise ValueError(f"lambda term nests deeper than {LAMBDA_DEPTH_CAP} levels")
+
+
+def _take(tokens: list[str], expected: Optional[str] = None) -> str:
+    if not tokens:
+        raise ValueError("unexpected end of lambda term")
+    tok = tokens.pop()
+    if expected is not None and tok != expected:
+        raise ValueError(f"expected {expected!r}, found {tok!r}")
+    return tok
+
+
+# The parser is three module-level functions over one token stack, not
+# closures: closures that call one another form reference cycles.
+def _parse_term(tokens: list[str], env: tuple[str, ...], depth: int) -> Term:
+    _bound_depth(depth)
+    if tokens and tokens[-1] == "\\":
+        tokens.pop()
+        name = _take(tokens)
+        if not name.isidentifier():
+            raise ValueError(f"bad binder name {name!r}")
+        _take(tokens, ".")
+        return Abs(_parse_term(tokens, (name,) + env, depth + 1))
+    return _parse_app(tokens, env, depth)
+
+
+def _parse_app(tokens: list[str], env: tuple[str, ...], depth: int) -> Term:
+    t = _parse_atom(tokens, env, depth)
+    while tokens and tokens[-1] not in (")", "."):
+        # a trailing abstraction extends as far right as possible
+        nxt = _parse_term if tokens[-1] == "\\" else _parse_atom
+        t = App(t, nxt(tokens, env, depth))
+    return t
+
+
+def _parse_atom(tokens: list[str], env: tuple[str, ...], depth: int) -> Term:
+    tok = _take(tokens)
+    if tok == "(":
+        t = _parse_term(tokens, env, depth + 1)
+        _take(tokens, ")")
+        return t
+    if not tok.isidentifier():
+        raise ValueError(f"unexpected token {tok!r}")
+    try:
+        return Var(env.index(tok))
+    except ValueError:
+        raise ValueError(f"free variable {tok!r}: goal terms must be closed") from None
 
 
 def _lex_lambda(text: str) -> list[str]:
@@ -309,20 +307,17 @@ def _lex_lambda(text: str) -> list[str]:
     return tokens
 
 
-def substitute(body: Term, value: Term) -> Term:
-    """body[x <- value] for the innermost binder; value must be closed, which
-    makes capture impossible and no index shifting of value necessary."""
-
-    def go(t: Term, depth: int) -> Term:
-        if isinstance(t, Var):
-            if t.index == depth:
-                return value
-            return Var(t.index - 1) if t.index > depth else t
-        if isinstance(t, Abs):
-            return Abs(go(t.body, depth + 1))
-        return App(go(t.fn, depth), go(t.arg, depth))
-
-    return go(body, 0)
+def substitute(body: Term, value: Term, depth: int = 0) -> Term:
+    """body[x <- value] for the innermost binder, which is ``depth`` binders
+    up; value must be closed, which makes capture impossible and no index
+    shifting of value necessary."""
+    if isinstance(body, Var):
+        if body.index == depth:
+            return value
+        return Var(body.index - 1) if body.index > depth else body
+    if isinstance(body, Abs):
+        return Abs(substitute(body.body, value, depth + 1))
+    return App(substitute(body.fn, value, depth), substitute(body.arg, value, depth))
 
 
 def term_text(t: Term, depth: int = 0) -> str:
@@ -567,6 +562,12 @@ def _list_pred_builders(
 
     def elems() -> tuple[InferenceSystem, Universe]:
         # over subsets of the carrier
+        if len(car_sorted) > ELEMS_ELEMENT_CAP:
+            raise CapExceeded(
+                ELEMS_ELEMENT_CAP,
+                f"{len(car_sorted)} distinct elements would make "
+                f"{len(names) << len(car_sorted)} judgements, cap is {ELEMS_ELEMENT_CAP}",
+            )
         xs_all = [frozenset(c) for r in range(len(car_sorted) + 1)
                   for c in itertools.combinations(car_sorted, r)]
         return _ground(
@@ -651,14 +652,11 @@ def _simple_paths(g: Graph, source: str) -> dict[str, list[tuple[str, ...]]]:
     """All simple paths from source, grouped by final node (the trivial path
     is listed under source itself)."""
     out: dict[str, list[tuple[str, ...]]] = {v: [] for v in g.nodes}
-
-    def walk(path: tuple[str, ...]) -> None:
+    stack = [(source,)]
+    while stack:  # depth first, each node's successors in order
+        path = stack.pop()
         out[path[-1]].append(path)
-        for t in g.adj[path[-1]]:
-            if t not in path:
-                walk(path + (t,))
-
-    walk((source,))
+        stack.extend(path + (t,) for t in reversed(g.adj[path[-1]]) if t not in path)
     return out
 
 

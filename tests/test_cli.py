@@ -5,6 +5,7 @@ failures point at real code lines; two tests start a fresh interpreter to
 see which modules an import loads.
 """
 
+import gc
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import coax
 from coax.cli import (
+    _json_dump,
     emit_system,
     main,
     parse_candidate_file,
@@ -345,6 +347,19 @@ def test_solve_trace_and_json(tmp_path, capsys):
     assert payload["trace"][0] == ["a", "b", "c"]  # descent starts at the closure
 
 
+JSON_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_PAYLOADS)
+def test_json_payloads_are_written_as_json_dumps_writes_them(payload):
+    assert _json_dump(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_solve_trace_prints_the_witness_when_nothing_dies(tmp_path, capsys):
     """A descent where nothing dies has one step: the closure and its
     stabilization witness are both printed."""
@@ -667,6 +682,14 @@ def test_builtin_list_predicate_grounds_only_the_one_printed(tmp_path, capsys):
     assert peak_mb <= 10, f"builtin member peaked at {peak_mb:.1f} MB"
 
 
+def test_builtin_elems_past_its_element_cap_exits_3(tmp_path, capsys):
+    """15 distinct elements would ground 2**15 * 16 judgements."""
+    term = write(tmp_path, "l.term", finite_list(list(range(1, 16))).to_text() + "\n")
+    code, out, err = invoke(capsys, "builtin", "elems", term)
+    assert (code, out) == (3, "")
+    assert err == "error: 15 distinct elements would make 524288 judgements, cap is 14\n"
+
+
 def test_builtin_list_predicates(tmp_path, capsys):
     term = write(tmp_path, "l.term", "p0 = cons 2 p1\np1 = cons -1 e\ne = nil\n")
     for name, expect in [
@@ -793,14 +816,102 @@ def test_builtin_term_rejects_reserved_state_names(tmp_path, capsys):
     assert err == "error: line 2: state name 'c[1]' contains one of , ( ) { } [ ]\n"
 
 
-def test_unexpected_errors_exit_4_on_one_line(tmp_path, capsys, monkeypatch):
-    def broken(args, io):
-        raise RuntimeError("boom")
+def broken_command(args, io):
+    raise RuntimeError("boom")
 
-    monkeypatch.setattr("coax.cli.cmd_solve", broken)
+
+def test_unexpected_errors_exit_4_on_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("coax.cli.cmd_solve", broken_command)
     code, out, err = invoke(capsys, "solve", write(tmp_path, "l.coax", LOOPY))
     assert code == 4 and out == ""
     assert err == "error: internal error: RuntimeError: boom\n"
+
+
+# -- the paused cyclic collector --------------------------------------------------
+
+GC_FILES = {
+    "sys.coax": LOOPY,
+    "cand.txt": "a b c\n",
+    "bad.coax": "rule a b\n",
+    "graph.txt": "edge a b 1\nedge b a 2\n",
+    "grammar.txt": "S -> a B\nB -> b\nB -> .\n",
+    "tree.term": "t = tree 0 l\nl = cons t l\n",
+    "list.term": "p0 = cons 2 p1\np1 = cons -1 e\ne = nil\n",
+    "ones.term": "c0 = digit 1 c0\n",
+    "twos.term": "c0 = digit 2 c0\n",
+    "threes.term": "c0 = digit 3 c0\n",
+    "goal.lam": "(\\f. \\x. f (f x)) (\\x. \\z. x x) (\\y. y)\n",
+}
+
+# (command line, exit status): every command, mode and output format
+GC_COMMANDS = [
+    *((f"solve sys.coax --mode {mode}{extra}", 0)
+      for mode in ("ind", "coind", "gen") for extra in ("", " --trace", " --format json")),
+    ("query sys.coax a", 0),
+    *((f"prove sys.coax {j} {how} --format {fmt}", 0)
+      for j, how in (("c", "--wf"), ("a", "--level 2"), ("a", "--graph"))
+      for fmt in ("text", "json", "dot")),
+    *((f"check sys.coax cand.txt{which}", 0) for which in ("", " --closed", " --consistent")),
+    ("oracle sys.coax", 0),
+    ("builtin reach graph.txt", 0),
+    ("builtin first grammar.txt", 0),
+    ("builtin dist graph.txt", 0),
+    ("builtin spath graph.txt", 0),
+    ("builtin path0 tree.term", 0),
+    ("builtin add ones.term twos.term threes.term", 0),
+    ("builtin bigstep goal.lam", 0),
+    ("builtin member list.term 2", 0),
+    *((f"builtin {name} list.term", 0) for name in ("allpos", "maxelem", "elems")),
+    ("builtin dist graph.txt --format json", 0),
+    ("solve bad.coax", 2),
+    ("builtin dist graph.txt --node-cap 1", 3),
+]
+
+
+@pytest.mark.parametrize("line, status", GC_COMMANDS, ids=[line for line, _ in GC_COMMANDS])
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, line, status):
+    """`run` pauses the cyclic collector, so whatever a command leaves in a
+    reference cycle would stay until the next collection."""
+    for name, text in GC_FILES.items():
+        write(tmp_path, name, text)
+    argv = [str(tmp_path / arg) if arg in GC_FILES else arg for arg in line.split()]
+    # argparse's help formatters leave cycles while the parser is built, once
+    # per process
+    coax.cli._parser()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == status
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_collector_is_left_as_the_caller_had_it(tmp_path, capsys, monkeypatch, enabled):
+    loopy = write(tmp_path, "l.coax", LOOPY)
+    graph = write(tmp_path, "g.txt", "edge a b\n")
+    cases = [
+        (["solve", loopy], 0),
+        (["query", loopy, "a", "--mode", "ind"], 1),
+        (["solve", write(tmp_path, "bad.coax", "rule a b\n")], 2),
+        (["builtin", "reach", graph, "--cap", "1"], 3),
+    ]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, status in cases:
+            assert main(argv) == status
+            assert gc.isenabled() is enabled, argv
+        with pytest.raises(SystemExit):  # an argparse usage error, exit 2
+            main(["solve"])
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr("coax.cli.cmd_solve", broken_command)
+        assert main(["solve", loopy]) == 4
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def chain_file(length: int) -> str:

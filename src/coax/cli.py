@@ -224,7 +224,8 @@ def emit_system(sys: InferenceSystem, per_line: int = 8) -> str:
             lines.append(head + " ".join(map(text, prs)) if prs else f"axiom {texts[c]}")
     for c in sys.coaxioms.texts():
         lines.append(f"coaxiom {c}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, written by the one join
+    return "\n".join(lines)
 
 
 def parse_candidate_file(text: str, universe: Universe) -> JudgementSet:
@@ -243,22 +244,22 @@ def _dot_escape(s: str) -> str:
 
 
 def tree_dot(t: PathTree) -> str:
-    paths, kids = t.children_index()
+    labels, _, kids = t.children_index()
     lines = ["digraph prooftree {"]
-    for number, path in enumerate(paths):
-        lines.append(f'  n{number} [label="{_dot_escape(str(t.label(path)))}"];')
+    for number, j in enumerate(labels):
+        lines.append(f'  n{number} [label="{_dot_escape(str(j))}"];')
     for number, children in enumerate(kids):
         for child in children:
             lines.append(f"  n{number} -> n{child};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def tree_json(t: PathTree) -> str:
     """``json.dumps(t.to_nested(), indent=2, sort_keys=True) + "\\n"``,
     written without recursion: the nodes are opened from an explicit stack
     of pending pieces, so no depth bounds the tree."""
-    paths, kids = t.children_index()
+    labels, depths, kids = t.children_index()
     out: list[str] = []
     pending: list[str | int] = [0]  # text to write, or a node number to open
     while pending:
@@ -267,7 +268,7 @@ def tree_json(t: PathTree) -> str:
             out.append(item)
             continue
         # each tree level nests two JSON levels: an object and its children list
-        pad = "  " * (2 * len(paths[item]))
+        pad = "  " * (2 * depths[item])
         pieces: list[str | int] = [f'{{\n{pad}  "children": ']
         children = kids[item]
         if children:
@@ -277,10 +278,11 @@ def tree_json(t: PathTree) -> str:
             pieces[-1] = f"\n{pad}  ]"
         else:
             pieces.append("[]")
-        label = json.dumps(str(t.label(paths[item])))
+        label = json.dumps(str(labels[item]))
         pieces.append(f',\n{pad}  "judgement": {label}\n{pad}}}')
         pending += reversed(pieces)
-    return "".join(out) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def graph_dot(g: ProofGraph) -> str:
@@ -292,8 +294,8 @@ def graph_dot(g: ProofGraph) -> str:
     for j, prs in sorted(g.choice.items()):
         for p in prs:
             lines.append(f"  {ids[j]} -> {ids[p]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def _json_dump(obj: object) -> str:

@@ -17,14 +17,18 @@ compare the positions of each node's children with the same table.
 
 No builder recurses, so no recursion limit bounds a proof's depth.
 Well-founded proofs and unfoldings are materialized once, top down
-(``_expand``), in O(nodes x depth); approximated proofs stack one tree per
-(position, level) above the cut (``_stack``), which is cubic in the levels.
+(``_expand``), in O(nodes), and held as their nodes in canonical order, one
+(label, depth) pair each: printing, ``len``, ``depth`` and both validators
+read that list, and the path set, O(nodes x depth) labels, is built the
+first time something reads ``paths``.  Approximated proofs stack one
+path-set tree per (position, level) above the cut (``_stack``), which is
+cubic in the levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
+from typing import Callable, ClassVar, Container, Iterable, Iterator, Optional, Sequence
 
 from .core import CoaxError, InferenceSystem, Judgement, JudgementSet
 
@@ -55,12 +59,19 @@ class PathTree:
 
     ``paths`` holds every nonempty label path; the empty path (the root) is
     implicit.  The node reached by path p is labelled p[-1].
+
+    Well-founded proofs, unfoldings and the subtrees below an approximated
+    proof's cut are held as their node lists instead (``_NodeTree``), and
+    build their ``paths`` on first read.
     """
 
     root: Judgement
     paths: frozenset[Path] = frozenset()
+    _nodes: ClassVar[Optional[tuple[list[Judgement], list[int]]]] = None
 
     def __post_init__(self) -> None:
+        if self._nodes is not None:
+            return  # canonical by construction, and its paths wait for a read
         for p in self.paths:
             if not p:
                 raise ValueError("the empty path is implicit and must not be stored")
@@ -118,35 +129,99 @@ class PathTree:
             frozenset(p[n:] for p in self.paths if len(p) > n and p[:n] == path),
         )
 
-    def children_index(self) -> tuple[list[Path], list[list[int]]]:
-        """The node paths in canonical order and, for each node, the numbers
-        of its children in that order, read off the sorted paths in one pass.
-        Sorted paths list every node before its descendants, so the parent of
-        a node is the latest node listed one level up."""
-        paths: list[Path] = [()]
-        kids: list[list[int]] = [[]]
+    def _preorder(self) -> tuple[list[Judgement], list[int]]:
+        """The labels and depths of the nodes in canonical order, read off the
+        sorted paths, which list every node before its descendants."""
+        paths = sorted(self.paths)
+        return [self.root, *[p[-1] for p in paths]], [0, *map(len, paths)]
+
+    def children_index(self) -> tuple[list[Judgement], list[int], list[list[int]]]:
+        """The labels and depths of the nodes in canonical order and, for each
+        node, the numbers of its children in that order, read in one pass: the
+        parent of a node is the latest node listed one level up."""
+        labels, depths = self._preorder()
+        kids: list[list[int]] = [[] for _ in labels]
         latest = [0]  # latest[d]: the node number last listed at depth d
-        for number, p in enumerate(sorted(self.paths), start=1):
-            del latest[len(p):]
+        for number in range(1, len(depths)):
+            del latest[depths[number]:]
             kids[latest[-1]].append(number)
             latest.append(number)
-            paths.append(p)
-            kids.append([])
-        return paths, kids
+        return labels, depths, kids
 
     def to_nested(self) -> dict:
         """JSON-friendly nested form: {judgement, children: [...]}."""
-        paths, kids = self.children_index()
-        nested = [{"judgement": str(self.label(p)), "children": []} for p in paths]
+        labels, _, kids = self.children_index()
+        nested = [{"judgement": str(j), "children": []} for j in labels]
         for node, numbers in zip(nested, kids):
             node["children"].extend(map(nested.__getitem__, numbers))
         return nested[0]
 
     def render(self, indent: str = "  ") -> str:
-        """One line per node, indented by depth, in canonical order: sorted
-        paths list every node before its descendants, which is the order of a
-        depth-first walk taking children in order."""
-        return "\n".join(indent * len(path) + str(self.label(path)) for path in self.nodes())
+        """One line per node, indented by depth, in canonical order, which is
+        the order of a depth-first walk taking children in order."""
+        labels, depths = self._preorder()
+        return "\n".join([indent * d + str(j) for j, d in zip(labels, depths)])
+
+
+class _PathsOnFirstRead:
+    """``_NodeTree.paths``: the first read builds the path set from the node
+    list and stores it on the tree, where later reads find it first, since
+    this descriptor defines no ``__set__``.  ``functools.cached_property``
+    does the same, but before Python 3.12 it takes a lock on each first read,
+    which added about a quarter to making a small tree and reading its paths."""
+
+    def __get__(self, tree: Optional["_NodeTree"], owner: type) -> frozenset[Path]:
+        if tree is None:
+            return frozenset()
+        labels, depths = tree._nodes
+        paths: list[Path] = []
+        latest: list[Path] = [()]  # latest[d]: the path of the node last listed at depth d
+        for j, d in zip(labels[1:], depths[1:]):
+            del latest[d:]
+            latest.append(latest[-1] + (j,))
+            paths.append(latest[-1])
+        built = frozenset(paths)
+        object.__setattr__(tree, "paths", built)
+        return built
+
+
+class _NodeTree(PathTree):
+    """A ``PathTree`` held as its nodes in canonical order, one label and one
+    depth each: the root first at depth 0, each later node one level below
+    the latest node listed one level up, siblings in increasing label order.
+    Printing, ``len``, ``depth`` and both validators read the list; equality,
+    hashing, ``repr``, ``branch``, ``subtree``, ``children``, ``nodes`` and
+    ``tree_le_n`` read ``paths``, built on the first read.  It is a class of
+    its own because CPython does not specialize attribute reads past a
+    descriptor class written in Python: on ``PathTree`` itself, ``paths`` would
+    read about 3x slower on every path-set tree."""
+
+    paths = _PathsOnFirstRead()  # type: ignore[assignment]
+
+    def __init__(self, labels: list[Judgement], depths: list[int]):
+        object.__setattr__(self, "root", labels[0])
+        object.__setattr__(self, "_nodes", (labels, depths))
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PathTree):
+            return NotImplemented
+        return self.root == other.root and self.paths == other.paths
+
+    __hash__ = PathTree.__hash__
+
+    def __repr__(self) -> str:
+        return f"PathTree(root={self.root!r}, paths={self.paths!r})"
+
+    @property
+    def depth(self) -> int:
+        return max(self._nodes[1])
+
+    def __len__(self) -> int:
+        return len(self._nodes[0])
+
+    def _preorder(self) -> tuple[list[Judgement], list[int]]:
+        return self._nodes
 
 
 @dataclass(frozen=True)
@@ -177,42 +252,59 @@ def _validate(
     """Both validators in one pass over one ``children_index``, on positions:
     a node outside the universe, or concluded by no rule from its children (a
     childless member of ``leaves`` excepted), fails at once; the first
-    childless leaf above depth n that is no axiom fails if no such node does."""
-    paths, kids = t.children_index()
+    childless leaf above depth n that is no axiom fails if no such node does.
+    Only a failing node's path is built."""
+    labels, depths, kids = t.children_index()
     index, table = sys.universe._index, sys._table
     shallow = TreeVerdict(True)
-    for path, numbers in zip(paths, kids):
-        c = t.label(path)
+    for number, (c, numbers) in enumerate(zip(labels, kids)):
         pos = index.get(c.text)
         if pos is None:
-            return TreeVerdict(False, path, f"{c} is outside the universe")
-        children = tuple(index.get(paths[k][-1].text) for k in numbers)
+            why = f"{c} is outside the universe"
+            return TreeVerdict(False, _path_to(labels, depths, number), why)
+        children = tuple(index.get(labels[k].text) for k in numbers)
         if children in table.get(pos, ()):
             continue
         if children or c not in leaves:
-            labels = tuple(paths[k][-1] for k in numbers)
-            return TreeVerdict(False, path, f"no rule concludes {c} from {labels}")
-        if shallow and len(path) < n:
-            shallow = TreeVerdict(False, path, f"depth {len(path)} < {n} node rests on a coaxiom")
+            why = f"no rule concludes {c} from {tuple(map(labels.__getitem__, numbers))}"
+            return TreeVerdict(False, _path_to(labels, depths, number), why)
+        if shallow and depths[number] < n:
+            why = f"depth {depths[number]} < {n} node rests on a coaxiom"
+            shallow = TreeVerdict(False, _path_to(labels, depths, number), why)
     return shallow
+
+
+def _path_to(labels: Sequence[Judgement], depths: Sequence[int], number: int) -> Path:
+    """The label path of a node, read backwards off the nodes in canonical
+    order: the node's parent is the latest node before it one level up."""
+    path = []
+    want = depths[number]
+    for k in range(number, 0, -1):
+        if depths[k] == want:
+            path.append(labels[k])
+            want -= 1
+    return tuple(reversed(path))
 
 
 def _expand(
     members: Sequence[Judgement], root: int, children: Callable[[int, int], Sequence[int]]
 ) -> PathTree:
     """The tree whose node of position c at depth d has the positions
-    children(c, d) as its children, labelled by ``members``, materialized in
-    one top-down pass from an explicit stack: each child's path is its
-    parent's path plus its label."""
-    paths: list[Path] = []
-    stack: list[tuple[Path, int]] = [((), root)]
+    children(c, d), distinct and increasing, as its children, labelled by
+    ``members``, listed node by node in canonical order in one top-down pass
+    from an explicit stack.  Positions follow the order of their judgements,
+    so popping the children in increasing order lists each node's subtree
+    before its next sibling's, and the siblings in label order."""
+    labels: list[Judgement] = []
+    depths: list[int] = []
+    stack: list[tuple[int, int]] = [(root, 0)]
     while stack:
-        path, c = stack.pop()
-        for p in children(c, len(path)):
-            child = path + (members[p],)
-            paths.append(child)
-            stack.append((child, p))
-    return PathTree(members[root], frozenset(paths))
+        c, d = stack.pop()
+        labels.append(members[c])
+        depths.append(d)
+        for p in reversed(children(c, d)):
+            stack.append((p, d + 1))
+    return _NodeTree(labels, depths)
 
 
 def _wf_build(
@@ -404,7 +496,9 @@ def unfold(g: ProofGraph, depth: int) -> PathTree:
     if depth < 0:
         raise ValueError(f"unfold depth must be >= 0, got {depth}")
     uni = g.support.universe
-    choice = {uni.position(c): tuple(map(uni.position, prs)) for c, prs in g.choice.items()}
+    choice = {
+        uni.position(c): tuple(sorted(set(map(uni.position, prs)))) for c, prs in g.choice.items()
+    }
     return _expand(uni.members, uni.position(g.root), lambda c, d: choice[c] if d < depth else ())
 
 

@@ -5,7 +5,7 @@ import json
 import random
 import sys
 import threading
-from typing import Sequence
+from typing import Container, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +26,7 @@ from coax.prooftree import (
     NotConsistent,
     NotInGenerated,
     PathTree,
+    ProofGraph,
     TreeVerdict,
     approx_proof,
     approximating_sequence,
@@ -669,3 +670,90 @@ def test_one_tree_construction_per_wf_proof_and_unfolding(monkeypatch):
                 del made[:]
                 t = unfold(proof_graph(system, gen, j), depth)
                 assert made == [t]
+
+
+_FORMAT_WORDS = ("rule", "<-", "axiom", "coaxiom", "universe")
+
+
+def _with_format_words(rng: random.Random, system: InferenceSystem) -> InferenceSystem:
+    """The system with some judgements renamed to words of the system file
+    format, which also moves them in the label order."""
+    names = {j: j for j in system.universe}
+    for j, word in zip(rng.sample(list(names), min(3, len(names))), rng.sample(_FORMAT_WORDS, 3)):
+        names[j] = J(word)
+    rename = names.__getitem__
+    rules = [Rule(rename(r.conclusion), tuple(map(rename, r.premises))) for r in system.rules()]
+    return InferenceSystem(Universe(names.values()), rules, map(rename, system.coaxioms))
+
+
+def _verdict_by_walk(
+    system: InferenceSystem, t: PathTree, leaves: Container[Judgement], n: int
+) -> TreeVerdict:
+    """Both validators by their definition, over nodes() and children()."""
+    shallow = TreeVerdict(True)
+    for path in t.nodes():
+        c, kids = t.label(path), t.children(path)
+        if c not in system.universe:
+            return TreeVerdict(False, path, f"{c} is outside the universe")
+        if kids in system.premise_sets(c):
+            continue
+        if kids or c not in leaves:
+            return TreeVerdict(False, path, f"no rule concludes {c} from {kids}")
+        if shallow and len(path) < n:
+            shallow = TreeVerdict(False, path, f"depth {len(path)} < {n} node rests on a coaxiom")
+    return shallow
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_node_list_trees_read_as_the_path_set_trees_they_stand_for(seed):
+    """A proof or unfolding, held as its node list, prints, measures and
+    validates as the PathTree that the public constructor builds from the
+    same paths, and none of these builds its path set; it also compares,
+    hashes and prints its repr as that tree does, and equals the tree the
+    recursive builders make."""
+    rng = random.Random(seed)
+    system = _with_format_words(rng, random_system(rng, max_size=8))
+    gen = generated(system)
+    # the same universe without some of the rules, so that validation fails
+    # at nodes all through the trees
+    rules = list(system.rules())
+    fewer = InferenceSystem(system.universe, rng.sample(rules, len(rules) // 2), system.coaxioms)
+    recursive = RecursiveProofs(system)
+    bound = len(system.universe)
+    pairs = [(wf_proof_search(system, j, bound), recursive.wf(j, bound)) for j in system.universe]
+    for j in gen:
+        g = proof_graph(system, gen, j)
+        # a graph made by hand may list a node's premises in any order, and repeat them
+        scrambled = {c: prs[::-1] * 2 for c, prs in g.choice.items()}
+        scrambled = ProofGraph(g.support, scrambled, j)
+        for depth in (0, 1, 4):
+            pairs += [(unfold(g, depth), frontier_unfold(g, depth))]
+            pairs += [(unfold(scrambled, depth), frontier_unfold(g, depth))]
+
+    def verdicts(t: PathTree, proof=validate_proof_tree, approx=validate_approx_level) -> list:
+        levels = range(t.depth + 2)
+        return [proof(s, t) for s in (system, fewer)] + [
+            approx(s, t, n) for s in (system, fewer) for n in levels
+        ]
+
+    def readings(t: PathTree) -> list:
+        printed = [t.render(), t.render("\t"), t.to_nested(), tree_json(t), tree_dot(t)]
+        return [len(t), t.depth, *printed, *verdicts(t)]
+
+    for t, want in pairs:
+        if t is None:
+            assert want is None
+            continue
+        got = readings(t)
+        assert "paths" not in vars(t)
+        same = PathTree(t.root, t.paths)
+        assert got == readings(same)
+        assert t == same and same == t and hash(t) == hash(same)
+        assert t.paths == same.paths and repr(t) == repr(same)
+        assert t == want
+        assert verdicts(t) == verdicts(
+            want,
+            lambda s, u: _verdict_by_walk(s, u, (), 0),
+            lambda s, u, n: _verdict_by_walk(s, u, s.coaxioms, n),
+        )

@@ -18,10 +18,12 @@ import functools
 import gc
 import itertools
 import json
+import os
 import sys as _sys
 from collections import defaultdict
+from json.encoder import encode_basestring_ascii as _encode_text
 from operator import lt
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     CapExceeded,
@@ -255,36 +257,6 @@ def tree_dot(t: PathTree) -> str:
     return "\n".join(lines)
 
 
-def tree_json(t: PathTree) -> str:
-    """``json.dumps(t.to_nested(), indent=2, sort_keys=True) + "\\n"``,
-    written without recursion: the nodes are opened from an explicit stack
-    of pending pieces, so no depth bounds the tree."""
-    labels, depths, kids = t.children_index()
-    out: list[str] = []
-    pending: list[str | int] = [0]  # text to write, or a node number to open
-    while pending:
-        item = pending.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        # each tree level nests two JSON levels: an object and its children list
-        pad = "  " * (2 * depths[item])
-        pieces: list[str | int] = [f'{{\n{pad}  "children": ']
-        children = kids[item]
-        if children:
-            pieces.append("[")
-            for number in children:
-                pieces += [f"\n{pad}    ", number, ","]
-            pieces[-1] = f"\n{pad}  ]"
-        else:
-            pieces.append("[]")
-        label = json.dumps(str(labels[item]))
-        pieces.append(f',\n{pad}  "judgement": {label}\n{pad}}}')
-        pending += reversed(pieces)
-    out.append("\n")
-    return "".join(out)
-
-
 def graph_dot(g: ProofGraph) -> str:
     ids = {j: f"n{i}" for i, j in enumerate(g.support)}
     lines = ["digraph proofgraph {"]
@@ -298,34 +270,56 @@ def graph_dot(g: ProofGraph) -> str:
     return "\n".join(lines)
 
 
-def _json_dump(obj: object) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for the command
-    payloads: dicts with text keys, lists, and text, int, bool or None
-    leaves.  json's indenting encoder builds a reference cycle of closures on
-    every call, which only the cyclic collector frees (see ``run``)."""
+def json_pieces(obj: object) -> Iterator[str]:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` in pieces, for
+    dicts with text keys, lists, and text, int, bool or None leaves.  Each
+    piece joins about 512 items: a write per item made ``builtin dist
+    --format json`` a third slower into a pipe.
+
+    No recursion: each open container is a frame on an explicit stack, an
+    iterator over its items with its depth and closing bracket, so no depth
+    bounds the value.  Indentation is made as it is written, so the stack
+    holds none of it.  json's own indenting encoder recurses, and builds a
+    reference cycle of closures on every call, which only the cyclic
+    collector frees (see ``run``)."""
     out: list[str] = []
-    _json_write(obj, "\n", out)
+    frames: list[tuple[Iterator[tuple[str, object]], int, str]] = []
+    value, depth = obj, 0
+    while True:
+        if isinstance(value, dict) and value:
+            keys = sorted(value)
+            heads = [_encode_text(key) + ": " for key in keys]
+            frames.append((zip(heads, map(value.__getitem__, keys)), depth, "}"))
+            sep = "{"
+        elif isinstance(value, list) and value:
+            frames.append((zip(itertools.repeat(""), value), depth, "]"))
+            sep = "["
+        else:
+            out.append(_leaf(value))
+            sep = ","
+        # the next item of the innermost frame that has one; close the others
+        while frames:
+            items, depth, closer = frames[-1]
+            item = next(items, None)
+            if item is not None:
+                break
+            frames.pop()
+            out.append("\n" + "  " * depth + closer)
+            sep = ","
+        else:
+            break
+        head, value = item
+        depth += 1
+        out.append(sep + "\n" + "  " * depth + head)
+        if len(out) > 512:
+            yield "".join(out)
+            out.clear()
     out.append("\n")
-    return "".join(out)
+    yield "".join(out)
 
 
-def _json_write(obj: object, newline: str, out: list[str]) -> None:
-    # recursive: payloads nest a few levels at most; proof trees, which nest
-    # deeply, are written by tree_json
-    if isinstance(obj, dict) and obj:
-        opener, closer = "{", "}"
-        items = [(json.dumps(key) + ": ", obj[key]) for key in sorted(obj)]
-    elif isinstance(obj, list) and obj:
-        opener, closer = "[", "]"
-        items = [("", item) for item in obj]
-    else:
-        out.append(json.dumps(obj))
-        return
-    inner = newline + "  "
-    for i, (head, value) in enumerate(items):
-        out.append(("," if i else opener) + inner + head)
-        _json_write(value, inner, out)
-    out.append(newline + closer)
+def _leaf(value: object) -> str:
+    return _encode_text(value) if isinstance(value, str) else json.dumps(value)
 
 
 def _read(path: str) -> str:
@@ -338,12 +332,15 @@ def _read(path: str) -> str:
 # -- subcommand implementations ----------------------------------------------------
 
 
-class _Io:
-    def __init__(self) -> None:
-        self.out: list[str] = []
+def _emit(text: str) -> None:
+    """Write ``text`` to stdout, and a newline after it unless it ends in one."""
+    _sys.stdout.write(text)
+    if not text.endswith("\n"):
+        _sys.stdout.write("\n")
 
-    def emit(self, text: str) -> None:
-        self.out.append(text if text.endswith("\n") else text + "\n")
+
+def _emit_json(obj: object) -> None:
+    _sys.stdout.writelines(json_pieces(obj))
 
 
 def _load_system(path: str) -> InferenceSystem:
@@ -362,43 +359,43 @@ def _solve(sys: InferenceSystem, mode: str) -> tuple[JudgementSet, Optional[Iter
     return descent.result, descent
 
 
-def cmd_solve(args: argparse.Namespace, io: _Io) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
     system = _load_system(args.system)
     result, trace = _solve(system, args.mode)
     if args.format == "json":
         payload: dict = {"mode": args.mode, "result": result.texts()}
         if args.trace and trace is not None:
             payload["trace"] = [step.texts() for step in trace]
-        io.emit(_json_dump(payload))
+        _emit_json(payload)
     else:
         if args.trace and trace is not None:
             for n, step in enumerate(trace):
-                io.emit(" ".join([f"# step {n}:", *step.texts()]))
-        io.emit("\n".join(result.texts()))
+                _emit(" ".join([f"# step {n}:", *step.texts()]))
+        _emit("\n".join(result.texts()))
     return 0
 
 
-def cmd_query(args: argparse.Namespace, io: _Io) -> int:
+def cmd_query(args: argparse.Namespace) -> int:
     system = _load_system(args.system)
     j = Judgement(args.judgement)
     member = j in system.universe and j in _solve(system, args.mode)[0]
     if args.format == "json":
-        io.emit(_json_dump({"judgement": args.judgement, "mode": args.mode, "member": member}))
+        _emit_json({"judgement": args.judgement, "mode": args.mode, "member": member})
     else:
-        io.emit("yes" if member else "no")
+        _emit("yes" if member else "no")
     return 0 if member else 1
 
 
-def _emit_tree(t: PathTree, fmt: str, io: _Io) -> None:
+def _emit_tree(t: PathTree, fmt: str) -> None:
     if fmt == "json":
-        io.emit(tree_json(t))
+        _emit_json(t.to_nested())
     elif fmt == "dot":
-        io.emit(tree_dot(t))
+        _emit(tree_dot(t))
     else:
-        io.emit(t.render())
+        _emit(t.render())
 
 
-def cmd_prove(args: argparse.Namespace, io: _Io) -> int:
+def cmd_prove(args: argparse.Namespace) -> int:
     from . import prooftree
 
     if args.unfold is not None and not args.graph:
@@ -412,39 +409,39 @@ def cmd_prove(args: argparse.Namespace, io: _Io) -> int:
     if args.level is not None:
         tree = prooftree.approx_proof(system, j, args.level)
         if tree is None:
-            io.emit(f"no approximated proof of level {args.level} for {j}")
+            _emit(f"no approximated proof of level {args.level} for {j}")
             return 1
-        _emit_tree(tree, args.format, io)
+        _emit_tree(tree, args.format)
         return 0
     if args.graph:
         gen = generated(system)
         try:
             g = prooftree.proof_graph(system, gen, j)
         except ValueError:
-            io.emit(f"{j} is not in the generated interpretation")
+            _emit(f"{j} is not in the generated interpretation")
             return 1
         if args.unfold is not None:
-            _emit_tree(prooftree.unfold(g, args.unfold), args.format, io)
+            _emit_tree(prooftree.unfold(g, args.unfold), args.format)
         elif args.format == "json":
-            io.emit(_json_dump(g.to_dict()))
+            _emit_json(g.to_dict())
         elif args.format == "dot":
-            io.emit(graph_dot(g))
+            _emit(graph_dot(g))
         else:
-            io.emit(f"root: {g.root}")
+            _emit(f"root: {g.root}")
             for c in g.support:
                 prs = g.choice[c]
-                io.emit(f"{c} <- " + " ".join(map(str, prs)) if prs else f"{c} <- (axiom)")
+                _emit(f"{c} <- " + " ".join(map(str, prs)) if prs else f"{c} <- (axiom)")
         return 0
     depth = args.depth if args.depth is not None else len(system.universe)
     tree = prooftree.wf_proof_search(system, j, depth)
     if tree is None:
-        io.emit(f"no well-founded proof of depth <= {depth} for {j}")
+        _emit(f"no well-founded proof of depth <= {depth} for {j}")
         return 1
-    _emit_tree(tree, args.format, io)
+    _emit_tree(tree, args.format)
     return 0
 
 
-def cmd_check(args: argparse.Namespace, io: _Io) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     from . import verify
 
     system = _load_system(args.system)
@@ -459,25 +456,17 @@ def cmd_check(args: argparse.Namespace, io: _Io) -> int:
         verdict = verify.bounded_coinduction(system, candidate)
         kind = "bounded-coinduction"
     if args.format == "json":
-        io.emit(
-            _json_dump(
-                {
-                    "check": kind,
-                    "ok": verdict.ok,
-                    "witness": None if verdict.witness is None else str(verdict.witness),
-                    "reason": verdict.reason,
-                }
-            )
-        )
+        witness = None if verdict.witness is None else str(verdict.witness)
+        _emit_json({"check": kind, "ok": verdict.ok, "witness": witness, "reason": verdict.reason})
     else:
-        io.emit(f"{kind}: {'ok' if verdict.ok else 'FAILED'}")
+        _emit(f"{kind}: {'ok' if verdict.ok else 'FAILED'}")
         if not verdict.ok:
-            io.emit(f"witness: {verdict.witness}")
-            io.emit(verdict.reason)
+            _emit(f"witness: {verdict.witness}")
+            _emit(verdict.reason)
     return 0 if verdict.ok else 1
 
 
-def cmd_oracle(args: argparse.Namespace, io: _Io) -> int:
+def cmd_oracle(args: argparse.Namespace) -> int:
     from . import verify
 
     system = _load_system(args.system)
@@ -492,56 +481,64 @@ def cmd_oracle(args: argparse.Namespace, io: _Io) -> int:
     }
     ok = all(matches.values())
     if args.format == "json":
-        io.emit(
-            _json_dump(
-                {
-                    "universe_size": len(system.universe),
-                    "fixed_points": len(res.fixed_points),
-                    "matches": matches,
-                    "all_equal": ok,
-                }
-            )
+        _emit_json(
+            {
+                "universe_size": len(system.universe),
+                "fixed_points": len(res.fixed_points),
+                "matches": matches,
+                "all_equal": ok,
+            }
         )
     else:
-        io.emit(
-            f"universe {len(system.universe)}, {len(res.fixed_points)} fixed points"
-        )
+        _emit(f"universe {len(system.universe)}, {len(res.fixed_points)} fixed points")
         for name, good in matches.items():
-            io.emit(f"{name}: {'equal' if good else 'MISMATCH'}")
-        io.emit("all equal" if ok else "MISMATCH FOUND")
+            _emit(f"{name}: {'equal' if good else 'MISMATCH'}")
+        _emit("all equal" if ok else "MISMATCH FOUND")
     return 0 if ok else 1
 
 
-def cmd_builtin(args: argparse.Namespace, io: _Io) -> int:
+def _list_pred(name: str) -> Callable[..., tuple[InferenceSystem, Universe]]:
+    """The build of the one list predicate ``name`` of ``build_list_preds``."""
+    return lambda s, r, a: s._list_pred_builders(
+        r.parse_eq_system(_read(a.term)), getattr(a, "element", 0)
+    )[name]()
+
+
+# Each builtin once, in the order `coax builtin -h` lists them: its help, its
+# positional arguments with their argparse keywords, its cap flags by dest
+# (an int each; one left out keeps the builder's default), and its build,
+# called with the modules systems and regular, the arguments and the caps given
+_BUILTINS: dict[str, tuple[str, dict[str, dict], tuple[str, ...], Callable]] = {
+    "reach": ("reachable node sets of a graph", {"graph": {}}, ("cap",),
+              lambda s, r, a, **caps: s.build_reach(s.parse_graph(_read(a.graph)), **caps)),
+    "first": ("FIRST sets of a grammar", {"grammar": {}}, ("cap",),
+              lambda s, r, a, **caps: s.build_first(s.parse_grammar(_read(a.grammar)), **caps)),
+    "dist": ("weighted distances", {"graph": {}}, ("node_cap", "weight_cap"),
+             lambda s, r, a, **caps: s.build_dist(s.parse_graph(_read(a.graph)), **caps)),
+    "spath": ("shortest paths", {"graph": {}}, ("node_cap", "weight_cap"),
+              lambda s, r, a, **caps: s.build_spath(s.parse_graph(_read(a.graph)), **caps)),
+    "path0": ("all-zero infinite path in a regular tree", {"term": {}}, (),
+              lambda s, r, a: s.build_path0(r.parse_eq_system(_read(a.term)))),
+    "add": ("digitwise stream addition with carries", {"first": {}, "second": {}, "result": {}}, (),
+            lambda s, r, a: s.build_add(
+                *map(r.parse_eq_system, map(_read, (a.first, a.second, a.result)))
+            )),
+    "bigstep": ("call-by-value evaluation with divergence",
+                {"term": {"help": "file holding one lambda term"}}, ("cap",),
+                lambda s, r, a, **caps: s.build_bigstep(s.parse_lambda(_read(a.term)), **caps)),
+    "member": ("list membership", {"term": {}, "element": {"type": int}}, (), _list_pred("member")),
+    "allpos": ("all elements positive", {"term": {}}, (), _list_pred("allpos")),
+    "maxelem": ("greatest element", {"term": {}}, (), _list_pred("maxelem")),
+    "elems": ("element set", {"term": {}}, (), _list_pred("elems")),
+}
+
+
+def cmd_builtin(args: argparse.Namespace) -> int:
     from . import regular, systems
 
-    name = args.builder
-    # caps left out on the command line take the builder's default
-    caps = {k: getattr(args, k) for k in ("cap", "node_cap", "weight_cap") if hasattr(args, k)}
-    if name == "reach":
-        system, _ = systems.build_reach(systems.parse_graph(_read(args.graph)), **caps)
-    elif name == "first":
-        system, _ = systems.build_first(systems.parse_grammar(_read(args.grammar)), **caps)
-    elif name == "dist":
-        system, _ = systems.build_dist(systems.parse_graph(_read(args.graph)), **caps)
-    elif name == "spath":
-        system, _ = systems.build_spath(systems.parse_graph(_read(args.graph)), **caps)
-    elif name == "path0":
-        system, _ = systems.build_path0(regular.parse_eq_system(_read(args.term)))
-    elif name == "add":
-        system, _ = systems.build_add(
-            regular.parse_eq_system(_read(args.first)),
-            regular.parse_eq_system(_read(args.second)),
-            regular.parse_eq_system(_read(args.result)),
-        )
-    elif name == "bigstep":
-        system, _ = systems.build_bigstep(systems.parse_lambda(_read(args.term)), **caps)
-    elif name in ("member", "allpos", "maxelem", "elems"):
-        x = args.element if name == "member" else 0
-        term = regular.parse_eq_system(_read(args.term))
-        system, _ = systems._list_pred_builders(term, x)[name]()
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown builder {name}")
+    _, _, caps, build = _BUILTINS[args.builder]
+    given = {k: getattr(args, k) for k in caps if hasattr(args, k)}
+    system, _ = build(systems, regular, args, **given)
     if args.format == "json":
         texts = system.universe.texts
         rules = [
@@ -549,10 +546,9 @@ def cmd_builtin(args: argparse.Namespace, io: _Io) -> int:
             for c, premise_sets in system._table.items()
             for prs in premise_sets
         ]
-        payload = {"universe": list(texts), "rules": rules, "coaxioms": system.coaxioms.texts()}
-        io.emit(_json_dump(payload))
+        _emit_json({"universe": list(texts), "rules": rules, "coaxioms": system.coaxioms.texts()})
     else:
-        io.emit(emit_system(system))
+        _emit(emit_system(system))
     return 0
 
 
@@ -611,50 +607,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("builtin", help="instantiate a bundled judgement family")
     bsub = p.add_subparsers(dest="builder", required=True)
 
-    b = bsub.add_parser("reach", help="reachable node sets of a graph")
-    b.add_argument("graph")
-    b.add_argument("--cap", type=int, default=argparse.SUPPRESS)
-    _add_format(b)
-
-    b = bsub.add_parser("first", help="FIRST sets of a grammar")
-    b.add_argument("grammar")
-    b.add_argument("--cap", type=int, default=argparse.SUPPRESS)
-    _add_format(b)
-
-    for name, help_ in (("dist", "weighted distances"), ("spath", "shortest paths")):
+    for name, (help_, positionals, caps, _) in _BUILTINS.items():
         b = bsub.add_parser(name, help=help_)
-        b.add_argument("graph")
-        b.add_argument("--node-cap", type=int, default=argparse.SUPPRESS)
-        b.add_argument("--weight-cap", type=int, default=argparse.SUPPRESS)
-        _add_format(b)
-
-    b = bsub.add_parser("path0", help="all-zero infinite path in a regular tree")
-    b.add_argument("term")
-    _add_format(b)
-
-    b = bsub.add_parser("add", help="digitwise stream addition with carries")
-    b.add_argument("first")
-    b.add_argument("second")
-    b.add_argument("result")
-    _add_format(b)
-
-    b = bsub.add_parser("bigstep", help="call-by-value evaluation with divergence")
-    b.add_argument("term", help="file holding one lambda term")
-    b.add_argument("--cap", type=int, default=argparse.SUPPRESS)
-    _add_format(b)
-
-    b = bsub.add_parser("member", help="list membership")
-    b.add_argument("term")
-    b.add_argument("element", type=int)
-    _add_format(b)
-
-    for name, help_ in (
-        ("allpos", "all elements positive"),
-        ("maxelem", "greatest element"),
-        ("elems", "element set"),
-    ):
-        b = bsub.add_parser(name, help=help_)
-        b.add_argument("term")
+        for arg, keywords in positionals.items():
+            b.add_argument(arg, **keywords)
+        for cap in caps:
+            b.add_argument("--" + cap.replace("_", "-"), type=int, default=argparse.SUPPRESS)
         _add_format(b)
 
     return parser
@@ -668,7 +626,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str]) -> int:
-    """Parse arguments, dispatch, and write buffered output to stdout.
+    """Parse arguments, dispatch, and let the command write to stdout as it
+    makes its output: JSON goes out piece by piece, so no whole output is
+    held in memory.
+
+    A reader that closes stdout early (``coax prove ... | head``) ends the
+    command at its next write: the rest of its output is dropped, stdout is
+    pointed at ``os.devnull`` so that the final flush is silent, and the
+    status is 0, with nothing on stderr.
 
     The cyclic garbage collector is paused for the command and switched back
     on afterwards only if it was on before.  A command makes no reference
@@ -687,11 +652,15 @@ def run(argv: Sequence[str]) -> int:
             "oracle": cmd_oracle,
             "builtin": cmd_builtin,
         }[args.command]
-        io = _Io()
         try:
-            return command(args, io)
-        finally:
-            _sys.stdout.write("".join(io.out))
+            status = command(args)
+            _sys.stdout.flush()
+            return status
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, _sys.stdout.fileno())
+            os.close(devnull)
+            return 0
     finally:
         if was_enabled:
             gc.enable()

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -20,18 +21,18 @@ from hypothesis import example, given, settings, strategies as st
 
 import coax
 from coax.cli import (
-    _json_dump,
     emit_system,
+    json_pieces,
     main,
     parse_candidate_file,
     parse_system_file,
     run,
     system_from_file,
     tree_dot,
-    tree_json,
 )
 from coax.core import InferenceSystem, Judgement, Rule, Universe, generated
 from coax.prooftree import PathTree, proof_graph, unfold, validate_approx_level
+from coax import systems
 from coax.systems import build_list_preds, build_reach, parse_graph
 from coax.regular import cycle_list, finite_list
 
@@ -60,6 +61,10 @@ def write(tmp_path, name: str, content: str) -> str:
     p = tmp_path / name
     p.write_text(content)
     return str(p)
+
+
+def json_text(obj) -> str:
+    return "".join(json_pieces(obj))
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
@@ -357,7 +362,30 @@ JSON_PAYLOADS = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(JSON_PAYLOADS)
 def test_json_payloads_are_written_as_json_dumps_writes_them(payload):
-    assert _json_dump(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_3000_deep_payload_is_written_as_json_dumps_writes_it():
+    """The JSON writer does not recurse; json.dumps writes this payload only
+    with a raised recursion limit, here on a thread with a large stack."""
+    payload: object = {"leaf": ["x", 1, None]}
+    for depth in range(3000):
+        payload = [payload, depth] if depth % 3 else [{"b": True, "a": payload}]
+    want = {}
+
+    def dumps() -> None:
+        sys.setrecursionlimit(20_000)
+        want["text"] = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    limit, stack = sys.getrecursionlimit(), threading.stack_size(128 << 20)
+    try:
+        thread = threading.Thread(target=dumps)
+        thread.start()
+        thread.join()
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+    assert json_text(payload) == want["text"]
 
 
 def test_solve_trace_prints_the_witness_when_nothing_dies(tmp_path, capsys):
@@ -742,6 +770,50 @@ def test_builtin_cap_exits_3(tmp_path, capsys):
     assert code == 0 and "coaxiom dist(a,b,inf)" in out
 
 
+CAP_FILES = {
+    "grammar.txt": "S -> a B\nB -> b\nB -> c\n",
+    "goal.lam": "(\\x. x) (\\y. y)\n",
+    "graph.txt": "edge a b 1\nedge b c 2\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, builder, caps, status",
+    [
+        ("first grammar.txt --cap 1", "build_first", {"cap": 1}, 3),
+        ("first grammar.txt --cap 3", "build_first", {"cap": 3}, 0),
+        ("first grammar.txt", "build_first", {}, 0),
+        ("bigstep goal.lam --cap 1", "build_bigstep", {"cap": 1}, 3),
+        ("bigstep goal.lam", "build_bigstep", {}, 0),
+        ("spath graph.txt --node-cap 2", "build_spath", {"node_cap": 2}, 3),
+        ("spath graph.txt --node-cap 3", "build_spath", {"node_cap": 3}, 0),
+        ("spath graph.txt", "build_spath", {}, 0),
+        ("dist graph.txt --weight-cap 1", "build_dist", {"weight_cap": 1}, 3),
+        ("reach graph.txt", "build_reach", {}, 0),
+    ],
+)
+def test_builtin_cap_flags_reach_their_builder(tmp_path, capsys, monkeypatch, argv, builder,
+                                               caps, status):
+    """Each cap flag is passed to its builder by keyword; a flag left out is
+    not passed at all, so the builder's own default holds."""
+    for name, text in CAP_FILES.items():
+        write(tmp_path, name, text)
+    real, calls = getattr(systems, builder), []
+
+    def spy(*args, **given):
+        calls.append(given)
+        return real(*args, **given)
+
+    monkeypatch.setattr(systems, builder, spy)
+    argv = [str(tmp_path / arg) if arg in CAP_FILES else arg for arg in argv.split()]
+    code, out, err = invoke(capsys, "builtin", *argv)
+    assert (code, calls) == (status, [caps]), err
+    if status:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert out.startswith("universe ") and err == ""
+
+
 # -- error mapping ------------------------------------------------------------------------
 
 
@@ -816,7 +888,7 @@ def test_builtin_term_rejects_reserved_state_names(tmp_path, capsys):
     assert err == "error: line 2: state name 'c[1]' contains one of , ( ) { } [ ]\n"
 
 
-def broken_command(args, io):
+def broken_command(args):
     raise RuntimeError("boom")
 
 
@@ -936,7 +1008,7 @@ def test_prove_wf_on_a_1500_step_chain_in_every_format(tmp_path, capsys, fmt):
     code, out, err = invoke(capsys, "prove", path, "c1500", "--wf", "--format", fmt)
     assert code == 0 and err == ""
     t = chain_tree(1500)
-    assert out == {"text": t.render() + "\n", "json": tree_json(t), "dot": tree_dot(t)}[fmt]
+    assert out == {"text": t.render() + "\n", "json": json_text(t.to_nested()), "dot": tree_dot(t)}[fmt]
 
 
 DEEP = "rule a <- b\nrule b <- a c\naxiom c\ncoaxiom a\n"
@@ -955,7 +1027,28 @@ def test_prove_a_1500_deep_unfold_in_every_format(tmp_path, capsys, deep_tree, f
                             "--format", fmt)
     assert code == 0 and err == ""
     t = deep_tree
-    assert out == {"text": t.render() + "\n", "json": tree_json(t), "dot": tree_dot(t)}[fmt]
+    assert out == {"text": t.render() + "\n", "json": json_text(t.to_nested()), "dot": tree_dot(t)}[fmt]
+
+
+@pytest.mark.parametrize("fmt, head", [
+    ("text", "c5000\n  c4999\n    c4998"),
+    ("json", '{\n  "children": [\n    {'),
+    ("dot", 'digraph prooftree {\n  n0 [label="c5000"];'),
+], ids=["text", "json", "dot"])
+def test_a_reader_that_closes_stdout_early_ends_the_command_with_status_0(tmp_path, fmt, head):
+    """`coax prove ... | head -c 20`: the proof of a 5000-step chain is
+    larger than a pipe holds in every format, so the command is still
+    writing when the reader closes the pipe."""
+    path = write(tmp_path, "chain.coax", chain_file(5000))
+    env = dict(os.environ, PYTHONPATH=str(Path(coax.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coax.cli", "prove", path, "c5000", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(20) == head[:20].encode()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0 and err == b""
 
 
 def test_run_propagates_errors(tmp_path):

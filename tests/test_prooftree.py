@@ -10,7 +10,7 @@ from typing import Container, Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coax.cli import _dot_escape, tree_dot, tree_json
+from coax.cli import _dot_escape, json_pieces, tree_dot
 from coax.core import (
     InferenceSystem,
     Judgement,
@@ -186,6 +186,11 @@ def test_printers_on_a_1500_deep_unfold():
         else:
             assert [k["judgement"] for k in kids] == ["b"]
         node = kids[0] if kids else None
+
+
+def tree_json(t: PathTree) -> str:
+    """The CLI's JSON of a proof tree."""
+    return "".join(json_pieces(t.to_nested()))
 
 
 def _json_by_dumps(t: PathTree) -> str:

@@ -15,9 +15,8 @@ _EXPORTS = {
         with_coaxioms_as_axioms
     """,
     "regular": """
-        Arg Binding EqSystem ShapeMismatch SignatureMismatch bisim_equal
-        carrier constant_stream cycle_list cycle_stream finite_list
-        parse_eq_system subterms
+        Arg Binding EqSystem ShapeMismatch carrier constant_stream cycle_list
+        cycle_stream finite_list parse_eq_system
     """,
     "prooftree": """
         NotConsistent NotInGenerated PathTree ProofGraph TreeVerdict

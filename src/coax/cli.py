@@ -21,6 +21,7 @@ import json
 import os
 import sys as _sys
 from collections import defaultdict
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_text
 from operator import lt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -47,6 +48,7 @@ if TYPE_CHECKING:
 # -- the extensional file format -----------------------------------------------
 
 
+@dataclass(slots=True)
 class SystemFile:
     """A parsed extensional system description, held as token ids.
 
@@ -60,47 +62,15 @@ class SystemFile:
     ``warnings``.  ``system_from_file`` maps the ids to universe positions,
     and skips that remap when the ids are the positions already: when the
     names were first seen in sorted order, as sorted universe lines ahead of
-    every rule (the way ``emit_system`` writes a file) make them.
-
-    ``universe``, ``rules`` and ``coaxioms`` read the same data back as
-    tokens; ``rules`` lists the rules grouped by conclusion, in order of
-    first appearance, each with its premises sorted.  ``parse_system_file``
-    is the one way to make a ``SystemFile`` from tokens.
+    every rule (the way ``emit_system`` writes a file) make them.  Only
+    ``parse_system_file`` makes a ``SystemFile`` from tokens.
     """
 
-    __slots__ = ("names", "universe_ids", "rule_ids", "coaxiom_ids", "warnings")
-
-    def __init__(
-        self,
-        names: list[str],
-        universe_ids: Optional[tuple[int, ...]],
-        rule_ids: Mapping[int, Iterable[tuple[int, ...]]],
-        coaxiom_ids: tuple[int, ...],
-        warnings: tuple[str, ...],
-    ) -> None:
-        self.names = names
-        self.universe_ids = universe_ids
-        self.rule_ids = rule_ids
-        self.coaxiom_ids = coaxiom_ids
-        self.warnings = warnings
-
-    @property
-    def universe(self) -> Optional[tuple[str, ...]]:
-        ids = self.universe_ids
-        return None if ids is None else tuple(map(self.names.__getitem__, ids))
-
-    @property
-    def rules(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        name = self.names.__getitem__
-        return tuple(
-            (name(c), tuple(sorted(map(name, ps))))
-            for c, premise_sets in self.rule_ids.items()
-            for ps in premise_sets
-        )
-
-    @property
-    def coaxioms(self) -> tuple[str, ...]:
-        return tuple(map(self.names.__getitem__, self.coaxiom_ids))
+    names: list[str]
+    universe_ids: Optional[tuple[int, ...]]
+    rule_ids: Mapping[int, Iterable[tuple[int, ...]]]
+    coaxiom_ids: tuple[int, ...]
+    warnings: tuple[str, ...]
 
 
 def _interner() -> tuple[dict[str, int], Callable[[str], int]]:
@@ -392,7 +362,7 @@ def _emit_tree(t: PathTree, fmt: str) -> None:
     elif fmt == "dot":
         _emit(tree_dot(t))
     else:
-        _emit(t.render())
+        _sys.stdout.writelines(t.render_pieces())
 
 
 def cmd_prove(args: argparse.Namespace) -> int:

@@ -267,10 +267,6 @@ class Rule:
         normalized = tuple(sorted(set(self.premises)))
         object.__setattr__(self, "premises", normalized)
 
-    @property
-    def is_axiom(self) -> bool:
-        return not self.premises
-
     def __str__(self) -> str:
         if not self.premises:
             return f"axiom {self.conclusion}"
@@ -287,9 +283,9 @@ class InferenceSystem:
     well defined everywhere a choice has to be made.  The coaxiom set may
     be empty, in which case the system is ordinary.  The engines, the
     one-step operator and the proof builders read this one table; no
-    judgement view of it is kept, and ``premise_sets`` and ``rules`` make
-    their judgements when called.  Systems are immutable, so the chains of
-    the analysis are computed on first need and kept.
+    judgement view of it is kept, and ``rules`` makes its ``Rule``s when
+    called.  Systems are immutable, so the chains of the analysis are
+    computed on first need and kept.
     """
 
     __slots__ = ("universe", "coaxioms", "_table", "_ascent", "_analysis")
@@ -358,12 +354,6 @@ class InferenceSystem:
 
     # -- inspection ----------------------------------------------------------
 
-    def premise_sets(self, conclusion: Judgement) -> tuple[tuple[Judgement, ...], ...]:
-        """All premise sets of rules concluding the given judgement."""
-        members = self.universe.members
-        sets = self._table.get(self.universe.position(conclusion), ())
-        return tuple(tuple(map(members.__getitem__, prs)) for prs in sets)
-
     def _least_rules(self, s: JudgementSet) -> Iterator[tuple[int, tuple[int, ...] | None]]:
         """Each member position of s, in order, with its least premise set
         inside s, or None when no rule supports it there."""
@@ -382,11 +372,6 @@ class InferenceSystem:
     @property
     def rule_count(self) -> int:
         return sum(map(len, self._table.values()))
-
-    @property
-    def is_deterministic(self) -> bool:
-        """At most one rule per conclusion (meets distribute over inference)."""
-        return all(len(v) <= 1 for v in self._table.values())
 
     def __repr__(self) -> str:
         return (

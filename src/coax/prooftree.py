@@ -28,9 +28,15 @@ cubic in the levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 from typing import Callable, ClassVar, Container, Iterable, Iterator, Optional, Sequence
 
-from .core import CoaxError, InferenceSystem, Judgement, JudgementSet
+from .core import CapExceeded, CoaxError, InferenceSystem, Judgement, JudgementSet, _text
+
+# the most nodes ``_expand`` lists: a larger proof or unfolding raises
+# CapExceeded with its node lists at about 16 MB, rather than exhausting memory
+TREE_NODE_CAP = 1_000_000
 
 
 class NotConsistent(CoaxError):
@@ -159,8 +165,26 @@ class PathTree:
     def render(self, indent: str = "  ") -> str:
         """One line per node, indented by depth, in canonical order, which is
         the order of a depth-first walk taking children in order."""
-        labels, depths = self._preorder()
-        return "\n".join([indent * d + str(j) for j, d in zip(labels, depths)])
+        return "\n".join(_lines(*self._preorder(), indent))
+
+    def render_pieces(self, indent: str = "  ") -> Iterator[str]:
+        """``render(indent) + "\\n"`` in pieces of about 64 KiB, each ending
+        in a newline, so that printing a tree never holds its whole text."""
+        piece: list[str] = []
+        size = 0
+        for line in _lines(*self._preorder(), indent):
+            piece.append(line)
+            size += len(line)
+            if size > 1 << 16:
+                yield "\n".join(piece) + "\n"
+                piece, size = [], 0
+        if piece:
+            yield "\n".join(piece) + "\n"
+
+
+def _lines(labels: Sequence[Judgement], depths: Sequence[int], indent: str) -> Iterator[str]:
+    """The layout of a printed tree: each label indented by its depth."""
+    return map(add, map(mul, repeat(indent), depths), map(_text, labels))
 
 
 class _PathsOnFirstRead:
@@ -294,7 +318,9 @@ def _expand(
     ``members``, listed node by node in canonical order in one top-down pass
     from an explicit stack.  Positions follow the order of their judgements,
     so popping the children in increasing order lists each node's subtree
-    before its next sibling's, and the siblings in label order."""
+    before its next sibling's, and the siblings in label order.  It raises
+    CapExceeded once the nodes listed and waiting, which after the last push
+    are the whole tree, pass ``TREE_NODE_CAP``."""
     labels: list[Judgement] = []
     depths: list[int] = []
     stack: list[tuple[int, int]] = [(root, 0)]
@@ -302,8 +328,12 @@ def _expand(
         c, d = stack.pop()
         labels.append(members[c])
         depths.append(d)
-        for p in reversed(children(c, d)):
-            stack.append((p, d + 1))
+        kids = children(c, d)
+        if kids:
+            for p in reversed(kids):
+                stack.append((p, d + 1))
+            if len(labels) + len(stack) > TREE_NODE_CAP:
+                raise CapExceeded(TREE_NODE_CAP, f"the proof tree exceeds {TREE_NODE_CAP} nodes")
     return _NodeTree(labels, depths)
 
 

@@ -38,10 +38,6 @@ _SIGNATURES: dict[str, tuple[int, tuple[bool, ...]]] = {
 }
 
 
-class SignatureMismatch(CoaxError):
-    """Two terms use different constructor families and cannot be compared."""
-
-
 class ShapeMismatch(CoaxError):
     """A term does not have the shape an operation requires."""
 
@@ -122,9 +118,6 @@ class EqSystem:
     def family(self) -> str:
         return _family(self.bindings[self.root].tag)
 
-    def successors(self, state: str) -> tuple[str, ...]:
-        return tuple(a.value for a in self.bindings[state].args if a.kind == VAR)  # type: ignore[misc]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EqSystem):
             return NotImplemented
@@ -178,14 +171,6 @@ class EqSystem:
         }
         return EqSystem(bindings, rename[rep[self.root]], _canonical=True)
 
-    def rerooted(self, state: str) -> "EqSystem":
-        """The subterm rooted at the given state, canonicalized."""
-        if state not in self.bindings:
-            raise ValueError(f"unknown state {state!r}")
-        reachable = set(_bfs_order(self.bindings, state))
-        sub = {name: b for name, b in self.bindings.items() if name in reachable}
-        return EqSystem(sub, state).canonical()
-
 
 def _bfs_order(bindings: dict[str, Binding], root: str) -> list[str]:
     order = [root]
@@ -231,25 +216,6 @@ def _bisim_classes(bindings: dict[str, Binding]) -> dict[str, frozenset[str]]:
 
 
 # -- operations ---------------------------------------------------------------
-
-
-def bisim_equal(a: EqSystem, b: EqSystem) -> bool:
-    """True iff the two terms have equal infinite unfoldings, that is, iff
-    their canonical forms are equal."""
-    if a.family != b.family:
-        raise SignatureMismatch(f"cannot compare a {a.family} with a {b.family}")
-    return a.canonical() == b.canonical()
-
-
-def subterms(a: EqSystem) -> tuple[EqSystem, ...]:
-    """All distinct subterms (states re-rooted), deduplicated by bisimilarity
-    and returned in serialization order."""
-    canon = a.canonical()
-    seen: dict[str, EqSystem] = {}
-    for state in canon.states:
-        sub = canon.rerooted(state)
-        seen.setdefault(sub.to_text(), sub)
-    return tuple(seen[k] for k in sorted(seen))
 
 
 def carrier(a: EqSystem) -> frozenset[int]:

@@ -12,7 +12,7 @@ import sys as _sys
 from collections import defaultdict
 from itertools import combinations
 from operator import lt
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import networkx as nx
 
@@ -20,6 +20,9 @@ from coax.core import InferenceSystem, Judgement, JudgementSet, Rule, Universe
 from coax.prooftree import PathTree, ProofGraph, TreeVerdict, validate_proof_tree
 from coax.regular import Arg, Binding, EqSystem
 from coax.systems import Abs, App, Graph, Grammar, Term, Var, substitute
+
+if TYPE_CHECKING:
+    from coax.cli import SystemFile
 
 # -- plain-set semantics -----------------------------------------------------------
 
@@ -31,6 +34,21 @@ def literal_step(rules: list[tuple[str, frozenset[str]]], s: frozenset[str]) -> 
 
 def rules_of(system: InferenceSystem) -> list[tuple[str, frozenset[str]]]:
     return [(str(r.conclusion), frozenset(str(p) for p in r.premises)) for r in system.rules()]
+
+
+def premise_sets(system: InferenceSystem) -> dict[Judgement, tuple[tuple[Judgement, ...], ...]]:
+    """Each member of the universe with the premise sets of its rules, in
+    the order ``rules()`` lists them."""
+    sets: dict[Judgement, list[tuple[Judgement, ...]]] = {j: [] for j in system.universe}
+    for r in system.rules():
+        sets[r.conclusion].append(r.premises)
+    return {j: tuple(prs) for j, prs in sets.items()}
+
+
+def is_deterministic(system: InferenceSystem) -> bool:
+    """At most one rule per conclusion (meets distribute over inference)."""
+    conclusions = [r.conclusion for r in system.rules()]
+    return len(conclusions) == len(set(conclusions))
 
 
 def naive_interpretations(
@@ -88,8 +106,9 @@ def relaxed_validate_approx_level(system: InferenceSystem, t: PathTree, n: int) 
     overall = validate_proof_tree(InferenceSystem(system.universe, [*system.rules(), *extra]), t)
     if not overall:
         return overall
+    sets = premise_sets(system)
     for path in t.nodes():
-        if len(path) < n and t.children(path) not in system.premise_sets(t.label(path)):
+        if len(path) < n and t.children(path) not in sets[t.label(path)]:
             return TreeVerdict(False, path, f"depth {len(path)} < {n} node rests on a coaxiom")
     return TreeVerdict(True)
 
@@ -139,7 +158,7 @@ def scan_refute_level(system: InferenceSystem, j: Judgement) -> Optional[int]:
 
 
 def recursive_wf_build(
-    system: InferenceSystem,
+    sets: dict[Judgement, tuple[tuple[Judgement, ...], ...]],
     levels: dict[str, int],
     j: Judgement,
     budget: int,
@@ -153,9 +172,9 @@ def recursive_wf_build(
     hit = memo.get(key)
     if hit is not None:
         return hit
-    for prs in ((),) if str(j) in leaves else system.premise_sets(j):
+    for prs in ((),) if str(j) in leaves else sets[j]:
         if all(levels.get(str(p), budget + 2) <= budget for p in prs):
-            subtrees = [recursive_wf_build(system, levels, p, budget - 1, memo, leaves) for p in prs]
+            subtrees = [recursive_wf_build(sets, levels, p, budget - 1, memo, leaves) for p in prs]
             tree = PathTree.branch(j, subtrees)
             break
     else:
@@ -171,6 +190,7 @@ class RecursiveProofs:
 
     def __init__(self, system: InferenceSystem):
         self.system = system
+        self.sets = premise_sets(system)
         rules = rules_of(system)
         self.coaxioms = frozenset(map(str, system.coaxioms))
         self.plain = first_steps(kleene_by_hand(rules, frozenset()))
@@ -186,11 +206,11 @@ class RecursiveProofs:
         if level is None or level - 1 > depth_bound:
             return None
         budget = min(depth_bound, len(self.system.universe))
-        return recursive_wf_build(self.system, self.plain, j, budget, {})
+        return recursive_wf_build(self.sets, self.plain, j, budget, {})
 
     def _below(self, memo: dict) -> Callable[[Judgement], PathTree]:
         return lambda c: recursive_wf_build(
-            self.system, self.relaxed, c, self.relaxed[str(c)] - 1, memo, self.coaxioms
+            self.sets, self.relaxed, c, self.relaxed[str(c)] - 1, memo, self.coaxioms
         )
 
     def approx(self, j: Judgement, n: int) -> Optional[PathTree]:
@@ -206,7 +226,7 @@ class RecursiveProofs:
             if hit is not None:
                 return hit
             lower = self.at(k - 1)
-            for prs in self.system.premise_sets(c):
+            for prs in self.sets[c]:
                 if all(str(p) in lower for p in prs):
                     tree = PathTree.branch(c, [build(p, k - 1) for p in prs])
                     break
@@ -220,7 +240,7 @@ class RecursiveProofs:
     def sequence(self, j: Judgement, upto: int) -> tuple[PathTree, ...]:
         gen = self.down[-1]
         chosen = {
-            c: next(prs for prs in self.system.premise_sets(c) if all(str(p) in gen for p in prs))
+            c: next(prs for prs in self.sets[c] if all(str(p) in gen for p in prs))
             for c in self.system.universe
             if str(c) in gen
         }
@@ -317,6 +337,22 @@ def string_parse_system_file(text: str) -> StringSystemFile:
         tuple(rules),
         tuple(coaxioms),
         tuple(warnings),
+    )
+
+
+def as_strings(sf: SystemFile) -> StringSystemFile:
+    """A parsed file's token ids read back as tokens: the rules grouped by
+    conclusion in order of first appearance, each with its premises sorted."""
+    name = sf.names.__getitem__
+    return StringSystemFile(
+        None if sf.universe_ids is None else tuple(map(name, sf.universe_ids)),
+        tuple(
+            (name(c), tuple(sorted(map(name, ps))))
+            for c, sets in sf.rule_ids.items()
+            for ps in sets
+        ),
+        tuple(map(name, sf.coaxiom_ids)),
+        sf.warnings,
     )
 
 
@@ -621,7 +657,40 @@ def cbv_eval(term: Term, fuel: int = 100_000) -> Optional[Term]:
         _sys.setrecursionlimit(limit)
 
 
-# -- regular-term unfolding (bisimulation oracle) ------------------------------------
+# -- regular terms: bisimulation, subterms and unfolding ------------------------------
+
+
+def bisim_equal(a: EqSystem, b: EqSystem) -> bool:
+    """Bisimilarity as equality of canonical forms."""
+    return a.canonical() == b.canonical()
+
+
+def successors(eq: EqSystem, state: str) -> tuple[str, ...]:
+    return tuple(a.value for a in eq[state].args if a.kind == "var")  # type: ignore[misc]
+
+
+def rerooted(eq: EqSystem, state: str) -> EqSystem:
+    """The subterm rooted at a state, canonicalized; an unbound state leaves
+    the bindings empty, which ``EqSystem`` rejects."""
+    reachable: set[str] = set()
+    todo = [state]
+    while todo:
+        s = todo.pop()
+        if s in eq.bindings and s not in reachable:
+            reachable.add(s)
+            todo.extend(successors(eq, s))
+    return EqSystem({s: b for s, b in eq.bindings.items() if s in reachable}, state).canonical()
+
+
+def subterms(a: EqSystem) -> tuple[EqSystem, ...]:
+    """All distinct subterms (states re-rooted), deduplicated by bisimilarity
+    and returned in serialization order."""
+    canon = a.canonical()
+    seen: dict[str, EqSystem] = {}
+    for state in canon.states:
+        sub = rerooted(canon, state)
+        seen.setdefault(sub.to_text(), sub)
+    return tuple(seen[k] for k in sorted(seen))
 
 
 def unfold_term(eq: EqSystem, state: str, depth: int) -> tuple:

@@ -36,7 +36,14 @@ from coax import systems
 from coax.systems import build_list_preds, build_reach, parse_graph
 from coax.regular import cycle_list, finite_list
 
-from oracles import random_system, string_parse_system_file, string_system_from_file
+from oracles import (
+    StringSystemFile,
+    as_strings,
+    premise_sets,
+    random_system,
+    string_parse_system_file,
+    string_system_from_file,
+)
 
 
 LOOPY = """\
@@ -77,7 +84,7 @@ def invoke(capsys, *argv: str) -> tuple[int, str, str]:
 
 
 def test_parse_system_file():
-    sf = parse_system_file(LOOPY)
+    sf = as_strings(parse_system_file(LOOPY))
     assert sf.universe == ("a", "b", "c")
     assert sf.rules == (("a", ("b",)), ("b", ("a",)), ("c", ()))
     assert sf.coaxioms == ("a",)
@@ -86,13 +93,13 @@ def test_parse_system_file():
 
 def test_parse_system_file_infers_universe():
     sf = parse_system_file("rule a <- b\ncoaxiom c\n")
-    assert sf.universe is None
+    assert sf.universe_ids is None and as_strings(sf).universe is None
     system = system_from_file(sf)
     assert {str(j) for j in system.universe} == {"a", "b", "c"}
 
 
 def test_parse_system_file_warns_on_duplicates():
-    sf = parse_system_file("axiom c\naxiom c\ncoaxiom a\ncoaxiom a\nrule a <- b b\n")
+    sf = as_strings(parse_system_file("axiom c\naxiom c\ncoaxiom a\ncoaxiom a\nrule a <- b b\n"))
     assert len(sf.warnings) == 2
     assert "line 2" in sf.warnings[0] and "line 4" in sf.warnings[1]
     # premise multiplicity is not a duplicate rule
@@ -151,8 +158,7 @@ def test_hand_built_system_files_load_as_the_public_constructor_does(seed, decla
     )
     assert system.universe == reference.universe
     assert list(system.rules()) == list(reference.rules())
-    for j in reference.universe:
-        assert system.premise_sets(j) == reference.premise_sets(j)
+    assert premise_sets(system) == premise_sets(reference)
     assert system.rule_count == reference.rule_count
     assert system.coaxioms == reference.coaxioms
     assert emit_system(system) == emit_system(reference)
@@ -234,14 +240,15 @@ def load_outcome(parse, load, text: str) -> tuple:
         system = load(sf)
     except ValueError as exc:
         return ("load error", str(exc), sf.warnings)
+    strings = sf if isinstance(sf, StringSystemFile) else as_strings(sf)
     return (
-        sf.warnings,
-        sf.universe,
-        sorted(sf.rules),
-        sf.coaxioms,
+        strings.warnings,
+        strings.universe,
+        sorted(strings.rules),
+        strings.coaxioms,
         list(system.universe),
         list(system.rules()),
-        [system.premise_sets(j) for j in system.universe],
+        premise_sets(system),
         system.coaxioms,
         emit_system(system),
     )
@@ -275,13 +282,11 @@ def test_unsorted_universe_is_remapped():
     text = "universe zz b a\nrule a <- zz b\nrule b <- a a\naxiom zz\ncoaxiom b\n"
     sf = parse_system_file(text)
     assert sf.names == ["zz", "b", "a"]
-    assert sf.rules == (("a", ("b", "zz")), ("b", ("a",)), ("zz", ()))
+    assert as_strings(sf).rules == (("a", ("b", "zz")), ("b", ("a",)), ("zz", ()))
     system = system_from_file(sf)
     a, b, zz = map(Judgement, ("a", "b", "zz"))
     assert list(system.universe) == [a, b, zz]
-    assert system.premise_sets(a) == ((b, zz),)
-    assert system.premise_sets(b) == ((a,),)
-    assert system.premise_sets(zz) == ((),)
+    assert premise_sets(system) == {a: ((b, zz),), b: ((a,),), zz: ((),)}
     assert list(system.coaxioms) == [b]
     assert load_outcome(parse_system_file, system_from_file, text) == load_outcome(
         string_parse_system_file, string_system_from_file, text
@@ -1028,6 +1033,56 @@ def test_prove_a_1500_deep_unfold_in_every_format(tmp_path, capsys, deep_tree, f
     assert code == 0 and err == ""
     t = deep_tree
     assert out == {"text": t.render() + "\n", "json": json_text(t.to_nested()), "dot": tree_dot(t)}[fmt]
+
+
+class _Writes:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def writelines(self, pieces) -> None:
+        for piece in pieces:
+            self.write(piece)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_proof_goes_out_in_pieces(tmp_path, monkeypatch, fmt):
+    """No single write holds the whole proof, so printing it never holds
+    the whole text."""
+    path = write(tmp_path, "chain.coax", chain_file(1500))
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["prove", path, "c1500", "--format", fmt]) == 0
+    t = chain_tree(1500)
+    whole = {"text": t.render() + "\n", "json": json_text(t.to_nested())}[fmt]
+    assert "".join(out.writes) == whole
+    assert len(out.writes) > 2 and max(map(len, out.writes)) < len(whole) / 2
+
+
+# a DAG of 2 x 41 judgements whose proof tree, unshared, has 2**41 - 1 nodes,
+# and a two-judgement cycle whose unfolding doubles at every level
+DAG = "axiom x0\naxiom y0\n" + "".join(
+    f"rule x{i + 1} <- x{i} y{i}\nrule y{i + 1} <- x{i} y{i}\n" for i in range(40)
+)
+BRANCHING = "rule a <- a b\nrule b <- a b\ncoaxiom a\ncoaxiom b\n"
+
+
+@pytest.mark.parametrize("text, argv", [
+    (DAG, ["x40"]),
+    (BRANCHING, ["a", "--graph", "--unfold", "40"]),
+], ids=["wf", "unfold"])
+def test_a_proof_tree_past_the_node_cap_exits_3(tmp_path, capsys, text, argv):
+    code, out, err = invoke(capsys, "prove", write(tmp_path, "big.coax", text), *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: the proof tree exceeds 1000000 nodes\n"
 
 
 @pytest.mark.parametrize("fmt, head", [

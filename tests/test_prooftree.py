@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coax.cli import _dot_escape, json_pieces, tree_dot
+from coax import prooftree
 from coax.core import (
+    CapExceeded,
     InferenceSystem,
     Judgement,
     Rule,
@@ -39,7 +41,13 @@ from coax.prooftree import (
     wf_proof_search,
 )
 
-from oracles import RecursiveProofs, frontier_unfold, random_system, relaxed_validate_approx_level
+from oracles import (
+    RecursiveProofs,
+    frontier_unfold,
+    premise_sets,
+    random_system,
+    relaxed_validate_approx_level,
+)
 
 
 def J(text: str) -> Judgement:
@@ -146,6 +154,7 @@ def test_printers_match_the_recursive_walks(seed, depth):
     for t in filter(None, trees):
         assert t.render() == _render_by_walk(t)
         assert t.render("\t") == _render_by_walk(t, "\t")
+        assert "".join(t.render_pieces("\t")) == _render_by_walk(t, "\t") + "\n"
         assert t.to_nested() == _nested_by_walk(t)
         assert tree_dot(t) == _dot_by_children(t)
 
@@ -371,9 +380,10 @@ def _random_tree(rng: random.Random, system: InferenceSystem, depth: int) -> Pat
     else none (a leaf, which passes only for an axiom or a coaxiom), else
     labels drawn at random; now and then the root lies outside the universe."""
     members = list(system.universe)
+    by_conclusion = premise_sets(system)
 
     def grow(c: Judgement, d: int) -> PathTree:
-        sets = system.premise_sets(c) if c in system.universe else ()
+        sets = by_conclusion.get(c, ())
         r = rng.random()
         if d >= depth or r < 0.25:
             kids: Sequence[Judgement] = ()
@@ -652,6 +662,22 @@ def test_proofs_need_no_recursion():
     assert (len(unfolded), unfolded.depth) == (1501, 1500)
 
 
+def test_trees_past_the_node_cap_raise(monkeypatch):
+    """A well-founded proof, an unfolding or a subtree below a cut of
+    exactly TREE_NODE_CAP nodes is made; one node more raises CapExceeded."""
+    graph = proof_graph(_ring(3), generated(_ring(3)), J("r1"))
+    monkeypatch.setattr(prooftree, "TREE_NODE_CAP", 10)
+    assert len(wf_proof_search(_chain(9), J("c9"), 9)) == 10
+    assert len(unfold(graph, 9)) == 10
+    assert len(approx_proof(_chain(10, coaxiom=True), J("c10"), 1)) == 11  # c9's proof below
+    with pytest.raises(CapExceeded, match="exceeds 10 nodes"):
+        wf_proof_search(_chain(10), J("c10"), 10)
+    with pytest.raises(CapExceeded):
+        unfold(graph, 10)
+    with pytest.raises(CapExceeded):
+        approx_proof(_chain(11, coaxiom=True), J("c11"), 1)
+
+
 def test_one_tree_construction_per_wf_proof_and_unfolding(monkeypatch):
     """wf_proof_search and unfold make their tree once, top down, with no
     intermediate trees."""
@@ -696,11 +722,12 @@ def _verdict_by_walk(
 ) -> TreeVerdict:
     """Both validators by their definition, over nodes() and children()."""
     shallow = TreeVerdict(True)
+    sets = premise_sets(system)
     for path in t.nodes():
         c, kids = t.label(path), t.children(path)
         if c not in system.universe:
             return TreeVerdict(False, path, f"{c} is outside the universe")
-        if kids in system.premise_sets(c):
+        if kids in sets[c]:
             continue
         if kids or c not in leaves:
             return TreeVerdict(False, path, f"no rule concludes {c} from {kids}")

@@ -51,6 +51,7 @@ from oracles import (
     expected_maxelem,
     expected_member,
     nx_distances,
+    premise_sets,
     random_graph,
     random_grammar,
     random_lambda,
@@ -95,8 +96,7 @@ def test_ground_equals_the_public_constructor(names, data):
     assert system.universe is universe and universe == reference.universe
     assert system._table == reference._table
     assert list(system.rules()) == list(reference.rules())
-    for j in universe:
-        assert system.premise_sets(j) == reference.premise_sets(j)
+    assert premise_sets(system) == premise_sets(reference)
     assert system.coaxioms == reference.coaxioms
     assert emit_system(system) == emit_system(reference)
 
@@ -589,8 +589,7 @@ def test_dist_grounds_as_the_public_constructor_does(seed, names, edges):
         assert system.universe is universe and universe == expected_universe
         assert list(system.rules()) == sorted({Rule(c, tuple(ps)) for ps, c in rules})
         assert list(system.rules()) == list(reference.rules())
-        for j in universe:
-            assert system.premise_sets(j) == reference.premise_sets(j)
+        assert premise_sets(system) == premise_sets(reference)
         assert system.rule_count == reference.rule_count == len(rules)
         assert system.coaxioms == reference.coaxioms
         assert emit_system(system) == emit_system(reference)

@@ -34,7 +34,7 @@ from coax.verify import (
     refute_level,
 )
 
-from oracles import naive_interpretations, random_system, rules_of
+from oracles import naive_interpretations, premise_sets, random_system, rules_of
 
 
 def J(text: str) -> Judgement:
@@ -75,7 +75,7 @@ def test_check_consistent_witness_recheckable(loopy):
     assert j == J("a")
     s = uni.subset([J("a")])
     assert not any(
-        all(p in s for p in prs) for prs in loopy.premise_sets(j)
+        all(p in s for p in prs) for prs in premise_sets(loopy)[j]
     )
 
 

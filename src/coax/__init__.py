@@ -15,7 +15,7 @@ _EXPORTS = {
         with_coaxioms_as_axioms
     """,
     "regular": """
-        Arg Binding EqSystem ShapeMismatch carrier constant_stream cycle_list
+        Binding EqSystem ShapeMismatch carrier constant_stream cycle_list
         cycle_stream finite_list parse_eq_system
     """,
     "prooftree": """

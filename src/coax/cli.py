@@ -34,6 +34,7 @@ from .core import (
     Judgement,
     JudgementSet,
     Universe,
+    _token_lines,
     coinductive,
     generated,
     inductive,
@@ -202,10 +203,7 @@ def emit_system(sys: InferenceSystem, per_line: int = 8) -> str:
 
 def parse_candidate_file(text: str, universe: Universe) -> JudgementSet:
     """A candidate set: whitespace-separated judgement tokens, `#` comments."""
-    tokens = []
-    for raw in text.splitlines():
-        tokens.extend(raw.split("#", 1)[0].split())
-    return universe.subset(Judgement(t) for t in tokens)
+    return universe.subset(Judgement(t) for _, tokens in _token_lines(text) for t in tokens)
 
 
 # -- emission helpers ------------------------------------------------------------

@@ -67,6 +67,15 @@ def _check_name(lineno: int, kind: str, name: str, reserved: str = ",(){}[]") ->
         )
 
 
+def _token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The number and the tokens of each line of an input text that holds a
+    token; ``#`` starts a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
 @dataclass(frozen=True, order=True)
 class Judgement:
     """An atomic judgement, identified by its canonical serialization.

@@ -34,8 +34,8 @@ from typing import Callable, ClassVar, Container, Iterable, Iterator, Optional, 
 
 from .core import CapExceeded, CoaxError, InferenceSystem, Judgement, JudgementSet, _text
 
-# the most nodes ``_expand`` lists: a larger proof or unfolding raises
-# CapExceeded with its node lists at about 16 MB, rather than exhausting memory
+# the most nodes ``_expand`` lists, or ``_stack`` copies in one call: a larger
+# proof or unfolding raises CapExceeded rather than exhausting memory
 TREE_NODE_CAP = 1_000_000
 
 
@@ -388,10 +388,13 @@ def _stack(
     t(c, 0) = base(c) and t(c, k) stacks premises(c, k) under c, each premise
     p carrying t(p, k - 1); memoized on (c, k) in ``memo`` and built from an
     explicit stack.  An entry holds its premises once they are chosen; nodes
-    at level 1 rest on base trees only, so they are built at once."""
+    at level 1 rest on base trees only, so they are built at once.  Each new
+    tree copies its subtrees; CapExceeded is raised before a copy that would
+    bring the nodes copied in one call past ``TREE_NODE_CAP``."""
     if n <= 0:
         return base(root)
     stack: list[tuple[int, int, Optional[tuple[int, ...]]]] = [(root, n, None)]
+    built = 0
     while stack:
         c, k, prs = stack.pop()
         key = (c, k)
@@ -399,17 +402,19 @@ def _stack(
             if key in memo:
                 continue
             prs = premises(c, k)
-            if k == 1:
-                memo[key] = PathTree.branch(members[c], map(base, prs))
-                continue
-            top = len(stack)
-            for p in prs:
-                if (p, k - 1) not in memo:
-                    stack.append((p, k - 1, None))
-            if len(stack) > top:  # come back once the missing subtrees are made
-                stack.insert(top, (c, k, prs))
-                continue
-        memo[key] = PathTree.branch(members[c], [memo[p, k - 1] for p in prs])
+            if k > 1:
+                top = len(stack)
+                for p in prs:
+                    if (p, k - 1) not in memo:
+                        stack.append((p, k - 1, None))
+                if len(stack) > top:  # come back once the missing subtrees are made
+                    stack.insert(top, (c, k, prs))
+                    continue
+        subs = list(map(base, prs)) if k == 1 else [memo[p, k - 1] for p in prs]
+        built += sum(map(len, subs))
+        if built > TREE_NODE_CAP:
+            raise CapExceeded(TREE_NODE_CAP, f"the proof tree exceeds {TREE_NODE_CAP} nodes")
+        memo[key] = PathTree.branch(members[c], subs)
     return memo[root, n]
 
 

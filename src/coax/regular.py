@@ -9,9 +9,12 @@ subterms: it can be written as a finite set of bindings like
 for the infinite list 1::2::1::2::...  Supported constructors:
 
     nil                  the empty list
-    cons <elem> <tail>   a list cell; elem is an integer atom or a state
-    digit <d> <tail>     a digit-stream cell, d an integer 0..9
-    tree <label> <kids>  a node with integer label and a list-of-states kids
+    cons <elem> <tail>   a list cell; elem is an integer atom or a state,
+                         tail a list state
+    digit <d> <tail>     a digit-stream cell, d an integer 0..9, tail a
+                         stream state
+    tree <label> <kids>  a node with an integer label and a list state of
+                         children
 
 Equality of regular terms is bisimilarity (equality of infinite unfoldings).
 Canonicalization merges bisimilar states and renames the rest in breadth-first
@@ -22,20 +25,19 @@ when they serialize identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .core import CoaxError, _check_name
+from .core import CoaxError, _check_name, _token_lines
 
-ATOM = "atom"
-VAR = "var"
-
-# constructor -> (arity, which argument slots may hold state references)
-_SIGNATURES: dict[str, tuple[int, tuple[bool, ...]]] = {
-    "nil": (0, ()),
-    "cons": (2, (True, True)),  # element may be an atom or a state (tree lists)
-    "digit": (2, (False, True)),
-    "tree": (2, (False, True)),
+# constructor -> (family, what each argument slot holds: "atom" for an
+# integer, "any" for an integer or a state, else a state of that family)
+_SIGNATURES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "nil": ("list", ()),
+    "cons": ("list", ("any", "list")),  # element may be a state (tree lists)
+    "digit": ("stream", ("atom", "stream")),
+    "tree": ("tree", ("atom", "list")),
 }
+_WANTED = {"atom": "an integer atom", "any": "an integer atom or a state"}
 
 
 class ShapeMismatch(CoaxError):
@@ -43,37 +45,20 @@ class ShapeMismatch(CoaxError):
 
 
 @dataclass(frozen=True)
-class Arg:
-    """One constructor argument: either an integer atom or a state reference."""
-
-    kind: str  # ATOM or VAR
-    value: int | str
-
-    @staticmethod
-    def atom(value: int) -> "Arg":
-        return Arg(ATOM, value)
-
-    @staticmethod
-    def var(name: str) -> "Arg":
-        return Arg(VAR, name)
-
-
-@dataclass(frozen=True)
 class Binding:
+    """A constructor and its arguments: an ``int`` atom (never a ``bool``)
+    or the ``str`` name of a state."""
+
     tag: str
-    args: tuple[Arg, ...]
-
-
-def _family(tag: str) -> str:
-    return {"nil": "list", "cons": "list", "digit": "stream", "tree": "tree"}[tag]
+    args: tuple[int | str, ...]
 
 
 class EqSystem:
     """A rooted finite system of equations denoting one regular term.
 
     Construction validates the shape: every referenced state is bound, every
-    state is reachable from the root, arities and atom slots match the
-    constructor table.  Instances are immutable.
+    state is reachable from the root, and arities and every slot's atom or
+    state family match the constructor table.  Instances are immutable.
     """
 
     __slots__ = ("bindings", "root", "_canonical")
@@ -81,21 +66,28 @@ class EqSystem:
     def __init__(self, bindings: dict[str, Binding], root: str, _canonical: bool = False):
         if root not in bindings:
             raise ValueError(f"root {root!r} is not bound")
+        family = {}
         for name, b in bindings.items():
             if b.tag not in _SIGNATURES:
                 raise ValueError(f"unknown constructor {b.tag!r} in {name}")
-            arity, var_ok = _SIGNATURES[b.tag]
-            if len(b.args) != arity:
-                raise ValueError(f"{name}: {b.tag} expects {arity} arguments")
-            for slot, arg in enumerate(b.args):
-                if arg.kind == VAR:
-                    if not var_ok[slot]:
-                        raise ValueError(f"{name}: argument {slot} of {b.tag} must be an atom")
-                    if arg.value not in bindings:
-                        raise ValueError(f"{name}: unbound state {arg.value!r}")
-                elif not isinstance(arg.value, int):
-                    raise ValueError(f"{name}: atoms must be integers, got {arg.value!r}")
-            if b.tag == "digit" and not 0 <= b.args[0].value <= 9:  # type: ignore[operator]
+            family[name] = _SIGNATURES[b.tag][0]
+        for name, b in bindings.items():
+            slots = _SIGNATURES[b.tag][1]
+            if len(b.args) != len(slots):
+                raise ValueError(f"{name}: {b.tag} expects {len(slots)} arguments")
+            for slot, (want, arg) in enumerate(zip(slots, b.args)):
+                if isinstance(arg, str):
+                    if arg not in family:
+                        raise ValueError(f"{name}: unbound state {arg!r}")
+                    ok = want in ("any", family[arg])
+                else:
+                    ok = type(arg) is int and want in ("any", "atom")
+                if not ok:
+                    raise ValueError(
+                        f"{name}: argument {slot} of {b.tag} must be "
+                        + _WANTED.get(want, f"a {want} state")
+                    )
+            if b.tag == "digit" and not 0 <= b.args[0] <= 9:  # type: ignore[operator]
                 raise ValueError(f"{name}: digit must be 0..9")
         reachable = set(_bfs_order(bindings, root))
         if set(bindings) - reachable:
@@ -116,7 +108,7 @@ class EqSystem:
 
     @property
     def family(self) -> str:
-        return _family(self.bindings[self.root].tag)
+        return _SIGNATURES[self.bindings[self.root].tag][0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EqSystem):
@@ -131,12 +123,10 @@ class EqSystem:
 
     def to_text(self) -> str:
         """One binding per line, root first (the parseable wire format)."""
-        order = _bfs_order(self.bindings, self.root)
         lines = []
-        for name in order:
+        for name in _bfs_order(self.bindings, self.root):
             b = self.bindings[name]
-            parts = [name, "=", b.tag] + [str(a.value) for a in b.args]
-            lines.append(" ".join(parts))
+            lines.append(" ".join((name, "=", b.tag, *map(str, b.args))))
         return "\n".join(lines)
 
     # -- canonicalization ----------------------------------------------------
@@ -146,73 +136,53 @@ class EqSystem:
         breadth-first order from the root."""
         if self._canonical:
             return self
-        classes = _bisim_classes(self.bindings)
-        rep = {name: min(cls) for name, cls in classes.items()}
-        quotient: dict[str, Binding] = {}
-        for name, b in self.bindings.items():
-            r = rep[name]
-            if r in quotient:
-                continue
-            args = tuple(
-                Arg.var(rep[a.value]) if a.kind == VAR else a for a in b.args  # type: ignore[arg-type]
-            )
-            quotient[r] = Binding(b.tag, args)
-        order = _bfs_order(quotient, rep[self.root])
-        rename = {old: f"s{i}" for i, old in enumerate(order)}
-        bindings = {
-            rename[name]: Binding(
-                quotient[name].tag,
-                tuple(
-                    Arg.var(rename[a.value]) if a.kind == VAR else a  # type: ignore[arg-type]
-                    for a in quotient[name].args
-                ),
-            )
-            for name in order
-        }
-        return EqSystem(bindings, rename[rep[self.root]], _canonical=True)
+        cls = _bisim_classes(self.bindings)
+        rep = {}  # a state of each class; bisimilar states bind alike
+        for name, c in cls.items():
+            rep.setdefault(c, name)
+        order = [cls[self.root]]
+        rename = {order[0]: "s0"}
+        bindings = {}
+        for c in order:  # the breadth-first walk appends to the list it reads
+            b = self.bindings[rep[c]]
+            args = []
+            for a in b.args:
+                if isinstance(a, str):
+                    if cls[a] not in rename:
+                        rename[cls[a]] = f"s{len(order)}"
+                        order.append(cls[a])
+                    a = rename[cls[a]]
+                args.append(a)
+            bindings[rename[c]] = Binding(b.tag, tuple(args))
+        return EqSystem(bindings, "s0", _canonical=True)
 
 
 def _bfs_order(bindings: dict[str, Binding], root: str) -> list[str]:
     order = [root]
     seen = {root}
-    i = 0
-    while i < len(order):
-        for arg in bindings[order[i]].args:
-            if arg.kind == VAR and arg.value not in seen:
-                seen.add(arg.value)  # type: ignore[arg-type]
-                order.append(arg.value)  # type: ignore[arg-type]
-        i += 1
+    for name in order:  # appends to the list it reads
+        for arg in bindings[name].args:
+            if isinstance(arg, str) and arg not in seen:
+                seen.add(arg)
+                order.append(arg)
     return order
 
 
-def _bisim_classes(bindings: dict[str, Binding]) -> dict[str, frozenset[str]]:
+def _bisim_classes(bindings: dict[str, Binding]) -> dict[str, int]:
     """Partition refinement: two states are bisimilar iff they have the same
-    constructor, equal atoms, and bisimilar states slot by slot."""
-
-    def signature(name: str, cls: dict[str, int]) -> tuple:
-        b = bindings[name]
-        return (
-            b.tag,
-            tuple(
-                (ATOM, a.value) if a.kind == ATOM else (VAR, cls[a.value])  # type: ignore[index]
-                for a in b.args
-            ),
-        )
-
+    constructor, equal atoms, and bisimilar states slot by slot.  Returns a
+    class number per state."""
     cls = {name: 0 for name in bindings}
     while True:
-        sigs = {name: signature(name, cls) for name in bindings}
         buckets: dict[tuple, int] = {}
         new_cls = {}
         for name in sorted(bindings):
-            new_cls[name] = buckets.setdefault(sigs[name], len(buckets))
+            b = bindings[name]
+            sig = (b.tag, *((cls[a],) if isinstance(a, str) else a for a in b.args))
+            new_cls[name] = buckets.setdefault(sig, len(buckets))
         if new_cls == cls:
-            break
+            return cls
         cls = new_cls
-    groups: dict[int, set[str]] = {}
-    for name, c in cls.items():
-        groups.setdefault(c, set()).add(name)
-    return {name: frozenset(groups[c]) for name, c in cls.items()}
 
 
 # -- operations ---------------------------------------------------------------
@@ -225,10 +195,9 @@ def carrier(a: EqSystem) -> frozenset[int]:
     atoms: set[int] = set()
     for b in a.bindings.values():
         if b.tag in ("cons", "digit"):
-            head = b.args[0]
-            if head.kind != ATOM:
+            if isinstance(b.args[0], str):
                 raise ShapeMismatch("carrier needs atomic elements, found a state element")
-            atoms.add(head.value)  # type: ignore[arg-type]
+            atoms.add(b.args[0])
     return frozenset(atoms)
 
 
@@ -240,7 +209,7 @@ def finite_list(items: Iterable[int]) -> EqSystem:
     items = list(items)
     bindings: dict[str, Binding] = {f"n{len(items)}": Binding("nil", ())}
     for i in range(len(items) - 1, -1, -1):
-        bindings[f"n{i}"] = Binding("cons", (Arg.atom(items[i]), Arg.var(f"n{i + 1}")))
+        bindings[f"n{i}"] = Binding("cons", (items[i], f"n{i + 1}"))
     return EqSystem(bindings, "n0").canonical()
 
 
@@ -250,7 +219,7 @@ def cycle_list(items: Iterable[int]) -> EqSystem:
     if not items:
         raise ValueError("cycle needs at least one element")
     bindings = {
-        f"c{i}": Binding("cons", (Arg.atom(x), Arg.var(f"c{(i + 1) % len(items)}")))
+        f"c{i}": Binding("cons", (x, f"c{(i + 1) % len(items)}"))
         for i, x in enumerate(items)
     }
     return EqSystem(bindings, "c0").canonical()
@@ -262,7 +231,7 @@ def cycle_stream(digits: Iterable[int]) -> EqSystem:
     if not ds:
         raise ValueError("stream cycle needs at least one digit")
     bindings = {
-        f"c{i}": Binding("digit", (Arg.atom(d), Arg.var(f"c{(i + 1) % len(ds)}")))
+        f"c{i}": Binding("digit", (d, f"c{(i + 1) % len(ds)}"))
         for i, d in enumerate(ds)
     }
     return EqSystem(bindings, "c0").canonical()
@@ -278,33 +247,24 @@ def parse_eq_system(text: str) -> EqSystem:
     State names may not contain `,` `(` `)` `{` `}` `[` or `]`, which
     delimit the judgements built from them."""
     bindings: dict[str, Binding] = {}
-    root: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _token_lines(text):
         if len(parts) < 3 or parts[1] != "=":
             raise ValueError(f"line {lineno}: expected `NAME = TAG ARGS...`")
-        name, tag, raw_args = parts[0], parts[2], parts[3:]
+        name, tag = parts[0], parts[2]
         if name in bindings:
             raise ValueError(f"line {lineno}: state {name!r} bound twice")
-        args = tuple(
-            Arg.atom(int(tok)) if _is_int(tok) else Arg.var(tok) for tok in raw_args
-        )
-        for state in (name, *(a.value for a in args if a.kind == VAR)):
+        args = tuple(map(_arg, parts[3:]))
+        for state in (name, *(a for a in args if isinstance(a, str))):
             _check_name(lineno, "state name", state)
         bindings[name] = Binding(tag, args)
-        if root is None:
-            root = name
-    if root is None:
+    if not bindings:
         raise ValueError("empty term description")
-    return EqSystem(bindings, root)
+    return EqSystem(bindings, next(iter(bindings)))
 
 
-def _is_int(tok: str) -> bool:
+def _arg(tok: str) -> int | str:
+    """A numeric token is an atom, any other names a state."""
     try:
-        int(tok)
+        return int(tok)
     except ValueError:
-        return False
-    return True
+        return tok

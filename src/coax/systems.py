@@ -23,9 +23,10 @@ from .core import (
     JudgementSet,
     Universe,
     _check_name,
+    _token_lines,
     inductive,
 )
-from .regular import EqSystem, ShapeMismatch, VAR, carrier
+from .regular import EqSystem, ShapeMismatch, carrier
 
 REACH_NODE_CAP = 10
 ELEMS_ELEMENT_CAP = 14  # elems grounds 2^k judgements per list state
@@ -87,11 +88,7 @@ def parse_graph(text: str) -> Graph:
     edges: list[tuple[str, str]] = []
     weights: dict[tuple[str, str], int] = {}  # every edge, weighted or not
     weighted = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _token_lines(text):
         if parts[0] == "node" and len(parts) == 2:
             names = parts[1:]
         elif parts[0] == "edge" and len(parts) in (3, 4):
@@ -103,6 +100,8 @@ def parse_graph(text: str) -> Graph:
                     w = int(parts[3])
                 except ValueError:
                     raise ValueError(f"line {lineno}: weight must be an integer") from None
+                if w < 0:
+                    raise ValueError(f"line {lineno}: weights are non-negative")
             first = weights.setdefault((parts[1], parts[2]), w)
             if first != w:
                 raise ValueError(
@@ -172,11 +171,7 @@ def parse_grammar(text: str) -> Grammar:
     may not contain `,` `(` `)` `{` `}` `[` or `]`, which delimit the
     judgements built from them."""
     productions: list[tuple[str, tuple[str, ...]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _token_lines(text):
         if len(parts) < 2 or parts[1] != "->":
             raise ValueError(f"line {lineno}: expected `A -> body` or `A -> .`")
         head = parts[0]
@@ -488,11 +483,10 @@ def _canonical_list(l: EqSystem) -> EqSystem:
 
 
 def _head_tail(canon: EqSystem, state: str) -> tuple[int, str]:
-    b = canon[state]
-    head = b.args[0]
-    if head.kind == VAR:
+    head, tail = canon[state].args
+    if isinstance(head, str):
         raise ShapeMismatch("list elements must be integer atoms here")
-    return head.value, b.args[1].value  # type: ignore[return-value]
+    return head, tail  # type: ignore[return-value]
 
 
 def build_list_preds(
@@ -735,23 +729,18 @@ def build_path0(t: EqSystem) -> tuple[InferenceSystem, Universe]:
     canon = t.canonical()
     trees = [s for s in canon.states if canon[s].tag == "tree"]
     lists = [s for s in canon.states if canon[s].tag in ("cons", "nil")]
-    for s in trees:
-        label = canon[s].args[0].value
-        if label not in (0, 1):
-            raise ShapeMismatch("tree labels must be 0 or 1")
-        if canon[canon[s].args[1].value].tag not in ("cons", "nil"):
-            raise ShapeMismatch("tree children must form a list state")
+    if any(canon[s].args[0] not in (0, 1) for s in trees):
+        raise ShapeMismatch("tree labels must be 0 or 1")
     for s in lists:
         if canon[s].tag == "cons":
             elem = canon[s].args[0]
-            if elem.kind != VAR or canon[elem.value].tag != "tree":
+            if not isinstance(elem, str) or canon[elem].tag != "tree":
                 raise ShapeMismatch("child lists must hold tree states")
     # keys: a tree state for path0(t), a (tree, list) pair for is_in(t,l)
     texts = {s: f"path0({s})" for s in trees}
     texts.update(((tr, l), f"is_in({tr},{l})") for tr in trees for l in lists)
-    kids = {s: canon[s].args[1].value for s in trees if canon[s].args[0].value == 0}
-    cons = {l: (canon[l].args[0].value, canon[l].args[1].value)
-            for l in lists if canon[l].tag == "cons"}
+    kids = {s: canon[s].args[1] for s in trees if canon[s].args[0] == 0}
+    cons = {l: canon[l].args for l in lists if canon[l].tag == "cons"}
     rules = itertools.chain(
         ((s, ((cand, ks), cand)) for s, ks in kids.items() for cand in trees),
         (((head, l), ()) for l, (head, _) in cons.items()),
@@ -781,10 +770,6 @@ def build_add(
         streams.append(term.canonical())
     c1, c2, c3 = streams
 
-    def step(sys_: EqSystem, state: str) -> tuple[int, str]:
-        b = sys_[state]
-        return b.args[0].value, b.args[1].value  # type: ignore[return-value]
-
     triples: list[tuple[str, str, str]] = []
     seen = set()
     work = [(c1.root, c2.root, c3.root)]
@@ -794,14 +779,14 @@ def build_add(
             continue
         seen.add(tri)
         triples.append(tri)
-        work.append((step(c1, tri[0])[1], step(c2, tri[1])[1], step(c3, tri[2])[1]))
+        work.append((c1[tri[0]].args[1], c2[tri[1]].args[1], c3[tri[2]].args[1]))
     carries = (-1, 0, 1, 2)
     texts = {(tri, c): f"add({tri[0]},{tri[1]},{tri[2]},{c})"
              for tri in triples for c in carries}
 
     def rules() -> Iterator[_Instance]:
         for tri in triples:
-            (d1, t1), (d2, t2), (d3, t3) = step(c1, tri[0]), step(c2, tri[1]), step(c3, tri[2])
+            (d1, t1), (d2, t2), (d3, t3) = c1[tri[0]].args, c2[tri[1]].args, c3[tri[2]].args
             for c in carries:
                 s = c + d1 + d2
                 if s % 10 == d3:

@@ -18,7 +18,7 @@ import networkx as nx
 
 from coax.core import InferenceSystem, Judgement, JudgementSet, Rule, Universe
 from coax.prooftree import PathTree, ProofGraph, TreeVerdict, validate_proof_tree
-from coax.regular import Arg, Binding, EqSystem
+from coax.regular import Binding, EqSystem
 from coax.systems import Abs, App, Graph, Grammar, Term, Var, substitute
 
 if TYPE_CHECKING:
@@ -467,15 +467,13 @@ def random_list_term(rng: random.Random) -> EqSystem:
         cycle_len = rng.randint(1, 3)
         cycle_vals = [rng.randint(-2, 3) for _ in range(cycle_len)]
         for i, v in enumerate(cycle_vals):
-            bindings[f"c{i}"] = Binding(
-                "cons", (Arg.atom(v), Arg.var(f"c{(i + 1) % cycle_len}"))
-            )
+            bindings[f"c{i}"] = Binding("cons", (v, f"c{(i + 1) % cycle_len}"))
         tail = "c0"
     else:
         bindings["end"] = Binding("nil", ())
         tail = "end"
     for i, v in enumerate(reversed(values)):
-        bindings[f"p{i}"] = Binding("cons", (Arg.atom(v), Arg.var(tail)))
+        bindings[f"p{i}"] = Binding("cons", (v, tail))
         tail = f"p{i}"
     return EqSystem(bindings, tail)
 
@@ -572,8 +570,8 @@ def tail_walk(canon: EqSystem, start: str) -> tuple[list[tuple[str, int]], bool]
     state = start
     while canon[state].tag == "cons" and state not in seen:
         seen.add(state)
-        out.append((state, canon[state].args[0].value))  # type: ignore[arg-type]
-        state = canon[state].args[1].value  # type: ignore[assignment]
+        out.append((state, canon[state].args[0]))  # type: ignore[arg-type]
+        state = canon[state].args[1]  # type: ignore[assignment]
     return out, canon[state].tag == "nil"
 
 
@@ -666,7 +664,7 @@ def bisim_equal(a: EqSystem, b: EqSystem) -> bool:
 
 
 def successors(eq: EqSystem, state: str) -> tuple[str, ...]:
-    return tuple(a.value for a in eq[state].args if a.kind == "var")  # type: ignore[misc]
+    return tuple(a for a in eq[state].args if isinstance(a, str))
 
 
 def rerooted(eq: EqSystem, state: str) -> EqSystem:
@@ -702,8 +700,5 @@ def unfold_term(eq: EqSystem, state: str, depth: int) -> tuple:
     b = eq[state]
     parts: list[object] = [b.tag]
     for a in b.args:
-        if a.kind == "atom":
-            parts.append(a.value)
-        else:
-            parts.append(unfold_term(eq, a.value, depth - 1))  # type: ignore[arg-type]
+        parts.append(unfold_term(eq, a, depth - 1) if isinstance(a, str) else a)
     return tuple(parts)

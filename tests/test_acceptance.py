@@ -20,7 +20,7 @@ from coax.core import (
     with_coaxioms_as_axioms,
 )
 from coax.prooftree import PathTree, approx_proof, approximating_sequence, validate_approx_level
-from coax.regular import Arg, Binding, EqSystem, cycle_list, cycle_stream, constant_stream
+from coax.regular import Binding, EqSystem, cycle_list, cycle_stream, constant_stream
 from coax.systems import (
     build_add,
     build_bigstep,
@@ -315,8 +315,8 @@ def test_acceptance_10_unguarded_membership_is_wrong_and_the_split_fixes_it():
     # the split formulation keeps membership inductive and decides correctly
     all_zero = EqSystem(
         {
-            "t": Binding("tree", (Arg.atom(0), Arg.var("l"))),
-            "l": Binding("cons", (Arg.var("t"), Arg.var("l"))),
+            "t": Binding("tree", (0, "l")),
+            "l": Binding("cons", ("t", "l")),
         },
         "t",
     )
@@ -325,10 +325,10 @@ def test_acceptance_10_unguarded_membership_is_wrong_and_the_split_fixes_it():
 
     alternating = EqSystem(
         {
-            "t0": Binding("tree", (Arg.atom(0), Arg.var("l0"))),
-            "l0": Binding("cons", (Arg.var("t1"), Arg.var("l0"))),
-            "t1": Binding("tree", (Arg.atom(1), Arg.var("l1"))),
-            "l1": Binding("cons", (Arg.var("t0"), Arg.var("l1"))),
+            "t0": Binding("tree", (0, "l0")),
+            "l0": Binding("cons", ("t1", "l0")),
+            "t1": Binding("tree", (1, "l1")),
+            "l1": Binding("cons", ("t0", "l1")),
         },
         "t0",
     )

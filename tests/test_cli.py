@@ -831,6 +831,20 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     badlam = write(tmp_path, "bad.lam", "\\x. y\n")
     code, _, err = invoke(capsys, "builtin", "bigstep", badlam)
     assert code == 2 and "free variable" in err
+    # ill-sorted terms and a negative weight exit 2 on one line
+    ok = write(tmp_path, "ok.term", "x = digit 1 x\n")
+    for builder, text, extra, message in (
+        ("allpos", "x = cons 1 5\n", [], "x: argument 1 of cons must be a list state"),
+        ("maxelem", "x = cons 1 5\n", [], "x: argument 1 of cons must be a list state"),
+        ("elems", "x = cons 1 5\n", [], "x: argument 1 of cons must be a list state"),
+        ("allpos", "x = cons 1 y\ny = digit 2 y\n", [], "x: argument 1 of cons must be a list state"),
+        ("add", "x = digit 1 5\n", [ok, ok], "x: argument 1 of digit must be a stream state"),
+        ("path0", "t = tree 0 5\n", [], "t: argument 1 of tree must be a list state"),
+        ("path0", "l = cons t t\nt = tree 0 l\n", [], "l: argument 1 of cons must be a list state"),
+        ("dist", "node c\nedge a b -1\n", [], "line 2: weights are non-negative"),
+    ):
+        code, out, err = invoke(capsys, "builtin", builder, write(tmp_path, "bad.in", text), *extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -664,18 +664,24 @@ def test_proofs_need_no_recursion():
 
 def test_trees_past_the_node_cap_raise(monkeypatch):
     """A well-founded proof, an unfolding or a subtree below a cut of
-    exactly TREE_NODE_CAP nodes is made; one node more raises CapExceeded."""
+    exactly TREE_NODE_CAP nodes is made; one node more raises CapExceeded.
+    Above a cut, the subtrees copied in one call count together."""
     graph = proof_graph(_ring(3), generated(_ring(3)), J("r1"))
+    a, b = J("a"), J("b")
+    branching = InferenceSystem(Universe([a, b]), [Rule(a, (a, b)), Rule(b, (a, b))], [a, b])
     monkeypatch.setattr(prooftree, "TREE_NODE_CAP", 10)
     assert len(wf_proof_search(_chain(9), J("c9"), 9)) == 10
     assert len(unfold(graph, 9)) == 10
     assert len(approx_proof(_chain(10, coaxiom=True), J("c10"), 1)) == 11  # c9's proof below
+    assert len(approx_proof(branching, a, 2)) == 7  # copies 2 + 2 + 6 nodes
     with pytest.raises(CapExceeded, match="exceeds 10 nodes"):
         wf_proof_search(_chain(10), J("c10"), 10)
     with pytest.raises(CapExceeded):
         unfold(graph, 10)
     with pytest.raises(CapExceeded):
         approx_proof(_chain(11, coaxiom=True), J("c11"), 1)
+    with pytest.raises(CapExceeded, match="exceeds 10 nodes"):
+        approx_proof(branching, a, 3)
 
 
 def test_one_tree_construction_per_wf_proof_and_unfolding(monkeypatch):

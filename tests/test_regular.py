@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coax.regular import (
-    Arg,
     Binding,
     EqSystem,
     ShapeMismatch,
@@ -28,14 +27,14 @@ def test_construction_validates_shape():
     with pytest.raises(ValueError):
         EqSystem({"x": Binding("widget", ())}, "x")  # unknown constructor
     with pytest.raises(ValueError):
-        EqSystem({"x": Binding("cons", (Arg.atom(1),))}, "x")  # arity
+        EqSystem({"x": Binding("cons", (1,))}, "x")  # arity
     with pytest.raises(ValueError):
-        EqSystem({"x": Binding("digit", (Arg.atom(12), Arg.var("x")))}, "x")  # digit range
+        EqSystem({"x": Binding("digit", (12, "x"))}, "x")  # digit range
     with pytest.raises(ValueError):
-        EqSystem({"x": Binding("cons", (Arg.atom(1), Arg.var("ghost")))}, "x")
+        EqSystem({"x": Binding("cons", (1, "ghost"))}, "x")
     with pytest.raises(ValueError):
         # tree labels must be atoms
-        EqSystem({"x": Binding("tree", (Arg.var("x"), Arg.var("x")))}, "x")
+        EqSystem({"x": Binding("tree", ("x", "x"))}, "x")
     with pytest.raises(ValueError):
         EqSystem(
             {
@@ -44,6 +43,27 @@ def test_construction_validates_shape():
             },
             "x",
         )
+    # every slot holds what the constructor table says: an integer atom (not
+    # a bool), a state of one family, or either
+    for bindings, message in (
+        ({"x": Binding("cons", (1, 5))}, "x: argument 1 of cons must be a list state"),
+        ({"x": Binding("digit", (1, 5))}, "x: argument 1 of digit must be a stream state"),
+        ({"t": Binding("tree", (0, 5))}, "t: argument 1 of tree must be a list state"),
+        (
+            {"x": Binding("cons", (1, "y")), "y": Binding("digit", (2, "y"))},
+            "x: argument 1 of cons must be a list state",
+        ),
+        (
+            {"l": Binding("cons", ("t", "t")), "t": Binding("tree", (0, "l"))},
+            "l: argument 1 of cons must be a list state",
+        ),
+        ({"x": Binding("cons", (True, "x"))}, "x: argument 0 of cons must be an integer atom or a state"),
+        ({"x": Binding("digit", (True, "x"))}, "x: argument 0 of digit must be an integer atom"),
+        ({"x": Binding("tree", ("x", "x"))}, "x: argument 0 of tree must be an integer atom"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            EqSystem(bindings, next(iter(bindings)))
+        assert str(exc.value) == message
 
 
 def test_family_and_views():
@@ -60,8 +80,8 @@ def test_finite_list_shape():
     walk = []
     state = l.root
     while l[state].tag == "cons":
-        walk.append(l[state].args[0].value)
-        state = l[state].args[1].value
+        walk.append(l[state].args[0])
+        state = l[state].args[1]
     assert walk == [1, 2]
     assert l[state].tag == "nil"
 
@@ -70,8 +90,8 @@ def test_canonical_merges_bisimilar_states():
     # 1::1::1::... written with two states collapses to one
     two = EqSystem(
         {
-            "a": Binding("cons", (Arg.atom(1), Arg.var("b"))),
-            "b": Binding("cons", (Arg.atom(1), Arg.var("a"))),
+            "a": Binding("cons", (1, "b")),
+            "b": Binding("cons", (1, "a")),
         },
         "a",
     )
@@ -165,8 +185,8 @@ def test_carrier():
         carrier(
             EqSystem(
                 {
-                    "t": Binding("tree", (Arg.atom(0), Arg.var("l"))),
-                    "l": Binding("cons", (Arg.var("t"), Arg.var("l"))),
+                    "t": Binding("tree", (0, "l")),
+                    "l": Binding("cons", ("t", "l")),
                 },
                 "t",
             )
@@ -181,7 +201,7 @@ def test_carrier_is_union_of_subterm_heads(seed):
     heads = set()
     for s in subterms(t):
         if s[s.root].tag == "cons":
-            heads.add(s[s.root].args[0].value)
+            heads.add(s[s.root].args[0])
     assert carrier(t) == frozenset(heads)
 
 

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from coax.cli import emit_system
 from coax.core import CapExceeded, InferenceSystem, Judgement, Rule, Universe, generated, inductive, coinductive
 from coax.regular import (
-    Arg,
     Binding,
     EqSystem,
     ShapeMismatch,
@@ -122,8 +121,8 @@ def test_builders_make_no_judgement_and_no_rule(monkeypatch):
     grammar = random_grammar(rng)
     tree = EqSystem(
         {
-            "t": Binding("tree", (Arg.atom(0), Arg.var("l"))),
-            "l": Binding("cons", (Arg.var("t"), Arg.var("l"))),
+            "t": Binding("tree", (0, "l")),
+            "l": Binding("cons", ("t", "l")),
         },
         "t",
     )
@@ -174,6 +173,8 @@ def test_parse_graph():
         parse_graph("edge a b one")
     with pytest.raises(ValueError):
         parse_graph("vertex a")
+    with pytest.raises(ValueError, match="^line 2: weights are non-negative$"):
+        parse_graph("edge a b 1\nedge b a -1\n")
 
 
 def test_parse_graph_rejects_an_edge_repeated_with_another_weight():
@@ -386,8 +387,8 @@ def test_list_preds_reject_wrong_shapes():
         build_list_preds(constant_stream(1), 1)
     nested = EqSystem(
         {
-            "l": Binding("cons", (Arg.var("m"), Arg.var("n"))),
-            "m": Binding("cons", (Arg.atom(1), Arg.var("n"))),
+            "l": Binding("cons", ("m", "n")),
+            "m": Binding("cons", (1, "n")),
             "n": Binding("nil", ()),
         },
         "l",
@@ -669,8 +670,8 @@ def _tree(bindings: dict[str, Binding], root: str) -> EqSystem:
 def test_path0_all_zero_cycle():
     t = _tree(
         {
-            "t": Binding("tree", (Arg.atom(0), Arg.var("l"))),
-            "l": Binding("cons", (Arg.var("t"), Arg.var("l"))),
+            "t": Binding("tree", (0, "l")),
+            "l": Binding("cons", ("t", "l")),
         },
         "t",
     )
@@ -683,10 +684,10 @@ def test_path0_all_zero_cycle():
 def test_path0_alternating_labels():
     t = _tree(
         {
-            "t0": Binding("tree", (Arg.atom(0), Arg.var("l0"))),
-            "l0": Binding("cons", (Arg.var("t1"), Arg.var("l0"))),
-            "t1": Binding("tree", (Arg.atom(1), Arg.var("l1"))),
-            "l1": Binding("cons", (Arg.var("t0"), Arg.var("l1"))),
+            "t0": Binding("tree", (0, "l0")),
+            "l0": Binding("cons", ("t1", "l0")),
+            "t1": Binding("tree", (1, "l1")),
+            "l1": Binding("cons", ("t0", "l1")),
         },
         "t0",
     )
@@ -697,9 +698,9 @@ def test_path0_alternating_labels():
 def test_path0_finite_tree_has_no_infinite_path():
     t = _tree(
         {
-            "t": Binding("tree", (Arg.atom(0), Arg.var("l"))),
-            "l": Binding("cons", (Arg.var("u"), Arg.var("n"))),
-            "u": Binding("tree", (Arg.atom(0), Arg.var("n"))),
+            "t": Binding("tree", (0, "l")),
+            "l": Binding("cons", ("u", "n")),
+            "u": Binding("tree", (0, "n")),
             "n": Binding("nil", ()),
         },
         "t",
@@ -716,7 +717,7 @@ def test_path0_rejects_wrong_shapes():
         build_path0(
             _tree(
                 {
-                    "t": Binding("tree", (Arg.atom(7), Arg.var("n"))),
+                    "t": Binding("tree", (7, "n")),
                     "n": Binding("nil", ()),
                 },
                 "t",
@@ -726,8 +727,8 @@ def test_path0_rejects_wrong_shapes():
         build_path0(
             _tree(
                 {
-                    "t": Binding("tree", (Arg.atom(0), Arg.var("l"))),
-                    "l": Binding("cons", (Arg.atom(3), Arg.var("l"))),
+                    "t": Binding("tree", (0, "l")),
+                    "l": Binding("cons", (3, "l")),
                 },
                 "t",
             )

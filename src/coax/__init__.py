@@ -15,13 +15,13 @@ _EXPORTS = {
         with_coaxioms_as_axioms
     """,
     "regular": """
-        Binding EqSystem ShapeMismatch carrier constant_stream cycle_list
-        cycle_stream finite_list parse_eq_system
+        Binding EqSystem ShapeMismatch carrier cycle_list cycle_stream
+        finite_list parse_eq_system
     """,
     "prooftree": """
-        NotConsistent NotInGenerated PathTree ProofGraph TreeVerdict
-        approx_proof approximating_sequence proof_graph tree_eq_n tree_le_n
-        unfold validate_approx_level validate_proof_tree wf_proof_search
+        NotConsistent NotInGenerated PathTree ProofGraph approx_proof
+        approximating_sequence proof_graph tree_eq_n tree_le_n unfold
+        validate_approx_level validate_proof_tree wf_proof_search
     """,
     "verify": """
         BruteForceResult UniverseTooLarge Verdict bounded_coinduction

@@ -181,13 +181,16 @@ def system_from_file(sf: SystemFile) -> InferenceSystem:
     return InferenceSystem._from_table(universe, table, JudgementSet(universe, coaxioms))
 
 
-def emit_system(sys: InferenceSystem, per_line: int = 8) -> str:
+_UNIVERSE_PER_LINE = 8  # judgements on each universe line that emit_system writes
+
+
+def emit_system(sys: InferenceSystem) -> str:
     """Serialize in the extensional format; parsing the result reproduces the
     system exactly (universe, rules and coaxioms)."""
     lines = []
     texts = sys.universe.texts
-    for i in range(0, len(texts), per_line):
-        lines.append("universe " + " ".join(texts[i : i + per_line]))
+    for i in range(0, len(texts), _UNIVERSE_PER_LINE):
+        lines.append("universe " + " ".join(texts[i : i + _UNIVERSE_PER_LINE]))
     if not texts:
         lines.append("universe")
     text = list(texts).__getitem__  # a list's __getitem__ is called faster than a tuple's

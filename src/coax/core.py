@@ -198,8 +198,8 @@ class JudgementSet:
     """A subset of a universe, stored as a bitmask over member positions.
 
     Lattice structure: ``|`` is join, ``&`` is meet, ``<=`` is inclusion,
-    ``complement()`` is relative complement in the universe.  All operations
-    require both operands to share the universe.
+    ``universe.full() - s`` is the complement of s.  All operations require
+    both operands to share the universe.
     """
 
     __slots__ = ("universe", "mask")
@@ -221,9 +221,6 @@ class JudgementSet:
     def __sub__(self, other: "JudgementSet") -> "JudgementSet":
         _require_same(self.universe, other.universe)
         return JudgementSet(self.universe, self.mask & ~other.mask)
-
-    def complement(self) -> "JudgementSet":
-        return JudgementSet(self.universe, self.universe.full().mask & ~self.mask)
 
     def issubset(self, other: "JudgementSet") -> bool:
         _require_same(self.universe, other.universe)
@@ -302,25 +299,22 @@ class InferenceSystem:
     def __init__(
         self,
         universe: Universe,
-        rules: Iterable[Rule | tuple[Iterable[Judgement], Judgement]],
+        rules: Iterable[Rule],
         coaxioms: JudgementSet | Iterable[Judgement] | None = None,
     ):
         position = universe._index.get
         table: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
         for r in rules:
-            if isinstance(r, Rule):
-                premises, conclusion = r.premises, r.conclusion
-            else:
-                premises, conclusion = r
-                premises = tuple(premises)  # read twice when a premise is stray
-            c = position(conclusion.text)
+            c = position(r.conclusion.text)
             if c is None:
-                raise UniverseMismatch(f"rule conclusion {conclusion} outside universe")
-            ps = set(map(position, map(_text, premises)))
+                raise UniverseMismatch(f"rule conclusion {r.conclusion} outside universe")
+            # increasing and distinct, since a Rule's premises are and
+            # positions follow the order of their judgements
+            ps = tuple(map(position, map(_text, r.premises)))
             if None in ps:
-                stray = next(p for p in premises if position(p.text) is None)
+                stray = r.premises[ps.index(None)]
                 raise UniverseMismatch(f"rule premise {stray} outside universe")
-            table[c].append(tuple(sorted(ps)))
+            table[c].append(ps)
         self._load(universe, table, coaxioms)
 
     @classmethod
@@ -429,16 +423,15 @@ class IterationTrace:
     """The Kleene chain S0, S1, ... produced by iterating the inference
     operator from ``start``, up to and including the stabilization witness
     (the last two steps are equal).  ``len(trace)`` counts transformer
-    applications, i.e. ``len(steps) - 1``.
+    applications, one fewer than the steps that iteration yields.
 
     The chain is kept once, as the engine recorded it: ``record`` gives each
     position the step at which its judgement enters an ascending chain or
     leaves a descending one; -1 for a member of ``start`` that never leaves,
     0 for a non-member that never enters.  Step n is ``start`` with the
     positions of steps 1..n flipped, so a trace holds one int per position
-    however long the chain is.  ``steps``, iteration and ``at`` build the
-    masks they return when read; ``result`` is the final set, as the engine
-    left it.
+    however long the chain is.  Iteration and ``at`` build the masks they
+    return when read; ``result`` is the final set, as the engine left it.
     """
 
     start: JudgementSet
@@ -466,10 +459,6 @@ class IterationTrace:
             for p in positions:
                 mask ^= 1 << p
             yield JudgementSet(self.start.universe, mask)
-
-    @property
-    def steps(self) -> tuple[JudgementSet, ...]:
-        return tuple(self)
 
     def at(self, n: int) -> JudgementSet:
         """The n-th iterate; past stabilization the chain is constant."""

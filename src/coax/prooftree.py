@@ -33,6 +33,7 @@ from operator import add, mul
 from typing import Callable, ClassVar, Container, Iterable, Iterator, Optional, Sequence
 
 from .core import CapExceeded, CoaxError, InferenceSystem, Judgement, JudgementSet, _text
+from .verify import Verdict
 
 # the most nodes ``_expand`` lists, or ``_stack`` copies in one call: a larger
 # proof or unfolding raises CapExceeded rather than exhausting memory
@@ -83,10 +84,6 @@ class PathTree:
                 raise ValueError("the empty path is implicit and must not be stored")
             if len(p) > 1 and p[:-1] not in self.paths:
                 raise ValueError(f"path set is not prefix-closed at {p}")
-
-    @staticmethod
-    def leaf(j: Judgement) -> "PathTree":
-        return PathTree(j, frozenset())
 
     @staticmethod
     def branch(root: Judgement, subtrees: Iterable["PathTree"]) -> "PathTree":
@@ -162,17 +159,17 @@ class PathTree:
             node["children"].extend(map(nested.__getitem__, numbers))
         return nested[0]
 
-    def render(self, indent: str = "  ") -> str:
-        """One line per node, indented by depth, in canonical order, which is
+    def render(self) -> str:
+        """One line per node, indented two spaces a level, in canonical order:
         the order of a depth-first walk taking children in order."""
-        return "\n".join(_lines(*self._preorder(), indent))
+        return "\n".join(_lines(*self._preorder()))
 
-    def render_pieces(self, indent: str = "  ") -> Iterator[str]:
-        """``render(indent) + "\\n"`` in pieces of about 64 KiB, each ending
-        in a newline, so that printing a tree never holds its whole text."""
+    def render_pieces(self) -> Iterator[str]:
+        """``render() + "\\n"`` in pieces of about 64 KiB, each ending in a
+        newline, so that printing a tree never holds its whole text."""
         piece: list[str] = []
         size = 0
-        for line in _lines(*self._preorder(), indent):
+        for line in _lines(*self._preorder()):
             piece.append(line)
             size += len(line)
             if size > 1 << 16:
@@ -182,9 +179,9 @@ class PathTree:
             yield "\n".join(piece) + "\n"
 
 
-def _lines(labels: Sequence[Judgement], depths: Sequence[int], indent: str) -> Iterator[str]:
+def _lines(labels: Sequence[Judgement], depths: Sequence[int]) -> Iterator[str]:
     """The layout of a printed tree: each label indented by its depth."""
-    return map(add, map(mul, repeat(indent), depths), map(_text, labels))
+    return map(add, map(mul, repeat("  "), depths), map(_text, labels))
 
 
 class _PathsOnFirstRead:
@@ -248,22 +245,9 @@ class _NodeTree(PathTree):
         return self._nodes
 
 
-@dataclass(frozen=True)
-class TreeVerdict:
-    """Outcome of a tree validation; on failure, the first offending node in
-    canonical path order plus a human-readable reason."""
-
-    ok: bool
-    path: Optional[Path] = None
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def validate_proof_tree(
     sys: InferenceSystem, t: PathTree, leaves: Container[Judgement] = ()
-) -> TreeVerdict:
+) -> Verdict:
     """Check that every node (leaves included) is the conclusion of a rule of
     the system whose premise set is exactly its children's labels; a childless
     member of ``leaves`` passes as an axiom would."""
@@ -272,7 +256,7 @@ def validate_proof_tree(
 
 def _validate(
     sys: InferenceSystem, t: PathTree, leaves: Container[Judgement], n: int
-) -> TreeVerdict:
+) -> Verdict:
     """Both validators in one pass over one ``children_index``, on positions:
     a node outside the universe, or concluded by no rule from its children (a
     childless member of ``leaves`` excepted), fails at once; the first
@@ -280,21 +264,21 @@ def _validate(
     Only a failing node's path is built."""
     labels, depths, kids = t.children_index()
     index, table = sys.universe._index, sys._table
-    shallow = TreeVerdict(True)
+    shallow = Verdict(True)
     for number, (c, numbers) in enumerate(zip(labels, kids)):
         pos = index.get(c.text)
         if pos is None:
             why = f"{c} is outside the universe"
-            return TreeVerdict(False, _path_to(labels, depths, number), why)
+            return Verdict(False, _path_to(labels, depths, number), why)
         children = tuple(index.get(labels[k].text) for k in numbers)
         if children in table.get(pos, ()):
             continue
         if children or c not in leaves:
             why = f"no rule concludes {c} from {tuple(map(labels.__getitem__, numbers))}"
-            return TreeVerdict(False, _path_to(labels, depths, number), why)
+            return Verdict(False, _path_to(labels, depths, number), why)
         if shallow and depths[number] < n:
             why = f"depth {depths[number]} < {n} node rests on a coaxiom"
-            shallow = TreeVerdict(False, _path_to(labels, depths, number), why)
+            shallow = Verdict(False, _path_to(labels, depths, number), why)
     return shallow
 
 
@@ -476,7 +460,7 @@ def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTre
     return _stack(sys.universe.members, pos, n, least, _below_the_cut(sys, up.record), {})
 
 
-def validate_approx_level(sys: InferenceSystem, t: PathTree, n: int) -> TreeVerdict:
+def validate_approx_level(sys: InferenceSystem, t: PathTree, n: int) -> Verdict:
     """Check that t is a proof tree in the coaxioms-as-axioms system AND that
     every node above the cut (depth < n) is justified by a genuine rule.  The
     first check takes childless coaxioms as leaves, as ``_wf_build`` does,

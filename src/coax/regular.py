@@ -237,20 +237,19 @@ def cycle_stream(digits: Iterable[int]) -> EqSystem:
     return EqSystem(bindings, "c0").canonical()
 
 
-def constant_stream(d: int) -> EqSystem:
-    return cycle_stream([d])
-
-
 def parse_eq_system(text: str) -> EqSystem:
     """Parse the wire format: `NAME = TAG ARG...` per line, first line is the
-    root, `#` starts a comment.  Numeric arguments are atoms, others states.
-    State names may not contain `,` `(` `)` `{` `}` `[` or `]`, which
-    delimit the judgements built from them."""
+    root, `#` starts a comment.  Numeric arguments are atoms, others states,
+    so a state name may not be a number; nor may it contain `,` `(` `)` `{`
+    `}` `[` or `]`, which delimit the judgements built from it."""
     bindings: dict[str, Binding] = {}
     for lineno, parts in _token_lines(text):
         if len(parts) < 3 or parts[1] != "=":
             raise ValueError(f"line {lineno}: expected `NAME = TAG ARGS...`")
         name, tag = parts[0], parts[2]
+        if isinstance(_arg(name), int):
+            why = f"state name {name!r} is a number, which reads as an atom"
+            raise ValueError(f"line {lineno}: {why}")
         if name in bindings:
             raise ValueError(f"line {lineno}: state {name!r} bound twice")
         args = tuple(map(_arg, parts[3:]))

@@ -43,11 +43,12 @@ class UniverseTooLarge(CoaxError):
 @dataclass(frozen=True)
 class Verdict:
     """ok, or a re-checkable counterexample: the rule whose conclusion escaped
-    (closedness), the unsupported judgement (consistency), or which conjunct
-    of bounded coinduction failed."""
+    (closedness), the unsupported judgement (consistency), the judgement that
+    breaks a conjunct of bounded coinduction, or the path of the first
+    offending node (tree validation)."""
 
     ok: bool
-    witness: Union[Rule, Judgement, None] = None
+    witness: Union[Rule, Judgement, tuple[Judgement, ...], None] = None
     reason: str = ""
 
     def __bool__(self) -> bool:
@@ -84,10 +85,7 @@ def bounded_coinduction(sys: InferenceSystem, s: JudgementSet) -> Verdict:
     if not s.issubset(beta):
         stray = next(iter(s - beta))
         return Verdict(False, stray, f"{stray} is not below the closure of the coaxioms")
-    inner = check_consistent(sys, s)
-    if not inner:
-        return Verdict(False, inner.witness, inner.reason)
-    return Verdict(True)
+    return check_consistent(sys, s)
 
 
 def refute_level(sys: InferenceSystem, j: Judgement) -> Optional[int]:

@@ -17,9 +17,10 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 import networkx as nx
 
 from coax.core import InferenceSystem, Judgement, JudgementSet, Rule, Universe
-from coax.prooftree import PathTree, ProofGraph, TreeVerdict, validate_proof_tree
+from coax.prooftree import PathTree, ProofGraph, validate_proof_tree
 from coax.regular import Binding, EqSystem
 from coax.systems import Abs, App, Graph, Grammar, Term, Var, substitute
+from coax.verify import Verdict
 
 if TYPE_CHECKING:
     from coax.cli import SystemFile
@@ -98,7 +99,7 @@ def restrict_to(system: InferenceSystem, s: JudgementSet) -> InferenceSystem:
     return InferenceSystem(system.universe, kept, system.coaxioms)
 
 
-def relaxed_validate_approx_level(system: InferenceSystem, t: PathTree, n: int) -> TreeVerdict:
+def relaxed_validate_approx_level(system: InferenceSystem, t: PathTree, n: int) -> Verdict:
     """validate_approx_level by its definition: t validated in the system
     whose coaxioms are made axioms, then every node above the cut against the
     genuine rules."""
@@ -109,8 +110,8 @@ def relaxed_validate_approx_level(system: InferenceSystem, t: PathTree, n: int) 
     sets = premise_sets(system)
     for path in t.nodes():
         if len(path) < n and t.children(path) not in sets[t.label(path)]:
-            return TreeVerdict(False, path, f"depth {len(path)} < {n} node rests on a coaxiom")
-    return TreeVerdict(True)
+            return Verdict(False, path, f"depth {len(path)} < {n} node rests on a coaxiom")
+    return Verdict(True)
 
 
 def first_steps(chain: list[frozenset[str]]) -> dict[str, int]:
@@ -148,7 +149,7 @@ def scan_refute_level(system: InferenceSystem, j: Judgement) -> Optional[int]:
     _, descent = system._analyze()
     if j in descent.result:
         return None
-    for n, step in enumerate(descent.steps):
+    for n, step in enumerate(descent):
         if j not in step:
             return n
     raise AssertionError("unreachable: j missing from the limit but in every step")

@@ -20,7 +20,7 @@ from coax.core import (
     with_coaxioms_as_axioms,
 )
 from coax.prooftree import PathTree, approx_proof, approximating_sequence, validate_approx_level
-from coax.regular import Binding, EqSystem, cycle_list, cycle_stream, constant_stream
+from coax.regular import Binding, EqSystem, cycle_list, cycle_stream
 from coax.systems import (
     build_add,
     build_bigstep,
@@ -78,7 +78,7 @@ def test_acceptance_01_reach_iteration_phases_and_generated_set():
     line1 = frozenset({"reach(a,{})", "reach(b,{})", "reach(c,{})", "reach(c,{c})"})
     line2 = line1 | {"reach(a,{a})", "reach(b,{b})"}
     line3 = line2 | {"reach(a,{a,b})", "reach(b,{a,b})"}
-    steps = [_texts(s) for s in up.steps]
+    steps = [_texts(s) for s in up]
     assert steps[0] == frozenset()
     assert steps[1] == line1
     assert steps[2] == line2
@@ -91,7 +91,7 @@ def test_acceptance_01_reach_iteration_phases_and_generated_set():
         {"reach(c,{c})", "reach(a,{a})", "reach(b,{b})", "reach(a,{a,b})", "reach(b,{a,b})"}
     )
     down2 = frozenset({"reach(c,{c})", "reach(a,{a,b})", "reach(b,{a,b})"})
-    dsteps = [_texts(s) for s in down.steps]
+    dsteps = [_texts(s) for s in down]
     assert dsteps[0] == line3
     assert dsteps[1] == down1
     assert dsteps[2] == down2
@@ -116,7 +116,7 @@ def test_acceptance_02_stream_of_ones_predicates():
 
 def test_acceptance_03_digit_stream_addition():
     started = time.perf_counter()
-    zeros = constant_stream(0)
+    zeros = cycle_stream([0])
     nines = cycle_stream([9])
 
     borrow, _ = build_add(zeros, zeros, nines)
@@ -151,14 +151,14 @@ def test_acceptance_04_divergent_self_application():
     for n, t in enumerate(seq):
         assert validate_approx_level(system, t, n).ok
     # level 0: the divergence claim itself, by coaxiom at the root
-    assert seq[0] == PathTree.leaf(j_inf)
+    assert seq[0] == PathTree(j_inf)
     # level 1: one application step, the coaxiom pushed to depth 1
     assert seq[1].children(()) == (j_val, j_inf)
-    assert seq[1].subtree((j_inf,)) == PathTree.leaf(j_inf)
+    assert seq[1].subtree((j_inf,)) == PathTree(j_inf)
     # level 2: two application steps, the coaxiom at depth 2
     assert (j_inf, j_inf) in seq[2].paths
-    assert seq[2].subtree((j_inf, j_inf)) == PathTree.leaf(j_inf)
-    assert seq[2].subtree((j_inf, j_val)) == PathTree.leaf(j_val)
+    assert seq[2].subtree((j_inf, j_inf)) == PathTree(j_inf)
+    assert seq[2].subtree((j_inf, j_val)) == PathTree(j_val)
     _report("4/10 divergent self-application: inf only, level-0/1/2 trees", started, 1.0)
 
 

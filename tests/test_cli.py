@@ -106,6 +106,20 @@ def test_parse_system_file_warns_on_duplicates():
     assert sf.rules == (("c", ()), ("a", ("b",)))
 
 
+# every line boundary of str.splitlines, which numbers the lines
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS)
+def test_parse_system_file_numbers_lines_at_every_line_break(brk):
+    lines = ["# a comment", "axiom c", "", "rule a <- c", "axiom c", "coaxiom a"]
+    sf = parse_system_file(brk.join(lines) + brk)
+    assert sf.warnings == ("line 5: duplicate rule for c ignored",)
+    with pytest.raises(ValueError) as exc:
+        parse_system_file(brk.join(lines + ["frobnicate x"]))
+    assert str(exc.value).startswith("line 7: unknown directive 'frobnicate'")
+
+
 @pytest.mark.parametrize(
     "line",
     ["rule a", "rule a -> b", "axiom", "axiom a b", "coaxiom", "frobnicate x"],
@@ -128,7 +142,7 @@ def test_system_from_file_checks_declared_universe():
 def test_hand_built_system_files_load_as_the_public_constructor_does(seed, declared):
     """A system file written by hand may list premises unsorted and
     repeated, and rules and coaxioms more than once; it loads as the system
-    the public constructor builds from the same Judgement pairs.  Tokens
+    the public constructor builds from the same Rules.  Tokens
     outside a declared universe are rejected, the least of them named."""
 
     def parsed(universe, rules, coaxioms):
@@ -153,7 +167,7 @@ def test_hand_built_system_files_load_as_the_public_constructor_does(seed, decla
     mentioned = {c for c, _ in rules}.union(*(prs for _, prs in rules), coaxioms)
     reference = InferenceSystem(
         Universe(map(of.get, names if declared else mentioned)),
-        [([of[p] for p in prs], of[c]) for c, prs in rules],
+        [Rule(of[c], tuple(map(of.get, prs))) for c, prs in rules],
         map(of.get, coaxioms),
     )
     assert system.universe == reference.universe
@@ -905,6 +919,13 @@ def test_builtin_term_rejects_reserved_state_names(tmp_path, capsys):
     code, out, err = invoke(capsys, "builtin", "member", term, "1")
     assert code == 2 and out == ""
     assert err == "error: line 2: state name 'c[1]' contains one of , ( ) { } [ ]\n"
+
+
+@pytest.mark.parametrize("text", ["x = cons 1 5\n5 = nil\n", "x = cons 1 x\n5 = nil\n"])
+def test_builtin_term_rejects_numeric_state_names(tmp_path, capsys, text):
+    code, out, err = invoke(capsys, "builtin", "allpos", write(tmp_path, "t.term", text))
+    assert code == 2 and out == ""
+    assert err == "error: line 2: state name '5' is a number, which reads as an atom\n"
 
 
 def broken_command(args):

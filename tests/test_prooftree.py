@@ -29,7 +29,6 @@ from coax.prooftree import (
     NotInGenerated,
     PathTree,
     ProofGraph,
-    TreeVerdict,
     approx_proof,
     approximating_sequence,
     proof_graph,
@@ -40,6 +39,7 @@ from coax.prooftree import (
     validate_proof_tree,
     wf_proof_search,
 )
+from coax.verify import Verdict
 
 from oracles import (
     RecursiveProofs,
@@ -71,7 +71,7 @@ def loopy():
 
 
 def test_leaf_and_branch():
-    t = PathTree.branch(J("r"), [PathTree.leaf(J("x")), PathTree.leaf(J("y"))])
+    t = PathTree.branch(J("r"), [PathTree(J("x")), PathTree(J("y"))])
     assert t.root == J("r")
     assert t.children(()) == (J("x"), J("y"))
     assert t.depth == 1
@@ -81,7 +81,7 @@ def test_leaf_and_branch():
 
 def test_branch_rejects_duplicate_children():
     with pytest.raises(ValueError):
-        PathTree.branch(J("r"), [PathTree.leaf(J("x")), PathTree.leaf(J("x"))])
+        PathTree.branch(J("r"), [PathTree(J("x")), PathTree(J("x"))])
 
 
 def test_paths_must_be_prefix_closed():
@@ -92,7 +92,7 @@ def test_paths_must_be_prefix_closed():
 
 
 def test_subtree_and_nested():
-    inner = PathTree.branch(J("x"), [PathTree.leaf(J("y"))])
+    inner = PathTree.branch(J("x"), [PathTree(J("y"))])
     t = PathTree.branch(J("r"), [inner])
     assert t.subtree((J("x"),)) == inner
     assert t.subtree(()) == t
@@ -105,16 +105,16 @@ def test_subtree_and_nested():
 
 
 def test_render_shows_indentation():
-    t = PathTree.branch(J("r"), [PathTree.leaf(J("x"))])
+    t = PathTree.branch(J("r"), [PathTree(J("x"))])
     assert t.render() == "r\n  x"
 
 
-def _render_by_walk(t: PathTree, indent: str = "  ") -> str:
+def _render_by_walk(t: PathTree) -> str:
     """The recursive walk over children() that render replaced."""
     lines: list[str] = []
 
     def walk(path, depth):
-        lines.append(indent * depth + str(t.label(path)))
+        lines.append("  " * depth + str(t.label(path)))
         for c in t.children(path):
             walk(path + (c,), depth + 1)
 
@@ -153,8 +153,7 @@ def test_printers_match_the_recursive_walks(seed, depth):
     trees += [unfold(proof_graph(system, gen, j), depth) for j in gen]
     for t in filter(None, trees):
         assert t.render() == _render_by_walk(t)
-        assert t.render("\t") == _render_by_walk(t, "\t")
-        assert "".join(t.render_pieces("\t")) == _render_by_walk(t, "\t") + "\n"
+        assert "".join(t.render_pieces()) == _render_by_walk(t) + "\n"
         assert t.to_nested() == _nested_by_walk(t)
         assert tree_dot(t) == _dot_by_children(t)
 
@@ -217,7 +216,7 @@ def test_tree_json_matches_json_dumps(seed, depth):
     # labels that JSON escapes: quotes, backslashes, control and non-ASCII characters
     odd = [J(t) for t in ('q"', "b\\s", "\x00", "\u00fc", "\U0001f600", "x\x7f")]
     rng.shuffle(odd)
-    trees.append(PathTree.branch(odd[0], [PathTree.branch(odd[1], map(PathTree.leaf, odd[2:]))]))
+    trees.append(PathTree.branch(odd[0], [PathTree.branch(odd[1], map(PathTree, odd[2:]))]))
     for t in filter(None, trees):
         assert tree_json(t) == _json_by_dumps(t)
 
@@ -251,14 +250,14 @@ def test_tree_json_on_a_1500_deep_unfold():
 
 
 def test_validate_proof_tree(loopy):
-    good = PathTree.branch(J("a"), [PathTree.leaf(J("c"))])
+    good = PathTree.branch(J("a"), [PathTree(J("c"))])
     assert validate_proof_tree(loopy, good).ok
     # b's only rule needs a; a leaf b is not a proof
-    bad = PathTree.branch(J("a"), [PathTree.leaf(J("b"))])
+    bad = PathTree.branch(J("a"), [PathTree(J("b"))])
     verdict = validate_proof_tree(loopy, bad)
     assert not verdict.ok
-    assert verdict.path == (J("b"),)
-    outside = PathTree.leaf(J("zzz"))
+    assert verdict.witness == (J("b"),)
+    outside = PathTree(J("zzz"))
     assert not validate_proof_tree(loopy, outside).ok
 
 
@@ -340,11 +339,11 @@ def test_proof_queries_reject_bad_arguments(loopy):
 
 def test_validate_approx_level_flags_shallow_coaxioms(loopy):
     # the coaxiom leaf b at depth 0 is fine at level 0 but not at level 1
-    leaf = PathTree.leaf(J("b"))
+    leaf = PathTree(J("b"))
     assert validate_approx_level(loopy, leaf, 0).ok
     verdict = validate_approx_level(loopy, leaf, 1)
     assert not verdict.ok
-    assert verdict.path == ()
+    assert verdict.witness == ()
 
 
 def test_validation_of_a_deep_proof_reads_no_children(monkeypatch):
@@ -366,11 +365,11 @@ def test_validation_of_a_deep_proof_reads_no_children(monkeypatch):
     leaf = tuple(chain[n - 1 :: -1])
     assert validate_proof_tree(proved, t).ok
     assert validate_approx_level(proved, t, n + 1).ok
-    assert validate_proof_tree(coaxiomatic, t) == TreeVerdict(
+    assert validate_proof_tree(coaxiomatic, t) == Verdict(
         False, leaf, "no rule concludes c0 from ()"
     )
     assert validate_approx_level(coaxiomatic, t, n).ok
-    assert validate_approx_level(coaxiomatic, t, n + 1) == TreeVerdict(
+    assert validate_approx_level(coaxiomatic, t, n + 1) == Verdict(
         False, leaf, f"depth {n} < {n + 1} node rests on a coaxiom"
     )
 
@@ -477,7 +476,7 @@ def _tree_strategy():
 
     def build(depth: int, rng: random.Random) -> PathTree:
         if depth == 0 or rng.random() < 0.4:
-            return PathTree.leaf(rng.choice(judgements))
+            return PathTree(rng.choice(judgements))
         k = rng.randint(1, 3)
         roots = rng.sample(judgements, k)
         return PathTree.branch(
@@ -516,8 +515,8 @@ def test_level_order_laws(seed, n):
 
 
 def test_le_is_conjunction_of_all_levels():
-    a = PathTree.branch(J("r"), [PathTree.leaf(J("x"))])
-    b = PathTree.branch(J("r"), [PathTree.branch(J("x"), [PathTree.leaf(J("y"))])])
+    a = PathTree.branch(J("r"), [PathTree(J("x"))])
+    b = PathTree.branch(J("r"), [PathTree.branch(J("x"), [PathTree(J("y"))])])
     bound = max(a.depth, b.depth)
     assert all(tree_le_n(a, b, n) for n in range(bound + 1))
     assert not all(tree_le_n(b, a, n) for n in range(bound + 1))
@@ -725,20 +724,20 @@ def _with_format_words(rng: random.Random, system: InferenceSystem) -> Inference
 
 def _verdict_by_walk(
     system: InferenceSystem, t: PathTree, leaves: Container[Judgement], n: int
-) -> TreeVerdict:
+) -> Verdict:
     """Both validators by their definition, over nodes() and children()."""
-    shallow = TreeVerdict(True)
+    shallow = Verdict(True)
     sets = premise_sets(system)
     for path in t.nodes():
         c, kids = t.label(path), t.children(path)
         if c not in system.universe:
-            return TreeVerdict(False, path, f"{c} is outside the universe")
+            return Verdict(False, path, f"{c} is outside the universe")
         if kids in sets[c]:
             continue
         if kids or c not in leaves:
-            return TreeVerdict(False, path, f"no rule concludes {c} from {kids}")
+            return Verdict(False, path, f"no rule concludes {c} from {kids}")
         if shallow and len(path) < n:
-            shallow = TreeVerdict(False, path, f"depth {len(path)} < {n} node rests on a coaxiom")
+            shallow = Verdict(False, path, f"depth {len(path)} < {n} node rests on a coaxiom")
     return shallow
 
 
@@ -776,7 +775,7 @@ def test_node_list_trees_read_as_the_path_set_trees_they_stand_for(seed):
         ]
 
     def readings(t: PathTree) -> list:
-        printed = [t.render(), t.render("\t"), t.to_nested(), tree_json(t), tree_dot(t)]
+        printed = [t.render(), t.to_nested(), tree_json(t), tree_dot(t)]
         return [len(t), t.depth, *printed, *verdicts(t)]
 
     for t, want in pairs:

@@ -11,7 +11,6 @@ from coax.regular import (
     EqSystem,
     ShapeMismatch,
     carrier,
-    constant_stream,
     cycle_list,
     cycle_stream,
     finite_list,
@@ -69,7 +68,7 @@ def test_construction_validates_shape():
 def test_family_and_views():
     ones = cycle_list([1])
     assert ones.family == "list"
-    assert constant_stream(3).family == "stream"
+    assert cycle_stream([3]).family == "stream"
     assert successors(ones, ones.root) == (ones.root,)
     assert ones[ones.root].tag == "cons"
 
@@ -127,6 +126,15 @@ def test_parse_rejects_bad_lines():
         parse_eq_system("x = cons 1 x\nx = nil")
 
 
+@pytest.mark.parametrize("text", ["x = cons 1 5\n5 = nil", "x = cons 1 x\n5 = nil"])
+def test_parse_rejects_numeric_state_names(text):
+    """A numeric argument reads as an atom, so a state bound under a number
+    could never be referenced; the binding line is named."""
+    with pytest.raises(ValueError) as exc:
+        parse_eq_system(text)
+    assert str(exc.value) == "line 2: state name '5' is a number, which reads as an atom"
+
+
 def test_bisim_equal_positive_negative():
     assert bisim_equal(cycle_list([1, 1]), cycle_list([1]))
     assert not bisim_equal(cycle_list([1, 2]), cycle_list([2, 1]))  #phase matters
@@ -180,7 +188,7 @@ def test_subterms_of_finite_list():
 def test_carrier():
     assert carrier(cycle_list([1, -2, 1])) == frozenset({1, -2})
     assert carrier(finite_list([])) == frozenset()
-    assert carrier(constant_stream(7)) == frozenset({7})
+    assert carrier(cycle_stream([7])) == frozenset({7})
     with pytest.raises(ShapeMismatch):
         carrier(
             EqSystem(

@@ -15,7 +15,6 @@ from coax.regular import (
     Binding,
     EqSystem,
     ShapeMismatch,
-    constant_stream,
     cycle_list,
     cycle_stream,
     finite_list,
@@ -384,7 +383,7 @@ def test_list_preds_match_walk_oracles(seed):
 
 def test_list_preds_reject_wrong_shapes():
     with pytest.raises(ShapeMismatch):
-        build_list_preds(constant_stream(1), 1)
+        build_list_preds(cycle_stream([1]), 1)
     nested = EqSystem(
         {
             "l": Binding("cons", ("m", "n")),
@@ -520,8 +519,8 @@ def test_spath_through_a_weight_0_cycle_back_to_the_source():
     }
 
 
-def _dist_rules(g: Graph) -> tuple[Universe, list[tuple[list[Judgement], Judgement]], list[Judgement]]:
-    """build_dist's universe, rules and coaxioms as Judgement pairs, grounded
+def _dist_rules(g: Graph) -> tuple[Universe, list[Rule], list[Judgement]]:
+    """build_dist's universe, rules and coaxioms, grounded
     directly from its docstring, with None for an infinite cost."""
     total = sum(g.weight(u, v) for u, v in g.edges)
     costs = [*range(total + 1), None]
@@ -533,18 +532,18 @@ def _dist_rules(g: Graph) -> tuple[Universe, list[tuple[list[Judgement], Judgeme
     for v in g.nodes:
         for u in g.nodes:
             if v == u:
-                rules.append(([], J(v, u, 0)))
+                rules.append(Rule(J(v, u, 0)))
                 continue
             targets = g.adj[v]
             if not targets:
-                rules.append(([], J(v, u, None)))
+                rules.append(Rule(J(v, u, None)))
                 continue
             for claim in itertools.product(costs, repeat=len(targets)):
                 finite = [g.weight(v, t) + c for t, c in zip(targets, claim) if c is not None]
                 d = min(finite, default=None)
                 if d is not None and d > total:
                     continue
-                rules.append(([J(t, u, c) for t, c in zip(targets, claim)], J(v, u, d)))
+                rules.append(Rule(J(v, u, d), tuple(J(t, u, c) for t, c in zip(targets, claim))))
     universe = Universe(J(v, u, c) for v in g.nodes for u in g.nodes for c in costs)
     return universe, rules, [J(v, u, None) for v in g.nodes for u in g.nodes if v != u]
 
@@ -570,9 +569,9 @@ _PREFIX_NAMES = ["a", "ab", "a-", "a.", "a!", "a+", "b", "ba"]
 @example(0, ["a", "ab", "b", "ba"], [(0, 1, 1), (0, 2, 2), (1, 3, 0), (2, 3, 2)])
 def test_dist_grounds_as_the_public_constructor_does(seed, names, edges):
     """build_dist's position table equals the system the public constructor
-    builds from shuffled Judgement pairs, and lists its rules as sorted
-    distinct Rules, on recipe graphs and on names that are prefixes of one
-    another (whose judgements do not sort as the names do), with weight-0
+    builds from shuffled Rules, and lists its rules as sorted distinct Rules,
+    on recipe graphs and on names that are prefixes of one another (whose
+    judgements do not sort as the names do), with weight-0
     edges, nodes without successors, and claim combinations whose minimum
     is exactly W or W + 1."""
     rng = random.Random(seed)
@@ -588,7 +587,7 @@ def test_dist_grounds_as_the_public_constructor_does(seed, names, edges):
         rng.shuffle(rules)
         reference = InferenceSystem(expected_universe, rules, coax)
         assert system.universe is universe and universe == expected_universe
-        assert list(system.rules()) == sorted({Rule(c, tuple(ps)) for ps, c in rules})
+        assert list(system.rules()) == sorted(set(rules))
         assert list(system.rules()) == list(reference.rules())
         assert premise_sets(system) == premise_sets(reference)
         assert system.rule_count == reference.rule_count == len(rules)
@@ -749,7 +748,7 @@ def test_add_carry_cases():
     system, _ = build_add(nines, nines, nines)
     assert gen_texts(system) == {"add(s0,s0,s0,1)"}
     # borrowing: 0 + 0 = 9999... with carry -1 throughout
-    zeros = constant_stream(0)
+    zeros = cycle_stream([0])
     system, _ = build_add(zeros, zeros, nines)
     assert gen_texts(system) == {"add(s0,s0,s0,-1)"}
     # and an honest failure: 0 + 0 = 1111... has no consistent carry
@@ -768,7 +767,7 @@ def test_add_multi_digit_cycle():
 
 def test_add_rejects_non_streams():
     with pytest.raises(ShapeMismatch):
-        build_add(finite_list([1]), constant_stream(1), constant_stream(2))
+        build_add(finite_list([1]), cycle_stream([1]), cycle_stream([2]))
 
 
 # -- big-step evaluation ----------------------------------------------------------------------------

@@ -29,7 +29,7 @@ _EXPORTS = {
     """,
     "systems": """
         Graph Grammar Abs App Var build_add build_bigstep
-        build_dist build_first build_list_preds build_path0 build_reach
+        build_dist build_first build_path0 build_reach
         build_spath parse_grammar parse_graph parse_lambda substitute term_text
     """,
 }

@@ -469,7 +469,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _list_pred(name: str) -> Callable[..., tuple[InferenceSystem, Universe]]:
-    """The build of the one list predicate ``name`` of ``build_list_preds``."""
+    """The build of the one list predicate ``name`` of ``_list_pred_builders``."""
     return lambda s, r, a: s._list_pred_builders(
         r.parse_eq_system(_read(a.term)), getattr(a, "element", 0)
     )[name]()

@@ -363,8 +363,15 @@ class InferenceSystem:
         _require_same(self.universe, s.universe)
         mask, table = s.mask, self._table
         for c in _bits(mask):
-            sets = table.get(c, ())
-            yield c, next((prs for prs in sets if all((mask >> p) & 1 for p in prs)), None)
+            for prs in table.get(c, ()):
+                for p in prs:
+                    if not (mask >> p) & 1:
+                        break
+                else:
+                    break
+            else:
+                prs = None
+            yield c, prs
 
     def rules(self) -> Iterator[Rule]:
         members = self.universe.members

@@ -16,13 +16,13 @@ as a tree label, a ``ProofGraph`` field or a return value.  The validators
 compare the positions of each node's children with the same table.
 
 No builder recurses, so no recursion limit bounds a proof's depth.
-Well-founded proofs and unfoldings are materialized once, top down
-(``_expand``), in O(nodes), and held as their nodes in canonical order, one
-(label, depth) pair each: printing, ``len``, ``depth`` and both validators
+Well-founded proofs, which choose each node's rule as the walk reaches it,
+and unfoldings are made in one top-down pass over their nodes (``_expand``),
+in O(nodes), and held as those nodes in canonical order, one (label, depth)
+pair each: printing, ``to_nested``, ``len``, ``depth`` and both validators
 read that list, and the path set, O(nodes x depth) labels, is built the
 first time something reads ``paths``.  Approximated proofs stack one
-path-set tree per (position, level) above the cut (``_stack``), which is
-cubic in the levels.
+path-set tree per (position, level) above the cut (``_stack``), cubic in the levels.
 """
 
 from __future__ import annotations
@@ -152,12 +152,16 @@ class PathTree:
         return labels, depths, kids
 
     def to_nested(self) -> dict:
-        """JSON-friendly nested form: {judgement, children: [...]}."""
-        labels, _, kids = self.children_index()
-        nested = [{"judgement": str(j), "children": []} for j in labels]
-        for node, numbers in zip(nested, kids):
-            node["children"].extend(map(nested.__getitem__, numbers))
-        return nested[0]
+        """JSON-friendly nested form: {judgement, children: [...]}, made in one
+        pass: each node joins the children of the latest node one level up."""
+        labels, depths = self._preorder()
+        root: list[dict] = []
+        latest = [root]  # latest[d]: the children of the node last listed at depth d - 1
+        for text, d in zip(map(_text, labels), depths):
+            kids: list[dict] = []
+            latest[d].append({"judgement": text, "children": kids})
+            latest[d + 1:] = [kids]
+        return root[0]
 
     def render(self) -> str:
         """One line per node, indented two spaces a level, in canonical order:
@@ -299,26 +303,31 @@ def _expand(
 ) -> PathTree:
     """The tree whose node of position c at depth d has the positions
     children(c, d), distinct and increasing, as its children, labelled by
-    ``members``, listed node by node in canonical order in one top-down pass
-    from an explicit stack.  Positions follow the order of their judgements,
-    so popping the children in increasing order lists each node's subtree
-    before its next sibling's, and the siblings in label order.  It raises
-    CapExceeded once the nodes listed and waiting, which after the last push
-    are the whole tree, pass ``TREE_NODE_CAP``."""
+    ``members``, listed node by node in canonical order in one top-down pass.
+    Positions follow the order of their judgements, so going straight down to
+    each first child and stacking the later siblings, last on the bottom,
+    lists each subtree before its next sibling's.  It raises CapExceeded once
+    the nodes listed, waiting and in hand, which after the last push are the
+    whole tree, pass ``TREE_NODE_CAP``."""
     labels: list[Judgement] = []
     depths: list[int] = []
-    stack: list[tuple[int, int]] = [(root, 0)]
-    while stack:
-        c, d = stack.pop()
+    stack: list[tuple[int, int]] = []
+    c, d = root, 0
+    while True:
         labels.append(members[c])
         depths.append(d)
         kids = children(c, d)
         if kids:
-            for p in reversed(kids):
-                stack.append((p, d + 1))
-            if len(labels) + len(stack) > TREE_NODE_CAP:
+            d += 1
+            c = kids[0]
+            if len(kids) > 1:
+                stack.extend(zip(kids[:0:-1], repeat(d)))
+            if len(labels) + len(stack) >= TREE_NODE_CAP:
                 raise CapExceeded(TREE_NODE_CAP, f"the proof tree exceeds {TREE_NODE_CAP} nodes")
-    return _NodeTree(labels, depths)
+        elif stack:
+            c, d = stack.pop()
+        else:
+            return _NodeTree(labels, depths)
 
 
 def _wf_build(
@@ -334,29 +343,32 @@ def _wf_build(
     members of the ``leaves`` mask stand as leaves, as axioms do.
     Well-defined whenever entry[pos] - 1 <= budget.
 
-    The rule choice for every (position, budget) pair the proof reaches is
-    made first, then the tree is expanded once; a node's budget is the root's
-    less its depth."""
+    The tree is expanded once, and the rule of each node is chosen as the
+    walk reaches it: a node's budget is the root's less its depth, and the
+    choice for each (position, budget) pair is made once."""
     key = (pos, budget)
     hit = memo.get(key)
     if hit is not None:
         return hit
     table = sys._table
     chosen: dict[tuple[int, int], tuple[int, ...]] = {}
-    todo = [key]
-    while todo:
-        pair = todo.pop()
-        if pair in chosen:
-            continue
-        c, b = pair
-        for prs in ((),) if (leaves >> c) & 1 else table.get(c, ()):
-            if all(0 < entry[p] <= b for p in prs):
-                break
-        else:  # pragma: no cover - guarded by the level precondition
-            raise AssertionError(f"no admissible rule at position {c}, budget {b}")
-        chosen[pair] = prs
-        todo.extend([(p, b - 1) for p in prs])
-    tree = memo[key] = _expand(sys.universe.members, pos, lambda c, d: chosen[c, budget - d])
+
+    def children(c: int, d: int) -> tuple[int, ...]:
+        b = budget - d
+        prs = chosen.get((c, b))
+        if prs is None:
+            for prs in ((),) if (leaves >> c) & 1 else table.get(c, ()):
+                for p in prs:
+                    if not 0 < entry[p] <= b:
+                        break
+                else:
+                    break
+            else:  # pragma: no cover - guarded by the level precondition
+                raise AssertionError(f"no admissible rule at position {c}, budget {b}")
+            chosen[c, b] = prs
+        return prs
+
+    tree = memo[key] = _expand(sys.universe.members, pos, children)
     return tree
 
 
@@ -515,9 +527,9 @@ def unfold(g: ProofGraph, depth: int) -> PathTree:
     if depth < 0:
         raise ValueError(f"unfold depth must be >= 0, got {depth}")
     uni = g.support.universe
-    choice = {
-        uni.position(c): tuple(sorted(set(map(uni.position, prs)))) for c, prs in g.choice.items()
-    }
+    index = uni._index
+    choice = {index[c.text]: tuple(sorted(set(map(index.__getitem__, map(_text, prs)))))
+              for c, prs in g.choice.items()}
     return _expand(uni.members, uni.position(g.root), lambda c, d: choice[c] if d < depth else ())
 
 

@@ -489,11 +489,11 @@ def _head_tail(canon: EqSystem, state: str) -> tuple[int, str]:
     return head, tail  # type: ignore[return-value]
 
 
-def build_list_preds(
+def _list_pred_builders(
     l: EqSystem, x: int
-) -> dict[str, tuple[InferenceSystem, Universe]]:
-    """The four list predicates over the subterm states of a (possibly
-    cyclic) integer list, as one system each:
+) -> dict[str, Callable[[], tuple[InferenceSystem, Universe]]]:
+    """The groundings of the four list predicates over the subterm states of
+    a (possibly cyclic) integer list, one system each, by name:
 
     - member:  `member(x,s,b)` - does x occur in the list at state s
     - allpos:  `allpos(s,b)`   - are all elements positive
@@ -501,18 +501,10 @@ def build_list_preds(
       the head, so the value is also attained, not just an upper bound)
     - elems:   `elems(s,xs)`   - xs is the set of elements
 
-    The member judgement is specialized to the given query element x.
-    """
-    return {name: build() for name, build in _list_pred_builders(l, x).items()}
-
-
-def _list_pred_builders(
-    l: EqSystem, x: int
-) -> dict[str, Callable[[], tuple[InferenceSystem, Universe]]]:
-    """The groundings of ``build_list_preds``, one call each, over one shared
-    preparation of the canonical list, so that a caller that wants one
-    predicate grounds only that one: ``elems`` alone has a judgement per
-    state and subset of the carrier."""
+    The member judgement is specialized to the given query element x.  Each
+    is one call over one shared preparation of the canonical list, so that a
+    caller that wants one predicate grounds only that one: ``elems`` alone
+    has a judgement per state and subset of the carrier."""
     canon = _canonical_list(l)
     names = sorted(canon.states)
     nils = [s for s in names if canon[s].tag == "nil"]

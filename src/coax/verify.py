@@ -115,14 +115,14 @@ def _oracle_cap() -> int:
         raise ValueError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-def brute_force(sys: InferenceSystem, cap: Optional[int] = None) -> BruteForceResult:
+def brute_force(sys: InferenceSystem) -> BruteForceResult:
     """Enumerate every subset of the universe and read the interpretations off
     the definitions: the least pre-fixed point, the greatest post-fixed point,
     and the greatest fixed point below the least pre-fixed point above the
     coaxioms.  Independent of the engines by design: the one-step operator
-    builds premise masks of its own from the rule table."""
-    if cap is None:
-        cap = _oracle_cap()
+    builds premise masks of its own from the rule table.  A universe larger
+    than ``COAX_ORACLE_CAP`` (default 16) raises UniverseTooLarge."""
+    cap = _oracle_cap()
     n = len(sys.universe)
     if n > cap:
         raise UniverseTooLarge(n, cap)

@@ -479,6 +479,15 @@ def random_list_term(rng: random.Random) -> EqSystem:
     return EqSystem(bindings, tail)
 
 
+def build_list_preds(l: EqSystem, x: int) -> dict[str, tuple[InferenceSystem, Universe]]:
+    """Every list predicate of ``systems._list_pred_builders`` grounded over
+    the list l, by name, member specialized to x: all four at once, where the
+    CLI grounds only the one it prints."""
+    from coax.systems import _list_pred_builders
+
+    return {name: build() for name, build in _list_pred_builders(l, x).items()}
+
+
 _POOL_SOURCES = [
     r"\x. x",
     r"\x. \y. x",

@@ -26,7 +26,6 @@ from coax.systems import (
     build_bigstep,
     build_dist,
     build_first,
-    build_list_preds,
     build_path0,
     build_reach,
     build_spath,
@@ -39,6 +38,7 @@ from coax.verify import bounded_coinduction, brute_force, refute_level
 import random
 
 from oracles import (
+    build_list_preds,
     classical_first,
     kleene_by_hand,
     literal_step,

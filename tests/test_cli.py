@@ -33,12 +33,13 @@ from coax.cli import (
 from coax.core import InferenceSystem, Judgement, Rule, Universe, generated
 from coax.prooftree import PathTree, proof_graph, unfold, validate_approx_level
 from coax import systems
-from coax.systems import build_list_preds, build_reach, parse_graph
+from coax.systems import build_reach, parse_graph
 from coax.regular import cycle_list, finite_list
 
 from oracles import (
     StringSystemFile,
     as_strings,
+    build_list_preds,
     premise_sets,
     random_system,
     string_parse_system_file,

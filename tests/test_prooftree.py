@@ -468,6 +468,38 @@ def test_proof_graph_rejects_inconsistent_support(loopy):
         proof_graph(loopy, uni.subset([J("c")]), J("a"))  # root outside support
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9))
+def test_least_rules_match_a_direct_scan(seed):
+    """Each member of a random set s, in order, with the first premise set of
+    its rules that lies inside s, or None: consistent or not, s gets the
+    same choice from ``_least_rules`` as from a scan of the table, and
+    ``proof_graph`` fails on the least member the scan leaves unsupported."""
+    rng = random.Random(seed)
+    system = random_system(rng, max_size=10)
+    uni = system.universe
+    s = uni.subset(j for j in uni if rng.random() < 0.6)
+    inside = {uni.position(j) for j in s}
+    want = [
+        (c, next((prs for prs in system._table.get(c, ()) if set(prs) <= inside), None))
+        for c in sorted(inside)
+    ]
+    assert list(system._least_rules(s)) == want
+    if not want:
+        return
+    unsupported = [c for c, prs in want if prs is None]
+    root = uni.members[want[0][0]]
+    if unsupported:
+        with pytest.raises(NotConsistent) as exc:
+            proof_graph(system, s, root)
+        assert exc.value.judgement == uni.members[unsupported[0]]
+    else:
+        g = proof_graph(system, s, root)
+        assert g.choice == {
+            uni.members[c]: tuple(uni.members[p] for p in prs) for c, prs in want
+        }
+
+
 # -- level orders ----------------------------------------------------------------------
 
 
@@ -629,6 +661,17 @@ def _ring(length: int) -> InferenceSystem:
     return InferenceSystem(Universe(names), rules, names[:1])
 
 
+def _comb(length: int) -> InferenceSystem:
+    """g0 and every l(i) axioms, g(i) <- g(i-1) l(i), and t <- g(length-1):
+    the proof of g(k) has 2k + 1 nodes and that of t 2 * length nodes, each
+    g(i) above g0 with two children."""
+    g = [J(f"g{i}") for i in range(length + 1)]
+    leaves = [J(f"l{i}") for i in range(1, length + 1)]
+    rules = [Rule(g[0]), *map(Rule, leaves), Rule(J("t"), (g[-2],))]
+    rules += [Rule(g[i], (g[i - 1], leaves[i - 1])) for i in range(1, length + 1)]
+    return InferenceSystem(Universe([*g, *leaves, J("t")]), rules, [])
+
+
 def _frames() -> int:
     frame, count = sys._getframe(), 0
     while frame is not None:
@@ -663,20 +706,34 @@ def test_proofs_need_no_recursion():
 
 def test_trees_past_the_node_cap_raise(monkeypatch):
     """A well-founded proof, an unfolding or a subtree below a cut of
-    exactly TREE_NODE_CAP nodes is made; one node more raises CapExceeded.
-    Above a cut, the subtrees copied in one call count together."""
+    exactly TREE_NODE_CAP nodes is made, chains and branching trees alike;
+    one node more raises CapExceeded.  Above a cut, the subtrees copied in
+    one call count together."""
     graph = proof_graph(_ring(3), generated(_ring(3)), J("r1"))
     a, b = J("a"), J("b")
     branching = InferenceSystem(Universe([a, b]), [Rule(a, (a, b)), Rule(b, (a, b))], [a, b])
+    # q <- r, r <- x y, and the rings x <- x, y <- y: unfolded to depth 5,
+    # q's tree has 10 nodes and r's 11, r with two children
+    q, r, x, y = map(J, "qrxy")
+    forked = InferenceSystem(
+        Universe([q, r, x, y]), [Rule(q, (r,)), Rule(r, (x, y)), Rule(x, (x,)), Rule(y, (y,))], [x, y]
+    )
+    comb = _comb(5)
     monkeypatch.setattr(prooftree, "TREE_NODE_CAP", 10)
     assert len(wf_proof_search(_chain(9), J("c9"), 9)) == 10
+    assert len(wf_proof_search(comb, J("t"), 10)) == 10
     assert len(unfold(graph, 9)) == 10
+    assert len(unfold(proof_graph(forked, generated(forked), q), 5)) == 10
     assert len(approx_proof(_chain(10, coaxiom=True), J("c10"), 1)) == 11  # c9's proof below
     assert len(approx_proof(branching, a, 2)) == 7  # copies 2 + 2 + 6 nodes
     with pytest.raises(CapExceeded, match="exceeds 10 nodes"):
         wf_proof_search(_chain(10), J("c10"), 10)
+    with pytest.raises(CapExceeded, match="exceeds 10 nodes"):
+        wf_proof_search(comb, J("g5"), 10)
     with pytest.raises(CapExceeded):
         unfold(graph, 10)
+    with pytest.raises(CapExceeded):
+        unfold(proof_graph(forked, generated(forked), r), 5)
     with pytest.raises(CapExceeded):
         approx_proof(_chain(11, coaxiom=True), J("c11"), 1)
     with pytest.raises(CapExceeded, match="exceeds 10 nodes"):

@@ -29,7 +29,6 @@ from coax.systems import (
     build_bigstep,
     build_dist,
     build_first,
-    build_list_preds,
     build_path0,
     build_reach,
     build_spath,
@@ -42,6 +41,7 @@ from coax.systems import (
 )
 
 from oracles import (
+    build_list_preds,
     cbv_eval,
     classical_first,
     expected_allpos,

@@ -210,12 +210,14 @@ def _system_of_size(n: int) -> InferenceSystem:
     return InferenceSystem(uni, [Rule(J("j0"))], [])
 
 
-def test_brute_force_cap_argument():
+def test_brute_force_cap_reports_size_and_cap(monkeypatch):
     system = _system_of_size(5)
+    monkeypatch.setenv(ORACLE_CAP_ENV, "4")
     with pytest.raises(UniverseTooLarge) as exc:
-        brute_force(system, cap=4)
+        brute_force(system)
     assert exc.value.size == 5 and exc.value.cap == 4
-    assert brute_force(system, cap=5).mu == system.universe.subset([J("j0")])
+    monkeypatch.setenv(ORACLE_CAP_ENV, "5")
+    assert brute_force(system).mu == system.universe.subset([J("j0")])
 
 
 def test_brute_force_cap_env(monkeypatch):

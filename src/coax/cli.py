@@ -475,41 +475,36 @@ def _list_pred(name: str) -> Callable[..., tuple[InferenceSystem, Universe]]:
     )[name]()
 
 
-# Each builtin once, in the order `coax builtin -h` lists them: its help, its
-# positional arguments with their argparse keywords, its cap flags by dest
-# (an int each; one left out keeps the builder's default), and its build,
-# called with the modules systems and regular, the arguments and the caps given
-_BUILTINS: dict[str, tuple[str, dict[str, dict], tuple[str, ...], Callable]] = {
-    "reach": ("reachable node sets of a graph", {"graph": {}}, ("cap",),
-              lambda s, r, a, **caps: s.build_reach(s.parse_graph(_read(a.graph)), **caps)),
-    "first": ("FIRST sets of a grammar", {"grammar": {}}, ("cap",),
-              lambda s, r, a, **caps: s.build_first(s.parse_grammar(_read(a.grammar)), **caps)),
-    "dist": ("weighted distances", {"graph": {}}, ("node_cap", "weight_cap"),
-             lambda s, r, a, **caps: s.build_dist(s.parse_graph(_read(a.graph)), **caps)),
-    "spath": ("shortest paths", {"graph": {}}, ("node_cap", "weight_cap"),
-              lambda s, r, a, **caps: s.build_spath(s.parse_graph(_read(a.graph)), **caps)),
-    "path0": ("all-zero infinite path in a regular tree", {"term": {}}, (),
+# Each builtin once, in the order `coax builtin -h` lists them: its help, its positional
+# arguments with their argparse keywords, and its build, called with systems, regular, the args
+_BUILTINS: dict[str, tuple[str, dict[str, dict], Callable]] = {
+    "reach": ("reachable node sets of a graph", {"graph": {}},
+              lambda s, r, a: s.build_reach(s.parse_graph(_read(a.graph)))),
+    "first": ("FIRST sets of a grammar", {"grammar": {}},
+              lambda s, r, a: s.build_first(s.parse_grammar(_read(a.grammar)))),
+    "dist": ("weighted distances", {"graph": {}},
+             lambda s, r, a: s.build_dist(s.parse_graph(_read(a.graph)))),
+    "spath": ("shortest paths", {"graph": {}},
+              lambda s, r, a: s.build_spath(s.parse_graph(_read(a.graph)))),
+    "path0": ("all-zero infinite path in a regular tree", {"term": {}},
               lambda s, r, a: s.build_path0(r.parse_eq_system(_read(a.term)))),
-    "add": ("digitwise stream addition with carries", {"first": {}, "second": {}, "result": {}}, (),
-            lambda s, r, a: s.build_add(
-                *map(r.parse_eq_system, map(_read, (a.first, a.second, a.result)))
-            )),
+    "add": ("digitwise stream addition with carries", {"first": {}, "second": {}, "result": {}},
+            lambda s, r, a: s.build_add(*(r.parse_eq_system(_read(path))
+                                          for path in (a.first, a.second, a.result)))),
     "bigstep": ("call-by-value evaluation with divergence",
-                {"term": {"help": "file holding one lambda term"}}, ("cap",),
-                lambda s, r, a, **caps: s.build_bigstep(s.parse_lambda(_read(a.term)), **caps)),
-    "member": ("list membership", {"term": {}, "element": {"type": int}}, (), _list_pred("member")),
-    "allpos": ("all elements positive", {"term": {}}, (), _list_pred("allpos")),
-    "maxelem": ("greatest element", {"term": {}}, (), _list_pred("maxelem")),
-    "elems": ("element set", {"term": {}}, (), _list_pred("elems")),
+                {"term": {"help": "file holding one lambda term"}},
+                lambda s, r, a: s.build_bigstep(s.parse_lambda(_read(a.term)))),
+    "member": ("list membership", {"term": {}, "element": {"type": int}}, _list_pred("member")),
+    "allpos": ("all elements positive", {"term": {}}, _list_pred("allpos")),
+    "maxelem": ("greatest element", {"term": {}}, _list_pred("maxelem")),
+    "elems": ("element set", {"term": {}}, _list_pred("elems")),
 }
 
 
 def cmd_builtin(args: argparse.Namespace) -> int:
     from . import regular, systems
 
-    _, _, caps, build = _BUILTINS[args.builder]
-    given = {k: getattr(args, k) for k in caps if hasattr(args, k)}
-    system, _ = build(systems, regular, args, **given)
+    system, _ = _BUILTINS[args.builder][2](systems, regular, args)
     if args.format == "json":
         texts = system.universe.texts
         rules = [
@@ -578,12 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("builtin", help="instantiate a bundled judgement family")
     bsub = p.add_subparsers(dest="builder", required=True)
 
-    for name, (help_, positionals, caps, _) in _BUILTINS.items():
+    for name, (help_, positionals, _) in _BUILTINS.items():
         b = bsub.add_parser(name, help=help_)
         for arg, keywords in positionals.items():
             b.add_argument(arg, **keywords)
-        for cap in caps:
-            b.add_argument("--" + cap.replace("_", "-"), type=int, default=argparse.SUPPRESS)
         _add_format(b)
 
     return parser

@@ -386,12 +386,15 @@ def _stack(
     explicit stack.  An entry holds its premises once they are chosen; nodes
     at level 1 rest on base trees only, so they are built at once.  Each new
     tree copies its subtrees; CapExceeded is raised before a copy that would
-    bring the nodes copied in one call past ``TREE_NODE_CAP``."""
+    bring the nodes copied in one call past ``TREE_NODE_CAP``, or the stack's
+    entries, each a distinct node of the tree, past it."""
     if n <= 0:
         return base(root)
     stack: list[tuple[int, int, Optional[tuple[int, ...]]]] = [(root, n, None)]
     built = 0
     while stack:
+        if len(stack) > TREE_NODE_CAP:  # a deep level pushes an entry per level
+            raise CapExceeded(TREE_NODE_CAP, f"the proof tree exceeds {TREE_NODE_CAP} nodes")
         c, k, prs = stack.pop()
         key = (c, k)
         if prs is None:

@@ -13,6 +13,7 @@ system can round-trip through the extensional file format.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -28,12 +29,8 @@ from .core import (
 )
 from .regular import EqSystem, ShapeMismatch, carrier
 
-REACH_NODE_CAP = 10
-ELEMS_ELEMENT_CAP = 14  # elems grounds 2^k judgements per list state
-FIRST_TERMINAL_CAP = 8
-DIST_NODE_CAP = 10
-DIST_WEIGHT_CAP = 64
-BIGSTEP_CLOSURE_CAP = 2000
+GROUND_CAP = 1_000_000  # judgements plus meta-rule instances one builder enumerates
+BIGSTEP_CLOSURE_CAP = 2000  # terms; bigstep discovers its closure, so cannot count it first
 LAMBDA_DEPTH_CAP = 200
 
 
@@ -371,6 +368,16 @@ def _ground(
     return InferenceSystem._from_table(uni, table, JudgementSet(uni, mask)), uni
 
 
+def _check_ground(family: str, count: int, at_least: bool = False) -> None:
+    """Refuse, before any text is made, more than GROUND_CAP judgements plus
+    meta-rule instances, which are products over successors or bodies."""
+    if count > GROUND_CAP:
+        if count >> 64:  # printed as a power of two: a long int may not print at all
+            count, at_least = f"2^{count.bit_length() - 1}", True  # type: ignore[assignment]
+        raise CapExceeded(GROUND_CAP, f"{family} would ground {'at least ' * at_least}{count} "
+                          f"judgements and rule instances, cap is {GROUND_CAP}")
+
+
 def _set_text(items: Iterable[str]) -> str:
     return "{" + ",".join(sorted(items)) + "}"
 
@@ -386,7 +393,7 @@ def _seq_text(symbols: Sequence[str]) -> str:
 # -- reachability ----------------------------------------------------------------
 
 
-def build_reach(g: Graph, cap: int = REACH_NODE_CAP) -> tuple[InferenceSystem, Universe]:
+def build_reach(g: Graph) -> tuple[InferenceSystem, Universe]:
     """Judgements `reach(v,N)`: N is the set of nodes reachable from v.
 
     One rule instance per node and per choice of a claimed reachable set for
@@ -394,8 +401,8 @@ def build_reach(g: Graph, cap: int = REACH_NODE_CAP) -> tuple[InferenceSystem, U
     claim the empty set for every node; the generated interpretation then
     pins N to the true reachable set.
     """
-    if len(g.nodes) > cap:
-        raise CapExceeded(cap, f"graph has {len(g.nodes)} nodes, cap is {cap}")
+    n = len(g.nodes)
+    _check_ground("reach", (n << n) + sum(1 << n * len(g.adj[v]) for v in g.nodes))
     all_subsets = [frozenset(c) for r in range(len(g.nodes) + 1)
                    for c in itertools.combinations(g.nodes, r)]
     texts = {(v, ns): f"reach({v},{_set_text(ns)})" for v in g.nodes for ns in all_subsets}
@@ -410,9 +417,7 @@ def build_reach(g: Graph, cap: int = REACH_NODE_CAP) -> tuple[InferenceSystem, U
 # -- first sets ------------------------------------------------------------------
 
 
-def build_first(
-    g: Grammar, cap: int = FIRST_TERMINAL_CAP
-) -> tuple[InferenceSystem, Universe]:
+def build_first(g: Grammar) -> tuple[InferenceSystem, Universe]:
     """Judgements `first(alpha,F)`: F is the set of terminals that can begin a
     string derived from the symbol sequence alpha.
 
@@ -428,31 +433,35 @@ def build_first(
     set) are not instantiated; this leaves all interpretations unchanged and
     keeps the rule count polynomial in practice.
     """
-    if len(g.terminals) > cap:
-        raise CapExceeded(cap, f"{len(g.terminals)} terminals, cap is {cap}")
     seqs: set[tuple[str, ...]] = {()}
     for _, body in g.productions:
         for i in range(len(body) + 1):
             seqs.add(body[i:])
     for a in g.nonterminals:
         seqs.add((a,))
+    nullable = g.nullables()
+    k = 1 << len(g.terminals)
+
+    def size(seq: tuple[str, ...]) -> int:  # of claims(seq)
+        return k if seq and seq[0] in g.nonterminals else 1
+
+    # the instances rules() yields for each sequence, then for each nonterminal
+    sequence_rules = sum(1 if size(seq) == 1 else 0 if len(seq) == 1
+                         else k * (size(seq[1:]) if seq[0] in nullable else 1) for seq in seqs)
+    _check_ground("first", len(seqs) * k + sequence_rules + sum(
+        math.prod(map(size, g.bodies(a))) for a in g.nonterminals))
     subsets = [frozenset(c) for r in range(len(g.terminals) + 1)
                for c in itertools.combinations(sorted(g.terminals), r)]
     texts = {(seq, fs): f"first({_seq_text(seq)},{_set_text(fs)})"
              for seq in seqs for fs in subsets}
-    nullable = g.nullables()
 
     def claims(seq: tuple[str, ...]) -> list[frozenset[str]]:
         # first sets a derivation could actually assign to this sequence
-        if not seq:
-            return [frozenset()]
-        if seq[0] in g.terminals:
-            return [frozenset({seq[0]})]
-        return subsets
+        return subsets if size(seq) > 1 else [frozenset(seq[:1])]
 
     def rules() -> Iterator[_Instance]:
         for seq in seqs:
-            if not seq or seq[0] in g.terminals:
+            if size(seq) == 1:
                 # the empty sequence, or one that starts with a terminal
                 yield (seq, claims(seq)[0]), ()
                 continue
@@ -548,12 +557,7 @@ def _list_pred_builders(
 
     def elems() -> tuple[InferenceSystem, Universe]:
         # over subsets of the carrier
-        if len(car_sorted) > ELEMS_ELEMENT_CAP:
-            raise CapExceeded(
-                ELEMS_ELEMENT_CAP,
-                f"{len(car_sorted)} distinct elements would make "
-                f"{len(names) << len(car_sorted)} judgements, cap is {ELEMS_ELEMENT_CAP}",
-            )
+        _check_ground("elems", (len(names) + len(cons) << len(car_sorted)) + len(nils))
         xs_all = [frozenset(c) for r in range(len(car_sorted) + 1)
                   for c in itertools.combinations(car_sorted, r)]
         return _ground(
@@ -572,18 +576,7 @@ def _list_pred_builders(
 # -- weighted distances and shortest paths -------------------------------------------
 
 
-def _check_weighted_caps(g: Graph, node_cap: int, weight_cap: int) -> int:
-    if len(g.nodes) > node_cap:
-        raise CapExceeded(node_cap, f"{len(g.nodes)} nodes, cap is {node_cap}")
-    total = sum(g.weight(u, v) for u, v in g.edges)
-    if total > weight_cap:
-        raise CapExceeded(weight_cap, f"total edge weight {total}, cap is {weight_cap}")
-    return total
-
-
-def build_dist(
-    g: Graph, node_cap: int = DIST_NODE_CAP, weight_cap: int = DIST_WEIGHT_CAP
-) -> tuple[InferenceSystem, Universe]:
+def build_dist(g: Graph) -> tuple[InferenceSystem, Universe]:
     """Judgements `dist(v,u,d)`: d is the least weight of a path from v to u,
     `inf` when unreachable.  Missing weights default to 1.
 
@@ -592,7 +585,9 @@ def build_dist(
     interpretation, so dropping them loses nothing.  Coaxioms claim `inf` for
     every ordered pair of distinct nodes.
     """
-    total = _check_weighted_caps(g, node_cap, weight_cap)
+    total = sum(g.weight(u, v) for u, v in g.edges)
+    n, k = len(g.nodes), total + 2  # k claims per pair: 0..W and inf
+    _check_ground("dist", n * n * k + sum(1 + (n - 1) * k ** len(g.adj[v]) for v in g.nodes))
     # Costs are plain ints and `inf` is 2 * total + 1: an edge weight plus a
     # finite cost is at most 2 * total, so a sum reaches `inf` only through inf.
     inf = 2 * total + 1
@@ -634,25 +629,38 @@ def build_dist(
     return InferenceSystem._from_table(uni, table, JudgementSet(uni, coaxioms)), uni
 
 
-def _simple_paths(g: Graph, source: str) -> dict[str, list[tuple[str, ...]]]:
-    """All simple paths from source, grouped by final node (the trivial path
-    is listed under source itself)."""
-    out: dict[str, list[tuple[str, ...]]] = {v: [] for v in g.nodes}
-    stack = [(source,)]
+def _simple_paths(g: Graph) -> dict[tuple[str, str], list[tuple[str, ...]]]:
+    """All simple paths, grouped by first and final node (a node's trivial
+    path under the node paired with itself), each group in depth-first order.
+    First spath's count is checked, before any path is made: the paths are
+    counted on (first node, last node, node bitmask) triples, after the
+    `bot` claims of the pairs of distinct nodes, as judgements in `found`."""
+    bit = {v: 1 << i for i, v in enumerate(g.nodes)}
+    succ = {v: [(t, bit[t]) for t in g.adj[v]] for v in g.nodes}
+    path_counts: defaultdict[tuple[str, str], int] = defaultdict(int)
+    ends, found = [(v, v, bit[v]) for v in g.nodes], len(bit) * (len(bit) - 1)
+    while ends:
+        source, v, seen = ends.pop()
+        path_counts[source, v] += 1
+        found += 1
+        if found > GROUND_CAP:
+            _check_ground("spath", found, at_least=True)
+        for t, b in succ[v]:  # a loop: a generator here took twice as long
+            if not seen & b:
+                ends.append((source, t, seen | b))
+    claims = {(v, u): path_counts[v, u] + (v != u) for v in g.nodes for u in g.nodes}
+    _check_ground("spath", found + sum(
+        1 if v == u else math.prod(claims[t, u] for t in g.adj[v]) for v, u in claims))
+    out: dict[tuple[str, str], list[tuple[str, ...]]] = {pair: [] for pair in claims}
+    stack = [(v,) for v in reversed(g.nodes)]
     while stack:  # depth first, each node's successors in order
         path = stack.pop()
-        out[path[-1]].append(path)
+        out[path[0], path[-1]].append(path)
         stack.extend(path + (t,) for t in reversed(g.adj[path[-1]]) if t not in path)
     return out
 
 
-def _path_weight(g: Graph, path: tuple[str, ...]) -> int:
-    return sum(g.weight(a, b) for a, b in zip(path, path[1:]))
-
-
-def build_spath(
-    g: Graph, node_cap: int = DIST_NODE_CAP, weight_cap: int = DIST_WEIGHT_CAP
-) -> tuple[InferenceSystem, Universe]:
+def build_spath(g: Graph) -> tuple[InferenceSystem, Universe]:
     """Judgements `spath(v,u,p,d)`: p is the shortest path from v to u and d
     its weight, `spath(v,u,bot,inf)` when there is none.
 
@@ -665,18 +673,15 @@ def build_spath(
     paths one with the fewest edges never runs back through its source, even
     across weight-0 cycles.
     """
-    total = _check_weighted_caps(g, node_cap, weight_cap)
     # Costs are plain ints and `inf` is 2 * total + 1, as in build_dist: an
     # edge weight plus the weight of a simple path stays below it.
-    inf = 2 * total + 1
+    inf = 2 * sum(g.weight(u, v) for u, v in g.edges) + 1
     # claimable (path, weight) pairs per ordered node pair, None for no path
-    claims: dict[tuple[str, str], list[tuple[Optional[tuple[str, ...]], int]]] = {}
-    for v in g.nodes:
-        by_target = _simple_paths(g, v)
-        for u in g.nodes:
-            claims[(v, u)] = [(p, _path_weight(g, p)) for p in by_target[u]]
-            if v != u:
-                claims[(v, u)].append((None, inf))
+    claims: dict[tuple[str, str], list[tuple[Optional[tuple[str, ...]], int]]] = {
+        (v, u): [(p, sum(map(g.weight, p, p[1:]))) for p in paths]
+        + ([] if v == u else [(None, inf)])
+        for (v, u), paths in _simple_paths(g).items()
+    }
     texts = {
         (v, u, p): f"spath({v},{u},bot,inf)" if p is None else f"spath({v},{u},{_seq_text(p)},{c})"
         for (v, u), pairs in claims.items()
@@ -790,9 +795,7 @@ def build_add(
 # -- big-step evaluation with divergence ----------------------------------------------
 
 
-def build_bigstep(
-    goal: Term, cap: int = BIGSTEP_CLOSURE_CAP
-) -> tuple[InferenceSystem, Universe]:
+def build_bigstep(goal: Term) -> tuple[InferenceSystem, Universe]:
     """Judgements `eval(e,w)` for call-by-value lambda evaluation, where w is
     an abstraction or `inf` for divergence.
 
@@ -815,8 +818,9 @@ def build_bigstep(
             t = stack.pop()
             if t in seen:
                 continue
-            if len(seen) >= cap:
-                raise CapExceeded(cap, f"expression closure exceeded {cap} terms")
+            if len(seen) >= BIGSTEP_CLOSURE_CAP:
+                raise CapExceeded(BIGSTEP_CLOSURE_CAP,
+                                  f"expression closure exceeded {BIGSTEP_CLOSURE_CAP} terms")
             seen.add(t)
             exprs.append(t)
             vals[t] = {t} if isinstance(t, Abs) else set()

@@ -426,7 +426,9 @@ def random_graph(rng: random.Random, max_nodes: int = 8, weighted: bool = True) 
     if not weighted:
         return Graph(nodes, edges, None)
     weights = {e: rng.randint(1, 5) for e in edges}
-    while sum(weights.values()) > 60:  # stay under the builder's weight cap
+    # total weight at most 60: the benchmark's dist_pipeline graphs and their
+    # stored rule counts come from this loop
+    while sum(weights.values()) > 60:
         victim = rng.choice(sorted(weights))
         del weights[victim]
         edges.remove(victim)
@@ -507,6 +509,25 @@ def random_lambda(rng: random.Random) -> Term:
         return App(gen(depth - 1), gen(depth - 1))
 
     return gen(rng.randint(1, 2))
+
+
+# -- inputs past systems.GROUND_CAP ---------------------------------------------------
+
+# The complete 10-node graph with 0/1 weights: reach would ground 1.2e28
+# judgements plus instances, dist 2.5e17, and spath finds more than 10^6 simple
+# paths, though each builder's old caps (10 nodes, total weight 64) let it in.
+COMPLETE_10 = "".join(
+    f"edge {u} {v} {(i + j) % 2}\n"
+    for i, u in enumerate("abcdefghij") for j, v in enumerate("abcdefghij") if u != v
+)
+# 8 terminals, within the old cap; S's bodies A, B, C, D claim 256^4 first sets
+GRAMMAR_12 = "S -> A\nS -> B\nS -> C\nS -> D\n" + "".join(
+    f"{a} -> {t} {a}\n{a} -> {u}\n" for a, t, u in ("Aab", "Bcd", "Cef", "Dgh")
+)
+# 8 nodes of out-degree 2 to 4, weights 0 to 3: dist enumerates 21,934,858 instances
+DIST_8 = "".join(f"edge {e[0]} {e[1]} {e[2]}\n" for e in (
+    "ah2 ae1 bg1 bd0 ce1 cf2 ca1 de2 da2 ea0 ed1 eb2 fc3 fa3 fe3 fh2 gd2 gf2 gc0 ga1 ha2 hb0 hg0"
+).split())
 
 
 # -- graph oracles ------------------------------------------------------------------

@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -37,6 +38,9 @@ from coax.systems import build_reach, parse_graph
 from coax.regular import cycle_list, finite_list
 
 from oracles import (
+    COMPLETE_10,
+    DIST_8,
+    GRAMMAR_12,
     StringSystemFile,
     as_strings,
     build_list_preds,
@@ -731,11 +735,15 @@ def test_builtin_list_predicate_grounds_only_the_one_printed(tmp_path, capsys):
 
 
 def test_builtin_elems_past_its_element_cap_exits_3(tmp_path, capsys):
-    """15 distinct elements would ground 2**15 * 16 judgements."""
+    """15 distinct elements would ground 2**15 * 16 judgements, one rule for
+    the nil state and 2**15 for each of the 15 cons states."""
     term = write(tmp_path, "l.term", finite_list(list(range(1, 16))).to_text() + "\n")
     code, out, err = invoke(capsys, "builtin", "elems", term)
     assert (code, out) == (3, "")
-    assert err == "error: 15 distinct elements would make 524288 judgements, cap is 14\n"
+    assert err == (
+        "error: elems would ground 1015809 judgements and rule instances, cap is 1000000\n"
+    )
+    assert 2**15 * 16 + 1 + 15 * 2**15 == 1015809
 
 
 def test_builtin_list_predicates(tmp_path, capsys):
@@ -781,13 +789,38 @@ def test_builtin_bigstep(tmp_path, capsys):
 
 
 def test_builtin_cap_exits_3(tmp_path, capsys):
+    """The cap bounds what a builder would ground, so a heavy edge grounds
+    (dist: 408 judgements, 5 rules) where the old weight cap refused it."""
     heavy = write(tmp_path, "h.graph", "edge a b 100\n")
-    code, _, err = invoke(capsys, "builtin", "dist", heavy)
-    assert code == 3 and "cap" in err
-    code, _, err = invoke(capsys, "builtin", "spath", heavy)
-    assert code == 3
-    code, out, _ = invoke(capsys, "builtin", "dist", heavy, "--weight-cap", "100")
+    code, out, _ = invoke(capsys, "builtin", "dist", heavy)
     assert code == 0 and "coaxiom dist(a,b,inf)" in out
+    assert out.count("\nrule ") + out.count("\naxiom ") == 5
+    code, out, _ = invoke(capsys, "builtin", "spath", heavy)
+    assert code == 0 and "axiom spath(a,b,[a,b],100)" not in out
+    assert "rule spath(a,b,[a,b],100) <- spath(b,b,[b],0)" in out
+    code, out, err = invoke(capsys, "builtin", "reach", write(tmp_path, "k.graph", COMPLETE_10))
+    assert (code, out) == (3, "") and err.count("\n") == 1 and "cap is 1000000" in err
+
+
+OVER_COUNT = {  # each inside the old per-family caps
+    "dist-complete": ("dist", COMPLETE_10, "dist would ground 250191529527219290"),
+    "spath-complete": ("spath", COMPLETE_10, "spath would ground at least 1000001"),
+    "reach-complete": ("reach", COMPLETE_10, "reach would ground at least 2^93"),  # 1.2e28
+    "first-grammar": ("first", GRAMMAR_12, "first would ground 4294970893"),
+    "dist-8-nodes": ("dist", DIST_8, "dist would ground 21937098"),
+}
+
+
+@pytest.mark.parametrize("case", OVER_COUNT)
+def test_builtin_past_the_ground_cap_exits_3_at_once(tmp_path, capsys, case):
+    """Each of these exhausted memory or ran for minutes when only input
+    dimensions were capped; counted first, each exits 3 on one line."""
+    builder, text, said = OVER_COUNT[case]
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "builtin", builder, write(tmp_path, "in.txt", text))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert err == f"error: {said} judgements and rule instances, cap is 1000000\n"
 
 
 CAP_FILES = {
@@ -800,22 +833,24 @@ CAP_FILES = {
 @pytest.mark.parametrize(
     "argv, builder, caps, status",
     [
-        ("first grammar.txt --cap 1", "build_first", {"cap": 1}, 3),
-        ("first grammar.txt --cap 3", "build_first", {"cap": 3}, 0),
-        ("first grammar.txt", "build_first", {}, 0),
-        ("bigstep goal.lam --cap 1", "build_bigstep", {"cap": 1}, 3),
-        ("bigstep goal.lam", "build_bigstep", {}, 0),
-        ("spath graph.txt --node-cap 2", "build_spath", {"node_cap": 2}, 3),
-        ("spath graph.txt --node-cap 3", "build_spath", {"node_cap": 3}, 0),
-        ("spath graph.txt", "build_spath", {}, 0),
-        ("dist graph.txt --weight-cap 1", "build_dist", {"weight_cap": 1}, 3),
-        ("reach graph.txt", "build_reach", {}, 0),
+        ("first grammar.txt --cap 1", "build_first", [], 2),
+        ("first grammar.txt --cap 3", "build_first", [], 2),
+        ("first grammar.txt", "build_first", [{}], 0),
+        ("bigstep goal.lam --cap 1", "build_bigstep", [], 2),
+        ("bigstep goal.lam", "build_bigstep", [{}], 0),
+        ("spath graph.txt --node-cap 2", "build_spath", [], 2),
+        ("spath graph.txt --node-cap 3", "build_spath", [], 2),
+        ("spath graph.txt", "build_spath", [{}], 0),
+        ("dist graph.txt --weight-cap 1", "build_dist", [], 2),
+        ("reach graph.txt", "build_reach", [{}], 0),
     ],
 )
 def test_builtin_cap_flags_reach_their_builder(tmp_path, capsys, monkeypatch, argv, builder,
                                                caps, status):
-    """Each cap flag is passed to its builder by keyword; a flag left out is
-    not passed at all, so the builder's own default holds."""
+    """No cap flag is left to reach a builder: each former one is a usage
+    error, and every builder is called with no keyword, its cap counted from
+    its input (bigstep's is a constant).  ``caps`` lists the keywords of
+    each call the builder got."""
     for name, text in CAP_FILES.items():
         write(tmp_path, name, text)
     real, calls = getattr(systems, builder), []
@@ -826,12 +861,15 @@ def test_builtin_cap_flags_reach_their_builder(tmp_path, capsys, monkeypatch, ar
 
     monkeypatch.setattr(systems, builder, spy)
     argv = [str(tmp_path / arg) if arg in CAP_FILES else arg for arg in argv.split()]
-    code, out, err = invoke(capsys, "builtin", *argv)
-    assert (code, calls) == (status, [caps]), err
-    if status:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if status == 2:  # argparse exits on an unknown flag
+        with pytest.raises(SystemExit) as exited:
+            main(["builtin", *argv])
+        code, (out, err) = exited.value.code, capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --" in err
     else:
+        code, out, err = invoke(capsys, "builtin", *argv)
         assert out.startswith("universe ") and err == ""
+    assert (code, calls) == (status, caps), err
 
 
 # -- error mapping ------------------------------------------------------------------------
@@ -954,6 +992,7 @@ GC_FILES = {
     "twos.term": "c0 = digit 2 c0\n",
     "threes.term": "c0 = digit 3 c0\n",
     "goal.lam": "(\\f. \\x. f (f x)) (\\x. \\z. x x) (\\y. y)\n",
+    "complete.txt": COMPLETE_10,
 }
 
 # (command line, exit status): every command, mode and output format
@@ -977,7 +1016,7 @@ GC_COMMANDS = [
     *((f"builtin {name} list.term", 0) for name in ("allpos", "maxelem", "elems")),
     ("builtin dist graph.txt --format json", 0),
     ("solve bad.coax", 2),
-    ("builtin dist graph.txt --node-cap 1", 3),
+    ("builtin dist complete.txt", 3),
 ]
 
 
@@ -1004,12 +1043,12 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, line, status):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_the_collector_is_left_as_the_caller_had_it(tmp_path, capsys, monkeypatch, enabled):
     loopy = write(tmp_path, "l.coax", LOOPY)
-    graph = write(tmp_path, "g.txt", "edge a b\n")
+    graph = write(tmp_path, "g.txt", COMPLETE_10)
     cases = [
         (["solve", loopy], 0),
         (["query", loopy, "a", "--mode", "ind"], 1),
         (["solve", write(tmp_path, "bad.coax", "rule a b\n")], 2),
-        (["builtin", "reach", graph, "--cap", "1"], 3),
+        (["builtin", "reach", graph], 3),
     ]
     (gc.enable if enabled else gc.disable)()
     try:

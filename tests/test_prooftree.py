@@ -740,6 +740,21 @@ def test_trees_past_the_node_cap_raise(monkeypatch):
         approx_proof(branching, a, 3)
 
 
+def test_a_level_past_the_node_cap_raises_before_a_subtree_is_copied(monkeypatch):
+    """Above the cut, a level-n proof on a ring waits on one stack entry per
+    level before its first subtree is copied; each entry is a distinct node
+    of the tree, so more entries than TREE_NODE_CAP raise at once, where a
+    level of 10^8 took the memory of the machine."""
+    ring = _ring(2)
+    monkeypatch.setattr(prooftree, "TREE_NODE_CAP", 10)
+    copies = []
+    real = PathTree.branch
+    monkeypatch.setattr(PathTree, "branch", lambda *args: copies.append(args) or real(*args))
+    with pytest.raises(CapExceeded, match="exceeds 10 nodes"):
+        approx_proof(ring, J("r0"), 100)
+    assert copies == []
+
+
 def test_one_tree_construction_per_wf_proof_and_unfolding(monkeypatch):
     """wf_proof_search and unfold make their tree once, top down, with no
     intermediate trees."""

@@ -5,10 +5,13 @@ instances."""
 
 import itertools
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from coax import systems
 from coax.cli import emit_system
 from coax.core import CapExceeded, InferenceSystem, Judgement, Rule, Universe, generated, inductive, coinductive
 from coax.regular import (
@@ -41,6 +44,9 @@ from coax.systems import (
 )
 
 from oracles import (
+    COMPLETE_10,
+    DIST_8,
+    GRAMMAR_12,
     build_list_preds,
     cbv_eval,
     classical_first,
@@ -296,11 +302,17 @@ def test_reach_matches_dfs_oracle(seed):
 
 
 def test_reach_cap():
-    g = Graph([f"n{i}" for i in range(11)], [])
-    with pytest.raises(CapExceeded):
-        build_reach(g)
-    system, _ = build_reach(g, cap=11)
+    """reach is bounded by what it would ground, not by its node count: 11
+    isolated nodes, one past the old cap of 10, ground 11 * 2**11 judgements
+    and 11 rules, while 17 would ground 17 * 2**17 + 17."""
+    system, _ = build_reach(Graph([f"n{i}" for i in range(11)], []))
     assert len(gen_texts(system)) == 11
+    with pytest.raises(CapExceeded, match=f"^reach would ground {17 * 2**17 + 17} judgements"):
+        build_reach(Graph([f"n{i}" for i in range(17)], []))
+    # a count past 2^64 is named by a power of two: this one has over 6,000
+    # digits, more than Python turns into text by default
+    with pytest.raises(CapExceeded, match=r"^reach would ground at least 2\^20014 judgements"):
+        build_reach(Graph([f"n{i}" for i in range(20000)], []))
 
 
 # -- first sets --------------------------------------------------------------------------
@@ -337,9 +349,14 @@ def test_first_matches_classical_computation(seed):
 
 
 def test_first_cap():
-    g = Grammar("abcdefghi", "S", [("S", "a")])
-    with pytest.raises(CapExceeded):
-        build_first(g)
+    """first is bounded by what it would ground, not by its terminal count:
+    9 terminals, one past the old cap of 8, ground 3 * 2**9 judgements; 8
+    terminals under an S with four nonterminal bodies would ground 256**4
+    rules for S alone."""
+    system, _ = build_first(Grammar("abcdefghi", "S", [("S", "a")]))
+    assert _first_of(system, "S") == {"a"}
+    with pytest.raises(CapExceeded, match=r"^first would ground 4294970893 judgements"):
+        build_first(parse_grammar(GRAMMAR_12))
 
 
 # -- list predicates -----------------------------------------------------------------------
@@ -596,14 +613,88 @@ def test_dist_grounds_as_the_public_constructor_does(seed, names, edges):
 
 
 def test_weighted_caps():
-    with pytest.raises(CapExceeded):
-        build_dist(Graph([f"n{i}" for i in range(11)], []))
+    """dist and spath are bounded by what they would ground: 11 nodes and a
+    weight of 100, past the old caps of 10 nodes and total weight 64, ground
+    a few hundred judgements; the complete 10-node 0/1 graph and a 23-edge
+    8-node graph, inside the old caps, would ground tens of millions."""
+    assert len(gen_texts(build_dist(Graph([f"n{i}" for i in range(11)], []))[0])) == 121
     heavy = Graph(["a", "b"], [("a", "b")], {("a", "b"): 100})
-    with pytest.raises(CapExceeded):
-        build_dist(heavy)
-    with pytest.raises(CapExceeded):
-        build_spath(heavy)
-    assert "dist(a,b,100)" in gen_texts(build_dist(heavy, weight_cap=100)[0])
+    assert "dist(a,b,100)" in gen_texts(build_dist(heavy)[0])
+    assert "spath(a,b,[a,b],100)" in gen_texts(build_spath(heavy)[0])
+    complete = parse_graph(COMPLETE_10)
+    with pytest.raises(CapExceeded, match=r"^dist would ground 250191529527219290 judgements"):
+        build_dist(complete)
+    with pytest.raises(CapExceeded, match=r"^spath would ground at least 1000001 judgements"):
+        build_spath(complete)
+    with pytest.raises(CapExceeded, match=r"^dist would ground 21937098 judgements"):
+        build_dist(parse_graph(DIST_8))
+
+
+def _ground_counts(monkeypatch, family: str, build, *args) -> tuple[int, int]:
+    """The count that ``build(*args)`` checks against GROUND_CAP, and its
+    universe's size plus the meta-rule instances it enumerated, counted where
+    it makes them: the tuples of its claim products for reach and spath
+    (whose instances through a node's own path spath then drops), the
+    instances _ground receives for first and elems, and the ones build_dist
+    routes into its buckets; with the axioms made outside any product."""
+    checked, made = [], Counter()
+    monkeypatch.setattr(systems, "_check_ground",
+                        lambda _, count, at_least=False: checked.append(count))
+
+    def product(*claims, **repeat):
+        for combo in itertools.product(*claims, **repeat):
+            made["product"] += 1
+            yield combo
+
+    real_ground = systems._ground
+
+    def ground(texts, rules, coaxioms=()):
+        made["ground"] = 0  # first's last call is its own; nullables() comes before
+
+        def counted():  # one at a time: spath's premises read its loop variables
+            for instance in rules:
+                made["ground"] += 1
+                yield instance
+
+        return real_ground(texts, counted(), coaxioms)
+
+    def deque(routed, maxlen=None):
+        made["routed"] += sum(1 for _ in routed)
+
+    monkeypatch.setattr(systems, "itertools",
+                        SimpleNamespace(**{**vars(itertools), "product": product}))
+    monkeypatch.setattr(systems, "_ground", ground)
+    monkeypatch.setattr(systems, "deque", deque)
+    system, uni = build(*args)
+    axioms = sum(not prs for r in system.rules() for prs in [r.premises])
+    enumerated = {
+        "reach": made["product"],
+        "spath": made["product"] + axioms,
+        "first": made["ground"],
+        "elems": made["ground"],
+        "dist": made["routed"] + axioms,
+    }[family]
+    return checked[-1], len(uni) + enumerated
+
+
+def test_each_count_is_what_its_builder_enumerates(monkeypatch):
+    """On the recipe corpora, the count each bounded builder checks before
+    grounding equals the judgements it makes plus the instances it
+    enumerates, kept or not."""
+    for seed in range(30):
+        g = random_graph(random.Random(seed))
+        plain = random_graph(random.Random(seed), weighted=False)
+        term = random_list_term(random.Random(seed))
+        for family, build, args in [
+            ("dist", build_dist, (g,)), ("dist", build_dist, (plain,)),
+            ("spath", build_spath, (g,)), ("spath", build_spath, (plain,)),
+            ("reach", build_reach, (plain,)),
+            ("first", build_first, (random_grammar(random.Random(seed)),)),
+            ("elems", lambda: systems._list_pred_builders(term, 0)["elems"](), ()),
+        ]:
+            with monkeypatch.context() as patch:
+                count, made = _ground_counts(patch, family, build, *args)
+            assert count == made, (family, seed)
 
 
 def test_dist_rejects_a_name_that_is_no_judgement_token():
@@ -821,10 +912,13 @@ def test_bigstep_matches_interpreter(seed):
     assert len(texts) == len(all_exprs)
 
 
-def test_bigstep_cap():
+def test_bigstep_cap(monkeypatch):
+    """BIGSTEP_CLOSURE_CAP is a constant; bigstep finds its closure as it
+    grows, so it cannot count what it would ground first."""
     omega = parse_lambda(r"(\x. x x) (\x. x x)")
-    with pytest.raises(CapExceeded):
-        build_bigstep(omega, cap=1)
+    monkeypatch.setattr(systems, "BIGSTEP_CLOSURE_CAP", 1)
+    with pytest.raises(CapExceeded, match="exceeded 1 terms"):
+        build_bigstep(omega)
 
 
 # -- embedding invariance ------------------------------------------------------------------------

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import (Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence,
+                    Union)
 
 from .core import (
     CapExceeded,
@@ -133,8 +135,7 @@ class Grammar:
         self.nonterminals = frozenset(nonterminals)
         if self.terminals & self.nonterminals:
             raise ValueError("terminals and nonterminals must be disjoint")
-        prods: list[tuple[str, tuple[str, ...]]] = []
-        seen = set()
+        prods: set[tuple[str, tuple[str, ...]]] = set()
         for head, body in productions:
             if head not in self.nonterminals:
                 raise ValueError(f"production head {head!r} is not a nonterminal")
@@ -142,9 +143,7 @@ class Grammar:
             for sym in body:
                 if sym not in self.terminals and sym not in self.nonterminals:
                     raise ValueError(f"unknown symbol {sym!r} in a production body")
-            if (head, body) not in seen:
-                seen.add((head, body))
-                prods.append((head, body))
+            prods.add((head, body))
         self.productions = tuple(sorted(prods))
 
     def bodies(self, head: str) -> tuple[tuple[str, ...], ...]:
@@ -171,10 +170,7 @@ def parse_grammar(text: str) -> Grammar:
     for lineno, parts in _token_lines(text):
         if len(parts) < 2 or parts[1] != "->":
             raise ValueError(f"line {lineno}: expected `A -> body` or `A -> .`")
-        head = parts[0]
-        body = tuple(parts[2:])
-        if body == (".",):
-            body = ()
+        head, body = parts[0], () if parts[2:] == ["."] else tuple(parts[2:])
         for sym in (head, *body):
             _check_name(lineno, "grammar symbol", sym)
         productions.append((head, body))
@@ -341,11 +337,8 @@ def _universe(texts: Iterable[str]) -> Universe:
 _Instance = tuple[Hashable, Iterable[Hashable]]
 
 
-def _ground(
-    texts: Mapping[Hashable, str],
-    rules: Iterable[_Instance],
-    coaxioms: Iterable[Hashable] = (),
-) -> tuple[InferenceSystem, Universe]:
+def _ground(texts: Mapping[Hashable, str], rules: Iterable[_Instance],
+            coaxioms: Iterable[Hashable] = ()) -> tuple[InferenceSystem, Universe]:
     """The system of a builder's meta-rule instances, the grounding path every
     builder but ``build_dist`` shares.
 
@@ -368,14 +361,26 @@ def _ground(
     return InferenceSystem._from_table(uni, table, JudgementSet(uni, mask)), uni
 
 
-def _check_ground(family: str, count: int, at_least: bool = False) -> None:
+def _refuse(family: str, count: object) -> NoReturn:
+    raise CapExceeded(GROUND_CAP, f"{family} would ground {count} judgements and rule "
+                      f"instances, cap is {GROUND_CAP}")
+
+
+def _check_ground(family: str, count: int) -> None:
     """Refuse, before any text is made, more than GROUND_CAP judgements plus
-    meta-rule instances, which are products over successors or bodies."""
+    meta-rule instances.  A count of 2^64 or more is named by a power of two:
+    a long int may not print at all."""
     if count > GROUND_CAP:
-        if count >> 64:  # printed as a power of two: a long int may not print at all
-            count, at_least = f"2^{count.bit_length() - 1}", True  # type: ignore[assignment]
-        raise CapExceeded(GROUND_CAP, f"{family} would ground {'at least ' * at_least}{count} "
-                          f"judgements and rule instances, cap is {GROUND_CAP}")
+        _refuse(family, count if count < 1 << 64 else f"at least 2^{count.bit_length() - 1}")
+
+
+def _power(family: str, base: int, exp: int) -> int:
+    """base ** exp, a term of a count, refused from 2^64 on before it is built:
+    a star's hub alone can ask for 2^(10^10) reach instances, a 1.25 GB int."""
+    bits = (base.bit_length() - 1) * exp  # base ** exp >= 2 ** bits
+    if bits >= 64:
+        _refuse(family, f"at least 2^{bits}")
+    return base ** exp
 
 
 def _set_text(items: Iterable[str]) -> str:
@@ -402,7 +407,8 @@ def build_reach(g: Graph) -> tuple[InferenceSystem, Universe]:
     pins N to the true reachable set.
     """
     n = len(g.nodes)
-    _check_ground("reach", (n << n) + sum(1 << n * len(g.adj[v]) for v in g.nodes))
+    _check_ground("reach", n * _power("reach", 2, n)
+                  + sum(_power("reach", 2, n * len(g.adj[v])) for v in g.nodes))
     all_subsets = [frozenset(c) for r in range(len(g.nodes) + 1)
                    for c in itertools.combinations(g.nodes, r)]
     texts = {(v, ns): f"reach({v},{_set_text(ns)})" for v in g.nodes for ns in all_subsets}
@@ -433,23 +439,20 @@ def build_first(g: Grammar) -> tuple[InferenceSystem, Universe]:
     set) are not instantiated; this leaves all interpretations unchanged and
     keeps the rule count polynomial in practice.
     """
-    seqs: set[tuple[str, ...]] = {()}
-    for _, body in g.productions:
-        for i in range(len(body) + 1):
-            seqs.add(body[i:])
-    for a in g.nonterminals:
-        seqs.add((a,))
+    seqs = {body[i:] for _, body in g.productions for i in range(len(body) + 1)}
+    seqs |= {(a,) for a in g.nonterminals} | {()}
     nullable = g.nullables()
-    k = 1 << len(g.terminals)
+    k = _power("first", 2, len(g.terminals))
 
-    def size(seq: tuple[str, ...]) -> int:  # of claims(seq)
-        return k if seq and seq[0] in g.nonterminals else 1
+    def headed(seq: tuple[str, ...]) -> bool:  # by a nonterminal: all k subsets are claims
+        return bool(seq) and seq[0] in g.nonterminals
 
     # the instances rules() yields for each sequence, then for each nonterminal
-    sequence_rules = sum(1 if size(seq) == 1 else 0 if len(seq) == 1
-                         else k * (size(seq[1:]) if seq[0] in nullable else 1) for seq in seqs)
+    sequence_rules = sum(1 if not headed(seq) else 0 if len(seq) == 1
+                         else k ** (1 + headed(seq[1:])) if seq[0] in nullable else k
+                         for seq in seqs)
     _check_ground("first", len(seqs) * k + sequence_rules + sum(
-        math.prod(map(size, g.bodies(a))) for a in g.nonterminals))
+        _power("first", k, sum(map(headed, g.bodies(a)))) for a in g.nonterminals))
     subsets = [frozenset(c) for r in range(len(g.terminals) + 1)
                for c in itertools.combinations(sorted(g.terminals), r)]
     texts = {(seq, fs): f"first({_seq_text(seq)},{_set_text(fs)})"
@@ -457,11 +460,11 @@ def build_first(g: Grammar) -> tuple[InferenceSystem, Universe]:
 
     def claims(seq: tuple[str, ...]) -> list[frozenset[str]]:
         # first sets a derivation could actually assign to this sequence
-        return subsets if size(seq) > 1 else [frozenset(seq[:1])]
+        return subsets if headed(seq) else [frozenset(seq[:1])]
 
     def rules() -> Iterator[_Instance]:
         for seq in seqs:
-            if size(seq) == 1:
+            if not headed(seq):
                 # the empty sequence, or one that starts with a terminal
                 yield (seq, claims(seq)[0]), ()
                 continue
@@ -557,7 +560,8 @@ def _list_pred_builders(
 
     def elems() -> tuple[InferenceSystem, Universe]:
         # over subsets of the carrier
-        _check_ground("elems", (len(names) + len(cons) << len(car_sorted)) + len(nils))
+        _check_ground("elems", (len(names) + len(cons)) * _power("elems", 2, len(car_sorted))
+                      + len(nils))
         xs_all = [frozenset(c) for r in range(len(car_sorted) + 1)
                   for c in itertools.combinations(car_sorted, r)]
         return _ground(
@@ -587,7 +591,8 @@ def build_dist(g: Graph) -> tuple[InferenceSystem, Universe]:
     """
     total = sum(g.weight(u, v) for u, v in g.edges)
     n, k = len(g.nodes), total + 2  # k claims per pair: 0..W and inf
-    _check_ground("dist", n * n * k + sum(1 + (n - 1) * k ** len(g.adj[v]) for v in g.nodes))
+    _check_ground("dist", n * n * k + sum(1 + (n - 1) * _power("dist", k, len(g.adj[v]))
+                                          for v in g.nodes))
     # Costs are plain ints and `inf` is 2 * total + 1: an edge weight plus a
     # finite cost is at most 2 * total, so a sum reaches `inf` only through inf.
     inf = 2 * total + 1
@@ -635,16 +640,19 @@ def _simple_paths(g: Graph) -> dict[tuple[str, str], list[tuple[str, ...]]]:
     First spath's count is checked, before any path is made: the paths are
     counted on (first node, last node, node bitmask) triples, after the
     `bot` claims of the pairs of distinct nodes, as judgements in `found`."""
+    found = len(g.nodes) * (len(g.nodes) - 1)
+    if found > GROUND_CAP:  # before the bitmasks, which take n^2 / 16 bytes
+        _refuse("spath", f"at least {found}")
     bit = {v: 1 << i for i, v in enumerate(g.nodes)}
     succ = {v: [(t, bit[t]) for t in g.adj[v]] for v in g.nodes}
     path_counts: defaultdict[tuple[str, str], int] = defaultdict(int)
-    ends, found = [(v, v, bit[v]) for v in g.nodes], len(bit) * (len(bit) - 1)
+    ends = [(v, v, bit[v]) for v in g.nodes]
     while ends:
         source, v, seen = ends.pop()
         path_counts[source, v] += 1
         found += 1
         if found > GROUND_CAP:
-            _check_ground("spath", found, at_least=True)
+            _refuse("spath", f"at least {found}")
         for t, b in succ[v]:  # a loop: a generator here took twice as long
             if not seen & b:
                 ends.append((source, t, seen | b))
@@ -673,9 +681,14 @@ def build_spath(g: Graph) -> tuple[InferenceSystem, Universe]:
     paths one with the fewest edges never runs back through its source, even
     across weight-0 cycles.
     """
+    total = sum(g.weight(u, v) for u, v in g.edges)
+    digits = sys.get_int_max_str_digits()  # the longest int Python prints, 0 for any
+    if digits and total >= 10 ** digits:  # a path weight's text would raise mid-build
+        raise CapExceeded(digits, f"spath path weights may exceed {digits} digits, "
+                          "the most an int prints")
     # Costs are plain ints and `inf` is 2 * total + 1, as in build_dist: an
     # edge weight plus the weight of a simple path stays below it.
-    inf = 2 * sum(g.weight(u, v) for u, v in g.edges) + 1
+    inf = 2 * total + 1
     # claimable (path, weight) pairs per ordered node pair, None for no path
     claims: dict[tuple[str, str], list[tuple[Optional[tuple[str, ...]], int]]] = {
         (v, u): [(p, sum(map(g.weight, p, p[1:]))) for p in paths]
@@ -728,16 +741,13 @@ def build_path0(t: EqSystem) -> tuple[InferenceSystem, Universe]:
     lists = [s for s in canon.states if canon[s].tag in ("cons", "nil")]
     if any(canon[s].args[0] not in (0, 1) for s in trees):
         raise ShapeMismatch("tree labels must be 0 or 1")
-    for s in lists:
-        if canon[s].tag == "cons":
-            elem = canon[s].args[0]
-            if not isinstance(elem, str) or canon[elem].tag != "tree":
-                raise ShapeMismatch("child lists must hold tree states")
+    cons = {l: canon[l].args for l in lists if canon[l].tag == "cons"}
+    if any(not isinstance(head, str) or canon[head].tag != "tree" for head, _ in cons.values()):
+        raise ShapeMismatch("child lists must hold tree states")
     # keys: a tree state for path0(t), a (tree, list) pair for is_in(t,l)
     texts = {s: f"path0({s})" for s in trees}
     texts.update(((tr, l), f"is_in({tr},{l})") for tr in trees for l in lists)
     kids = {s: canon[s].args[1] for s in trees if canon[s].args[0] == 0}
-    cons = {l: canon[l].args for l in lists if canon[l].tag == "cons"}
     rules = itertools.chain(
         ((s, ((cand, ks), cand)) for s, ks in kids.items() for cand in trees),
         (((head, l), ()) for l, (head, _) in cons.items()),
@@ -749,9 +759,7 @@ def build_path0(t: EqSystem) -> tuple[InferenceSystem, Universe]:
 # -- digit stream addition -----------------------------------------------------------
 
 
-def build_add(
-    r1: EqSystem, r2: EqSystem, r: EqSystem
-) -> tuple[InferenceSystem, Universe]:
+def build_add(r1: EqSystem, r2: EqSystem, r: EqSystem) -> tuple[InferenceSystem, Universe]:
     """Judgements `add(s1,s2,s,c)`: the streams denoted by states s1 and s2
     sum, digitwise with carry c in {-1,0,1,2}, to the stream at state s.
 
@@ -767,16 +775,12 @@ def build_add(
         streams.append(term.canonical())
     c1, c2, c3 = streams
 
-    triples: list[tuple[str, str, str]] = []
-    seen = set()
-    work = [(c1.root, c2.root, c3.root)]
-    while work:
-        tri = work.pop()
-        if tri in seen:
-            continue
-        seen.add(tri)
-        triples.append(tri)
-        work.append((c1[tri[0]].args[1], c2[tri[1]].args[1], c3[tri[2]].args[1]))
+    # each triple has one successor, so the closure is a lasso from the roots
+    triples: dict[tuple[str, str, str], None] = {}
+    tri = (c1.root, c2.root, c3.root)
+    while tri not in triples:
+        triples[tri] = None
+        tri = (c1[tri[0]].args[1], c2[tri[1]].args[1], c3[tri[2]].args[1])
     carries = (-1, 0, 1, 2)
     texts = {(tri, c): f"add({tri[0]},{tri[1]},{tri[2]},{c})"
              for tri in triples for c in carries}
@@ -808,21 +812,17 @@ def build_bigstep(goal: Term) -> tuple[InferenceSystem, Universe]:
     that claim exactly for the expressions with an infinite call-by-value
     derivation.
     """
-    exprs: list[Term] = []
-    seen: set[Term] = set()
-    vals: dict[Term, set[Abs]] = {}
+    vals: dict[Term, set[Abs]] = {}  # its keys are the expressions, in order of discovery
 
     def add(e: Term) -> None:
         stack = [e]
         while stack:
             t = stack.pop()
-            if t in seen:
+            if t in vals:
                 continue
-            if len(seen) >= BIGSTEP_CLOSURE_CAP:
+            if len(vals) >= BIGSTEP_CLOSURE_CAP:
                 raise CapExceeded(BIGSTEP_CLOSURE_CAP,
                                   f"expression closure exceeded {BIGSTEP_CLOSURE_CAP} terms")
-            seen.add(t)
-            exprs.append(t)
             vals[t] = {t} if isinstance(t, Abs) else set()
             if isinstance(t, App):
                 stack.extend((t.fn, t.arg))
@@ -831,10 +831,10 @@ def build_bigstep(goal: Term) -> tuple[InferenceSystem, Universe]:
     changed = True
     while changed:
         changed = False
-        for e in list(exprs):
+        for e in list(vals):
             if not isinstance(e, App):
                 continue
-            before = len(exprs)
+            before = len(vals)
             for f in sorted(vals[e.fn], key=term_text):
                 for v in sorted(vals[e.arg], key=term_text):
                     r = substitute(f.body, v)
@@ -842,9 +842,9 @@ def build_bigstep(goal: Term) -> tuple[InferenceSystem, Universe]:
                     if not vals[r] <= vals[e]:
                         vals[e] |= vals[r]
                         changed = True
-            if len(exprs) != before:
+            if len(vals) != before:
                 changed = True
-    ordered = sorted(seen, key=term_text)
+    ordered = sorted(vals, key=term_text)
     INF_TEXT = "inf"
     texts: dict[tuple[Term, object], str] = {}
     for e in ordered:

@@ -13,7 +13,6 @@ import random
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -805,22 +804,38 @@ def test_builtin_cap_exits_3(tmp_path, capsys):
 OVER_COUNT = {  # each inside the old per-family caps
     "dist-complete": ("dist", COMPLETE_10, "dist would ground 250191529527219290"),
     "spath-complete": ("spath", COMPLETE_10, "spath would ground at least 1000001"),
-    "reach-complete": ("reach", COMPLETE_10, "reach would ground at least 2^93"),  # 1.2e28
+    "reach-complete": ("reach", COMPLETE_10, "reach would ground at least 2^90"),  # 1.2e28
     "first-grammar": ("first", GRAMMAR_12, "first would ground 4294970893"),
     "dist-8-nodes": ("dist", DIST_8, "dist would ground 21937098"),
 }
 
 
 @pytest.mark.parametrize("case", OVER_COUNT)
-def test_builtin_past_the_ground_cap_exits_3_at_once(tmp_path, capsys, case):
+def test_builtin_past_the_ground_cap_exits_3_at_once(tmp_path, capsys, monkeypatch, case):
     """Each of these exhausted memory or ran for minutes when only input
-    dimensions were capped; counted first, each exits 3 on one line."""
+    dimensions were capped; counted first, each exits 3 on one line before
+    any of its judgement texts is made (first grounds nullable(A) before)."""
     builder, text, said = OVER_COUNT[case]
-    start = time.perf_counter()
+    real_universe = systems._universe
+
+    def universe(texts):
+        texts = list(texts)
+        assert not any(t.startswith(builder + "(") for t in texts), "ground before the count"
+        return real_universe(texts)
+
+    monkeypatch.setattr(systems, "_universe", universe)
     code, out, err = invoke(capsys, "builtin", builder, write(tmp_path, "in.txt", text))
-    assert time.perf_counter() - start < 2
     assert (code, out) == (3, "")
     assert err == f"error: {said} judgements and rule instances, cap is 1000000\n"
+
+
+def test_spath_weights_too_long_to_print_exit_3(tmp_path, capsys):
+    """Two 4,300-digit weights make a path weight of 4,301 digits, more than
+    Python turns into text: spath refuses the graph before it makes any."""
+    graph = write(tmp_path, "long.graph", f"edge a b {10**4299}\nedge b c {9 * 10**4299}\n")
+    code, out, err = invoke(capsys, "builtin", "spath", graph)
+    assert (code, out) == (3, "")
+    assert err == "error: spath path weights may exceed 4300 digits, the most an int prints\n"
 
 
 CAP_FILES = {

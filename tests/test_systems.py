@@ -5,6 +5,7 @@ instances."""
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -309,10 +310,29 @@ def test_reach_cap():
     assert len(gen_texts(system)) == 11
     with pytest.raises(CapExceeded, match=f"^reach would ground {17 * 2**17 + 17} judgements"):
         build_reach(Graph([f"n{i}" for i in range(17)], []))
-    # a count past 2^64 is named by a power of two: this one has over 6,000
-    # digits, more than Python turns into text by default
-    with pytest.raises(CapExceeded, match=r"^reach would ground at least 2\^20014 judgements"):
+    # a term of 2^64 or more is named by the power of two below it: this one
+    # has over 6,000 digits, more than Python turns into text by default
+    with pytest.raises(CapExceeded, match=r"^reach would ground at least 2\^20000 judgements"):
         build_reach(Graph([f"n{i}" for i in range(20000)], []))
+
+
+def test_a_star_is_refused_before_its_count_is_built():
+    """The hub of a 100,000-leaf star alone would ground 2^(10^10) reach
+    instances, and (W+2)^(10^5) dist ones with weights of 10^20: ints of a
+    gigabyte or more.  Each such term is refused from its exponent, so the
+    refusal allocates next to nothing."""
+    leaves = [f"x{i}" for i in range(100_000)]
+    star = Graph(["a", *leaves], [("a", x) for x in leaves], {("a", x): 10**20 for x in leaves})
+    for build, said in [(build_reach, r"reach would ground at least 2\^100001 "),
+                        (build_dist, r"dist would ground at least 2\^\d+ ")]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match=f"^{said}"):
+                build(star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, (build.__name__, peak)
 
 
 # -- first sets --------------------------------------------------------------------------
@@ -357,6 +377,23 @@ def test_first_cap():
     assert _first_of(system, "S") == {"a"}
     with pytest.raises(CapExceeded, match=r"^first would ground 4294970893 judgements"):
         build_first(parse_grammar(GRAMMAR_12))
+
+
+def test_first_without_terminals(monkeypatch):
+    """With no terminals every first set is empty, yet a sequence headed by
+    a nonterminal is still decomposed as one: A -> B, B -> B grounds to its
+    three empty claims, and its count is still what it enumerates."""
+    g = parse_grammar("A -> B\nB -> B\n")
+    assert emit_system(build_first(g)[0]).splitlines() == [
+        "universe first([A],{}) first([B],{}) first([],{})",
+        "rule first([A],{}) <- first([B],{})",
+        "rule first([B],{}) <- first([B],{})",
+        "axiom first([],{})",
+        "coaxiom first([A],{})",
+        "coaxiom first([B],{})",
+    ]
+    count, made = _ground_counts(monkeypatch, "first", build_first, g)
+    assert count == made
 
 
 # -- list predicates -----------------------------------------------------------------------
@@ -639,7 +676,7 @@ def _ground_counts(monkeypatch, family: str, build, *args) -> tuple[int, int]:
     routes into its buckets; with the axioms made outside any product."""
     checked, made = [], Counter()
     monkeypatch.setattr(systems, "_check_ground",
-                        lambda _, count, at_least=False: checked.append(count))
+                        lambda _, count: checked.append(count))
 
     def product(*claims, **repeat):
         for combo in itertools.product(*claims, **repeat):

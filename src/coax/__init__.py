@@ -28,9 +28,10 @@ _EXPORTS = {
         brute_force check_closed check_consistent refute_level
     """,
     "systems": """
-        Graph Grammar Abs App Var build_add build_bigstep
-        build_dist build_first build_path0 build_reach
-        build_spath parse_grammar parse_graph parse_lambda substitute term_text
+        Graph Grammar Abs App Var build_add build_allpos build_bigstep
+        build_dist build_elems build_first build_maxelem build_member
+        build_path0 build_reach build_spath parse_grammar parse_graph parse_lambda
+        substitute term_text
     """,
 }
 _MODULE_OF = {

@@ -321,7 +321,7 @@ def _load_system(path: str) -> InferenceSystem:
     return system_from_file(sf)
 
 
-def _solve(sys: InferenceSystem, mode: str) -> tuple[JudgementSet, Optional[IterationTrace]]:
+def _solve(sys: InferenceSystem, mode: str) -> tuple[JudgementSet, IterationTrace]:
     if mode == "ind":
         return inductive(sys)
     if mode == "coind":
@@ -335,11 +335,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     result, trace = _solve(system, args.mode)
     if args.format == "json":
         payload: dict = {"mode": args.mode, "result": result.texts()}
-        if args.trace and trace is not None:
+        if args.trace:
             payload["trace"] = [step.texts() for step in trace]
         _emit_json(payload)
     else:
-        if args.trace and trace is not None:
+        if args.trace:
             for n, step in enumerate(trace):
                 _emit(" ".join([f"# step {n}:", *step.texts()]))
         _emit("\n".join(result.texts()))
@@ -468,13 +468,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _list_pred(name: str) -> Callable[..., tuple[InferenceSystem, Universe]]:
-    """The build of the one list predicate ``name`` of ``_list_pred_builders``."""
-    return lambda s, r, a: s._list_pred_builders(
-        r.parse_eq_system(_read(a.term)), getattr(a, "element", 0)
-    )[name]()
-
-
 # Each builtin once, in the order `coax builtin -h` lists them: its help, its positional
 # arguments with their argparse keywords, and its build, called with systems, regular, the args
 _BUILTINS: dict[str, tuple[str, dict[str, dict], Callable]] = {
@@ -494,10 +487,14 @@ _BUILTINS: dict[str, tuple[str, dict[str, dict], Callable]] = {
     "bigstep": ("call-by-value evaluation with divergence",
                 {"term": {"help": "file holding one lambda term"}},
                 lambda s, r, a: s.build_bigstep(s.parse_lambda(_read(a.term)))),
-    "member": ("list membership", {"term": {}, "element": {"type": int}}, _list_pred("member")),
-    "allpos": ("all elements positive", {"term": {}}, _list_pred("allpos")),
-    "maxelem": ("greatest element", {"term": {}}, _list_pred("maxelem")),
-    "elems": ("element set", {"term": {}}, _list_pred("elems")),
+    "member": ("list membership", {"term": {}, "element": {"type": int}},
+               lambda s, r, a: s.build_member(r.parse_eq_system(_read(a.term)), a.element)),
+    "allpos": ("all elements positive", {"term": {}},
+               lambda s, r, a: s.build_allpos(r.parse_eq_system(_read(a.term)))),
+    "maxelem": ("greatest element", {"term": {}},
+                lambda s, r, a: s.build_maxelem(r.parse_eq_system(_read(a.term)))),
+    "elems": ("element set", {"term": {}},
+              lambda s, r, a: s.build_elems(r.parse_eq_system(_read(a.term)))),
 }
 
 
@@ -635,20 +632,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run(_sys.argv[1:] if argv is None else argv)
     except (CoaxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return _exit_status(exc)
+        return 3 if isinstance(exc, CapExceeded) else 2
     except Exception as exc:  # anything else is a fault of the program, not of its input
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 4
-
-
-def _exit_status(exc: Exception) -> int:
-    """3 for a cap, 1 for a judgement outside Gen, 2 for any other input error."""
-    from .prooftree import NotInGenerated
-    from .verify import UniverseTooLarge
-
-    if isinstance(exc, (CapExceeded, UniverseTooLarge)):
-        return 3
-    return 1 if isinstance(exc, NotInGenerated) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -43,11 +43,8 @@ class BetaNotClosed(CoaxError):
 
 
 class CapExceeded(CoaxError):
-    """A backward closure or builder grew beyond its configured cap."""
-
-    def __init__(self, cap: int, message: str | None = None):
-        self.cap = cap
-        super().__init__(message or f"closure exceeded cap of {cap}")
+    """A proof, a builder's grounding or an oracle's enumeration would pass its
+    cap; the message names the cap."""
 
 
 # a judgement text: one or more characters, none of them '#' or whitespace

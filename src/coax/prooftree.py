@@ -323,7 +323,7 @@ def _expand(
             if len(kids) > 1:
                 stack.extend(zip(kids[:0:-1], repeat(d)))
             if len(labels) + len(stack) >= TREE_NODE_CAP:
-                raise CapExceeded(TREE_NODE_CAP, f"the proof tree exceeds {TREE_NODE_CAP} nodes")
+                raise CapExceeded(f"the proof tree exceeds {TREE_NODE_CAP} nodes")
         elif stack:
             c, d = stack.pop()
         else:
@@ -394,7 +394,7 @@ def _stack(
     built = 0
     while stack:
         if len(stack) > TREE_NODE_CAP:  # a deep level pushes an entry per level
-            raise CapExceeded(TREE_NODE_CAP, f"the proof tree exceeds {TREE_NODE_CAP} nodes")
+            raise CapExceeded(f"the proof tree exceeds {TREE_NODE_CAP} nodes")
         c, k, prs = stack.pop()
         key = (c, k)
         if prs is None:
@@ -412,7 +412,7 @@ def _stack(
         subs = list(map(base, prs)) if k == 1 else [memo[p, k - 1] for p in prs]
         built += sum(map(len, subs))
         if built > TREE_NODE_CAP:
-            raise CapExceeded(TREE_NODE_CAP, f"the proof tree exceeds {TREE_NODE_CAP} nodes")
+            raise CapExceeded(f"the proof tree exceeds {TREE_NODE_CAP} nodes")
         memo[key] = PathTree.branch(members[c], subs)
     return memo[root, n]
 

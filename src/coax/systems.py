@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import (Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence,
-                    Union)
+from typing import Hashable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence, Union
 
 from .core import (
     CapExceeded,
@@ -40,7 +40,8 @@ LAMBDA_DEPTH_CAP = 200
 
 
 class Graph:
-    """A finite directed graph with optional non-negative edge weights."""
+    """A finite directed graph with non-negative edge weights, 1 on every
+    edge when no weights are given."""
 
     __slots__ = ("nodes", "adj", "weights")
 
@@ -60,33 +61,30 @@ class Graph:
             adj[u].add(v)
             edge_set.add((u, v))
         self.adj: dict[str, tuple[str, ...]] = {v: tuple(sorted(adj[v])) for v in self.nodes}
-        if weights is not None:
-            if set(weights) != edge_set:
-                raise ValueError("weights must be given exactly on the edges")
-            if any(w < 0 for w in weights.values()):
-                raise ValueError("weights are non-negative")
-            self.weights: Optional[dict[tuple[str, str], int]] = dict(weights)
-        else:
-            self.weights = None
+        if weights is None:
+            weights = dict.fromkeys(self.edges, 1)
+        elif set(weights) != edge_set:
+            raise ValueError("weights must be given exactly on the edges")
+        if any(w < 0 for w in weights.values()):
+            raise ValueError("weights are non-negative")
+        self.weights: dict[tuple[str, str], int] = dict(weights)
 
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
         return tuple((u, v) for u in self.nodes for v in self.adj[u])
 
     def weight(self, u: str, v: str) -> int:
-        return 1 if self.weights is None else self.weights[(u, v)]
+        return self.weights[(u, v)]
 
 
 def parse_graph(text: str) -> Graph:
     """`node x` and `edge u v [w]` lines; `#` comments; nodes mentioned in
-    edges are declared implicitly.  A missing weight counts as 1; the graph
-    is weighted when any edge gives one.  An edge may be repeated only with
-    the same weight.  Node names may not contain `,` `(` `)` `{` or `}`,
-    which delimit the judgements built from them."""
+    edges are declared implicitly.  A missing weight counts as 1.  An edge
+    may be repeated only with the same weight.  Node names may not contain
+    `,` `(` `)` `{` or `}`, which delimit the judgements built from them."""
     nodes: set[str] = set()
     edges: list[tuple[str, str]] = []
-    weights: dict[tuple[str, str], int] = {}  # every edge, weighted or not
-    weighted = False
+    weights: dict[tuple[str, str], int] = {}
     for lineno, parts in _token_lines(text):
         if parts[0] == "node" and len(parts) == 2:
             names = parts[1:]
@@ -94,10 +92,13 @@ def parse_graph(text: str) -> Graph:
             names = parts[1:3]
             w = 1
             if len(parts) == 4:
-                weighted = True
                 try:
                     w = int(parts[3])
                 except ValueError:
+                    if re.fullmatch(r"[+-]?\d+(_\d+)*", parts[3]):  # an int, too long to read
+                        raise ValueError(f"line {lineno}: weight has more than "
+                                         f"{sys.get_int_max_str_digits()} digits, "
+                                         "the most an int reads") from None
                     raise ValueError(f"line {lineno}: weight must be an integer") from None
                 if w < 0:
                     raise ValueError(f"line {lineno}: weights are non-negative")
@@ -113,7 +114,7 @@ def parse_graph(text: str) -> Graph:
         for name in names:
             _check_name(lineno, "node name", name, ",(){}")
         nodes.update(names)
-    return Graph(nodes, edges, weights if weighted else None)
+    return Graph(nodes, edges, weights)
 
 
 # -- grammars ------------------------------------------------------------------
@@ -362,7 +363,7 @@ def _ground(texts: Mapping[Hashable, str], rules: Iterable[_Instance],
 
 
 def _refuse(family: str, count: object) -> NoReturn:
-    raise CapExceeded(GROUND_CAP, f"{family} would ground {count} judgements and rule "
+    raise CapExceeded(f"{family} would ground {count} judgements and rule "
                       f"instances, cap is {GROUND_CAP}")
 
 
@@ -488,93 +489,85 @@ def build_first(g: Grammar) -> tuple[InferenceSystem, Universe]:
 # -- list predicates ---------------------------------------------------------------
 
 
-def _canonical_list(l: EqSystem) -> EqSystem:
+def _list_cells(l: EqSystem) -> tuple[EqSystem, list[str], list[str], dict[str, tuple[int, str]]]:
+    """What the four list predicates ground over: the canonical form of a
+    (possibly cyclic) list of integers, its sorted states, its nil states,
+    and each cons state's integer head and tail state."""
     if l.family != "list":
         raise ShapeMismatch(f"expected a list, got a {l.family}")
-    return l.canonical()
-
-
-def _head_tail(canon: EqSystem, state: str) -> tuple[int, str]:
-    head, tail = canon[state].args
-    if isinstance(head, str):
-        raise ShapeMismatch("list elements must be integer atoms here")
-    return head, tail  # type: ignore[return-value]
-
-
-def _list_pred_builders(
-    l: EqSystem, x: int
-) -> dict[str, Callable[[], tuple[InferenceSystem, Universe]]]:
-    """The groundings of the four list predicates over the subterm states of
-    a (possibly cyclic) integer list, one system each, by name:
-
-    - member:  `member(x,s,b)` - does x occur in the list at state s
-    - allpos:  `allpos(s,b)`   - are all elements positive
-    - maxelem: `maxelem(s,z)`  - z is the greatest element (coaxioms guess
-      the head, so the value is also attained, not just an upper bound)
-    - elems:   `elems(s,xs)`   - xs is the set of elements
-
-    The member judgement is specialized to the given query element x.  Each
-    is one call over one shared preparation of the canonical list, so that a
-    caller that wants one predicate grounds only that one: ``elems`` alone
-    has a judgement per state and subset of the carrier."""
-    canon = _canonical_list(l)
+    canon = l.canonical()
     names = sorted(canon.states)
+    cons = {s: canon[s].args for s in names if canon[s].tag == "cons"}
+    if any(isinstance(head, str) for head, _ in cons.values()):
+        raise ShapeMismatch("list elements must be integer atoms here")
     nils = [s for s in names if canon[s].tag == "nil"]
-    cons = {s: _head_tail(canon, s) for s in names if canon[s].tag == "cons"}
+    return canon, names, nils, cons  # type: ignore[return-value]
+
+
+def build_member(l: EqSystem, x: int) -> tuple[InferenceSystem, Universe]:
+    """Judgements `member(x,s,b)`: does x occur in the list at state s."""
+    _, names, _, cons = _list_cells(l)
+    return _ground(
+        {(s, b): f"member({x},{s},{b})" for s in names for b in "TF"},
+        itertools.chain(
+            (((s, "T"), ()) for s, (head, _) in cons.items() if head == x),
+            (((s, b), ((tail, b),)) for s, (head, tail) in cons.items() if head != x
+             for b in "TF"),
+        ),
+        ((s, "F") for s in names),
+    )
+
+
+def build_allpos(l: EqSystem) -> tuple[InferenceSystem, Universe]:
+    """Judgements `allpos(s,b)`: are all elements of the list at state s positive."""
+    _, names, nils, cons = _list_cells(l)
+    return _ground(
+        {(s, b): f"allpos({s},{b})" for s in names for b in "TF"},
+        itertools.chain(
+            (((s, "T"), ()) for s in nils),
+            (((s, "F"), ()) for s, (head, _) in cons.items() if head <= 0),
+            (((s, b), ((tail, b),)) for s, (head, tail) in cons.items() if head > 0
+             for b in "TF"),
+        ),
+        ((s, "T") for s in names),
+    )
+
+
+def build_maxelem(l: EqSystem) -> tuple[InferenceSystem, Universe]:
+    """Judgements `maxelem(s,z)`: z is the greatest element of the list at
+    state s, over the carrier, which binary max keeps closed.  The coaxioms
+    guess the head, so the value is also attained, not just an upper bound."""
+    canon, names, _, cons = _list_cells(l)
     car_sorted = sorted(carrier(canon))
+    return _ground(
+        {(s, z): f"maxelem({s},{z})" for s in names for z in car_sorted},
+        itertools.chain(
+            (((s, head), ()) for s, (head, tail) in cons.items() if canon[tail].tag == "nil"),
+            (((s, max(head, y)), ((tail, y),)) for s, (head, tail) in cons.items()
+             for y in car_sorted),
+        ),
+        ((s, head) for s, (head, _) in cons.items()),
+    )
 
-    def member() -> tuple[InferenceSystem, Universe]:
-        return _ground(
-            {(s, b): f"member({x},{s},{b})" for s in names for b in "TF"},
-            itertools.chain(
-                (((s, "T"), ()) for s, (head, _) in cons.items() if head == x),
-                (((s, b), ((tail, b),)) for s, (head, tail) in cons.items() if head != x
-                 for b in "TF"),
-            ),
-            ((s, "F") for s in names),
-        )
 
-    def allpos() -> tuple[InferenceSystem, Universe]:
-        return _ground(
-            {(s, b): f"allpos({s},{b})" for s in names for b in "TF"},
-            itertools.chain(
-                (((s, "T"), ()) for s in nils),
-                (((s, "F"), ()) for s, (head, _) in cons.items() if head <= 0),
-                (((s, b), ((tail, b),)) for s, (head, tail) in cons.items() if head > 0
-                 for b in "TF"),
-            ),
-            ((s, "T") for s in names),
-        )
-
-    def maxelem() -> tuple[InferenceSystem, Universe]:
-        # over the carrier; carriers are closed under binary max
-        return _ground(
-            {(s, z): f"maxelem({s},{z})" for s in names for z in car_sorted},
-            itertools.chain(
-                (((s, head), ()) for s, (head, tail) in cons.items() if canon[tail].tag == "nil"),
-                (((s, max(head, y)), ((tail, y),)) for s, (head, tail) in cons.items()
-                 for y in car_sorted),
-            ),
-            ((s, head) for s, (head, _) in cons.items()),
-        )
-
-    def elems() -> tuple[InferenceSystem, Universe]:
-        # over subsets of the carrier
-        _check_ground("elems", (len(names) + len(cons)) * _power("elems", 2, len(car_sorted))
-                      + len(nils))
-        xs_all = [frozenset(c) for r in range(len(car_sorted) + 1)
-                  for c in itertools.combinations(car_sorted, r)]
-        return _ground(
-            {(s, xs): f"elems({s},{_int_set_text(xs)})" for s in names for xs in xs_all},
-            itertools.chain(
-                (((s, frozenset()), ()) for s in nils),
-                (((s, xs | {head}), ((tail, xs),)) for s, (head, tail) in cons.items()
-                 for xs in xs_all),
-            ),
-            ((s, frozenset()) for s in names),
-        )
-
-    return {"member": member, "allpos": allpos, "maxelem": maxelem, "elems": elems}
+def build_elems(l: EqSystem) -> tuple[InferenceSystem, Universe]:
+    """Judgements `elems(s,xs)`: xs is the set of elements of the list at
+    state s, over the subsets of the carrier."""
+    canon, names, nils, cons = _list_cells(l)
+    car_sorted = sorted(carrier(canon))
+    _check_ground("elems", (len(names) + len(cons)) * _power("elems", 2, len(car_sorted))
+                  + len(nils))
+    xs_all = [frozenset(c) for r in range(len(car_sorted) + 1)
+              for c in itertools.combinations(car_sorted, r)]
+    return _ground(
+        {(s, xs): f"elems({s},{_int_set_text(xs)})" for s in names for xs in xs_all},
+        itertools.chain(
+            (((s, frozenset()), ()) for s in nils),
+            (((s, xs | {head}), ((tail, xs),)) for s, (head, tail) in cons.items()
+             for xs in xs_all),
+        ),
+        ((s, frozenset()) for s in names),
+    )
 
 
 # -- weighted distances and shortest paths -------------------------------------------
@@ -589,7 +582,7 @@ def build_dist(g: Graph) -> tuple[InferenceSystem, Universe]:
     interpretation, so dropping them loses nothing.  Coaxioms claim `inf` for
     every ordered pair of distinct nodes.
     """
-    total = sum(g.weight(u, v) for u, v in g.edges)
+    total = sum(g.weights.values())
     n, k = len(g.nodes), total + 2  # k claims per pair: 0..W and inf
     _check_ground("dist", n * n * k + sum(1 + (n - 1) * _power("dist", k, len(g.adj[v]))
                                           for v in g.nodes))
@@ -681,11 +674,10 @@ def build_spath(g: Graph) -> tuple[InferenceSystem, Universe]:
     paths one with the fewest edges never runs back through its source, even
     across weight-0 cycles.
     """
-    total = sum(g.weight(u, v) for u, v in g.edges)
+    total = sum(g.weights.values())
     digits = sys.get_int_max_str_digits()  # the longest int Python prints, 0 for any
     if digits and total >= 10 ** digits:  # a path weight's text would raise mid-build
-        raise CapExceeded(digits, f"spath path weights may exceed {digits} digits, "
-                          "the most an int prints")
+        raise CapExceeded(f"spath path weights may exceed {digits} digits, the most an int prints")
     # Costs are plain ints and `inf` is 2 * total + 1, as in build_dist: an
     # edge weight plus the weight of a simple path stays below it.
     inf = 2 * total + 1
@@ -821,8 +813,7 @@ def build_bigstep(goal: Term) -> tuple[InferenceSystem, Universe]:
             if t in vals:
                 continue
             if len(vals) >= BIGSTEP_CLOSURE_CAP:
-                raise CapExceeded(BIGSTEP_CLOSURE_CAP,
-                                  f"expression closure exceeded {BIGSTEP_CLOSURE_CAP} terms")
+                raise CapExceeded(f"expression closure exceeded {BIGSTEP_CLOSURE_CAP} terms")
             vals[t] = {t} if isinstance(t, Abs) else set()
             if isinstance(t, App):
                 stack.extend((t.fn, t.arg))

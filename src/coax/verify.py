@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
-    CoaxError,
+    CapExceeded,
     InferenceSystem,
     Judgement,
     JudgementSet,
@@ -28,7 +28,7 @@ DEFAULT_ORACLE_CAP = 16
 ORACLE_CAP_ENV = "COAX_ORACLE_CAP"
 
 
-class UniverseTooLarge(CoaxError):
+class UniverseTooLarge(CapExceeded):
     """The universe exceeds the brute-force enumeration cap."""
 
     def __init__(self, size: int, cap: int):

@@ -482,12 +482,13 @@ def random_list_term(rng: random.Random) -> EqSystem:
 
 
 def build_list_preds(l: EqSystem, x: int) -> dict[str, tuple[InferenceSystem, Universe]]:
-    """Every list predicate of ``systems._list_pred_builders`` grounded over
-    the list l, by name, member specialized to x: all four at once, where the
-    CLI grounds only the one it prints."""
-    from coax.systems import _list_pred_builders
+    """The four list predicates grounded over the list l, by name, member
+    specialized to x: all four at once, where the CLI grounds only the one it
+    prints."""
+    from coax.systems import build_allpos, build_elems, build_maxelem, build_member
 
-    return {name: build() for name, build in _list_pred_builders(l, x).items()}
+    return {"member": build_member(l, x), "allpos": build_allpos(l),
+            "maxelem": build_maxelem(l), "elems": build_elems(l)}
 
 
 _POOL_SOURCES = [

@@ -44,6 +44,7 @@ from oracles import (
     as_strings,
     build_list_preds,
     premise_sets,
+    random_list_term,
     random_system,
     string_parse_system_file,
     string_system_from_file,
@@ -683,6 +684,12 @@ def test_oracle_cap_exit(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COAX_ORACLE_CAP", "2")
     code, _, err = invoke(capsys, "oracle", path)
     assert code == 3 and "oracle cap" in err
+    # a ring closed by a coaxiom, a chain from an axiom, and e, f dying in the descent
+    mixed = write(tmp_path, "mixed.coax", "rule a <- b\nrule b <- a\ncoaxiom a\naxiom c\n"
+                  "rule d <- c\nrule e <- f g\nrule f <- e\ncoaxiom e\n")
+    monkeypatch.setenv("COAX_ORACLE_CAP", "3")
+    assert invoke(capsys, "oracle", mixed) == (3, "", "error: universe has 7 judgements, "
+                                               "oracle cap is 3 (override with COAX_ORACLE_CAP)\n")
 
 
 # -- builtin ----------------------------------------------------------------------------
@@ -758,6 +765,34 @@ def test_builtin_list_predicates(tmp_path, capsys):
         assert expect in {str(j) for j in generated(back)}, name
 
 
+LIST_BUILDERS = {"member": systems.build_member, "allpos": systems.build_allpos,
+                 "maxelem": systems.build_maxelem, "elems": systems.build_elems}
+
+
+@pytest.mark.parametrize("name", LIST_BUILDERS)
+def test_builtin_list_predicate_prints_its_builder(tmp_path, capsys, name):
+    """On every recipe list, `builtin NAME` prints what build_NAME grounds,
+    member at element 1."""
+    for seed in range(150):
+        l = random_list_term(random.Random(seed))
+        term = write(tmp_path, "l.term", l.to_text() + "\n")
+        element = ("1",) if name == "member" else ()
+        code, out, err = invoke(capsys, "builtin", name, term, *element)
+        assert (code, err) == (0, ""), seed
+        assert out == emit_system(LIST_BUILDERS[name](l, *map(int, element))[0]), seed
+
+
+@pytest.mark.parametrize("name", LIST_BUILDERS)
+def test_builtin_list_predicate_refuses_an_ill_shaped_term(tmp_path, capsys, name):
+    for text, said in (
+        ("s = digit 1 s\n", "expected a list, got a stream"),
+        ("l = cons m n\nm = cons 1 n\nn = nil\n", "list elements must be integer atoms here"),
+    ):
+        element = ("1",) if name == "member" else ()
+        argv = ("builtin", name, write(tmp_path, "bad.term", text), *element)
+        assert invoke(capsys, *argv) == (2, "", f"error: {said}\n")
+
+
 def test_builtin_add(tmp_path, capsys):
     ones = write(tmp_path, "a.term", "c0 = digit 1 c0\n")
     twos = write(tmp_path, "b.term", "c0 = digit 2 c0\n")
@@ -799,6 +834,28 @@ def test_builtin_cap_exits_3(tmp_path, capsys):
     assert "rule spath(a,b,[a,b],100) <- spath(b,b,[b],0)" in out
     code, out, err = invoke(capsys, "builtin", "reach", write(tmp_path, "k.graph", COMPLETE_10))
     assert (code, out) == (3, "") and err.count("\n") == 1 and "cap is 1000000" in err
+
+
+def test_builtin_weight_past_the_int_digit_limit_exits_2(tmp_path, capsys):
+    """A weight longer than int() reads is refused on one line by every graph
+    builtin; one of 4300 digits is read, and grounds where its count and
+    printed path weights allow."""
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        long = write(tmp_path, "long.graph", f"edge a b {'9' * 4301}\n")
+        for builder in ("reach", "dist", "spath"):
+            assert invoke(capsys, "builtin", builder, long) == (
+                2, "", "error: line 1: weight has more than 4300 digits, the most an int reads\n")
+        at_limit = write(tmp_path, "at.graph", f"edge a b {'9' * 4300}\nedge b c {'9' * 4300}\n")
+        code, out, _ = invoke(capsys, "builtin", "reach", at_limit)
+        assert code == 0 and "axiom reach(c,{c})" in out
+        code, out, err = invoke(capsys, "builtin", "dist", at_limit)
+        assert (code, out) == (3, "") and err.startswith("error: dist would ground at least 2^")
+        assert invoke(capsys, "builtin", "spath", at_limit) == (
+            3, "", "error: spath path weights may exceed 4300 digits, the most an int prints\n")
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 OVER_COUNT = {  # each inside the old per-family caps

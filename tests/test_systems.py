@@ -5,6 +5,7 @@ instances."""
 
 import itertools
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
@@ -32,6 +33,7 @@ from coax.systems import (
     build_add,
     build_bigstep,
     build_dist,
+    build_elems,
     build_first,
     build_path0,
     build_reach,
@@ -174,13 +176,35 @@ def test_parse_graph():
     assert g.weight("a", "c") == 4
     assert g.weight("c", "d") == 1
     unweighted = parse_graph("edge a b\nedge b a\n")
-    assert unweighted.weights is None
+    assert unweighted.weights == {("a", "b"): 1, ("b", "a"): 1}
     with pytest.raises(ValueError):
         parse_graph("edge a b one")
     with pytest.raises(ValueError):
         parse_graph("vertex a")
     with pytest.raises(ValueError, match="^line 2: weights are non-negative$"):
         parse_graph("edge a b 1\nedge b a -1\n")
+    assert Graph("abc", [("a", "b"), ("b", "c")]).weights == {("a", "b"): 1, ("b", "c"): 1}
+
+
+def test_parse_graph_reads_a_weight_as_long_as_int_reads():
+    """int() reads at most sys.get_int_max_str_digits() digits (0: any), so a
+    longer weight is refused on one line that says so, not as a non-integer."""
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert parse_graph(f"edge a b {'9' * 4300}\n").weight("a", "b") == 10**4300 - 1
+        for weight in ("9" * 4301, "+" + "9_9" * 2200):
+            with pytest.raises(ValueError) as exc:
+                parse_graph(f"node c\nedge a b {weight}\n")
+            assert str(exc.value) == (
+                "line 2: weight has more than 4300 digits, the most an int reads")
+        for weight in ("9" * 4300 + "x", "1__0" + "0" * 5000, "+-" + "9" * 4301):
+            with pytest.raises(ValueError, match="^line 1: weight must be an integer$"):
+                parse_graph(f"edge a b {weight}\n")
+        sys.set_int_max_str_digits(0)
+        assert parse_graph(f"edge a b {'9' * 4301}\n").weight("a", "b") == 10**4301 - 1
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_parse_graph_rejects_an_edge_repeated_with_another_weight():
@@ -199,7 +223,7 @@ def test_parse_graph_rejects_an_edge_repeated_with_another_weight():
         g = parse_graph(text)
         assert g.edges == (("a", "b"),)
     assert parse_graph("edge a b 3\nedge a b 3\nedge b a\n").weights == {("a", "b"): 3, ("b", "a"): 1}
-    assert parse_graph("edge a b\nedge a b\n").weights is None
+    assert parse_graph("edge a b\nedge a b\n").weights == {("a", "b"): 1}
 
 
 # -- grammars -----------------------------------------------------------------------
@@ -727,7 +751,7 @@ def test_each_count_is_what_its_builder_enumerates(monkeypatch):
             ("spath", build_spath, (g,)), ("spath", build_spath, (plain,)),
             ("reach", build_reach, (plain,)),
             ("first", build_first, (random_grammar(random.Random(seed)),)),
-            ("elems", lambda: systems._list_pred_builders(term, 0)["elems"](), ()),
+            ("elems", build_elems, (term,)),
         ]:
             with monkeypatch.context() as patch:
                 count, made = _ground_counts(patch, family, build, *args)

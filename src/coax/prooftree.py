@@ -10,10 +10,10 @@ coaxiom used at depth >= n" means its node's path has length >= n.
 
 Queries read the cached analysis by position: whether a proof exists is one
 lookup in its entry or death steps.  Builders choose rules on the position
-table ``InferenceSystem._table`` against those steps or a support mask, and
-memoize on (position, budget) or (position, level); a judgement is made only
-as a tree label, a ``ProofGraph`` field or a return value.  The validators
-compare the positions of each node's children with the same table.
+table ``InferenceSystem._table`` against those steps or a support mask; a
+judgement is made only as a tree label, a ``ProofGraph`` field or a return
+value.  The validators compare the positions of each node's children with
+the same table.
 
 No builder recurses, so no recursion limit bounds a proof's depth.
 Well-founded proofs, which choose each node's rule as the walk reaches it,
@@ -21,8 +21,9 @@ and unfoldings are made in one top-down pass over their nodes (``_expand``),
 in O(nodes), and held as those nodes in canonical order, one (label, depth)
 pair each: printing, ``to_nested``, ``len``, ``depth`` and both validators
 read that list, and the path set, O(nodes x depth) labels, is built the
-first time something reads ``paths``.  Approximated proofs stack one
-path-set tree per (position, level) above the cut (``_stack``), cubic in the levels.
+first time something reads ``paths``.  Approximated proofs choose a premise
+set per (position, level) top down, then stack path-set trees bottom up
+(``_stack``), two levels at a time, in time cubic in the levels above the cut.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from typing import Callable, ClassVar, Container, Iterable, Iterator, Optional, 
 from .core import CapExceeded, CoaxError, InferenceSystem, Judgement, JudgementSet, _text
 from .verify import Verdict
 
-# the most nodes ``_expand`` lists, or ``_stack`` copies in one call: a larger
-# proof or unfolding raises CapExceeded rather than exhausting memory
+# the most nodes ``_expand`` lists, or ``_stack`` copies for one approximated
+# proof or sequence, counted before the copying: more raises CapExceeded
 TREE_NODE_CAP = 1_000_000
 
 
@@ -58,6 +59,7 @@ class NotInGenerated(CoaxError):
 
 
 Path = tuple[Judgement, ...]
+Level = Sequence[tuple[int, tuple[int, ...]]]  # the (position, premises) pairs of one level
 
 
 @dataclass(frozen=True)
@@ -331,12 +333,7 @@ def _expand(
 
 
 def _wf_build(
-    sys: InferenceSystem,
-    entry: list[int],
-    pos: int,
-    budget: int,
-    memo: dict[tuple[int, int], PathTree],
-    leaves: int = 0,
+    sys: InferenceSystem, entry: list[int], pos: int, budget: int, leaves: int = 0
 ) -> PathTree:
     """Greedy canonical construction: take the least premise set whose members
     are all provable within the remaining budget b (entry steps in 1..b);
@@ -346,10 +343,6 @@ def _wf_build(
     The tree is expanded once, and the rule of each node is chosen as the
     walk reaches it: a node's budget is the root's less its depth, and the
     choice for each (position, budget) pair is made once."""
-    key = (pos, budget)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     table = sys._table
     chosen: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -368,62 +361,38 @@ def _wf_build(
             chosen[c, b] = prs
         return prs
 
-    tree = memo[key] = _expand(sys.universe.members, pos, children)
-    return tree
+    return _expand(sys.universe.members, pos, children)
 
 
 def _stack(
-    members: Sequence[Judgement],
-    root: int,
-    n: int,
-    premises: Callable[[int, int], tuple[int, ...]],
-    base: Callable[[int], PathTree],
-    memo: dict[tuple[int, int], PathTree],
-) -> PathTree:
-    """The tree t(root, n) over positions labelled by ``members``, where
-    t(c, 0) = base(c) and t(c, k) stacks premises(c, k) under c, each premise
-    p carrying t(p, k - 1); memoized on (c, k) in ``memo`` and built from an
-    explicit stack.  An entry holds its premises once they are chosen; nodes
-    at level 1 rest on base trees only, so they are built at once.  Each new
-    tree copies its subtrees; CapExceeded is raised before a copy that would
-    bring the nodes copied in one call past ``TREE_NODE_CAP``, or the stack's
-    entries, each a distinct node of the tree, past it."""
-    if n <= 0:
-        return base(root)
-    stack: list[tuple[int, int, Optional[tuple[int, ...]]]] = [(root, n, None)]
-    built = 0
-    while stack:
-        if len(stack) > TREE_NODE_CAP:  # a deep level pushes an entry per level
+    members: Sequence[Judgement], trees: dict[int, PathTree], levels: Sequence[Level]
+) -> Iterator[dict[int, PathTree]]:
+    """Each level's trees by position, bottom up from ``trees`` at level 0: a
+    (position, premises) pair stacks its premises' trees from the level below,
+    the only one held, under the position's label.  The nodes are counted
+    first, so CapExceeded comes before any copy if copies pass the cap."""
+    sizes = {c: len(t) for c, t in trees.items()}
+    copies = 0
+    for level in levels:
+        sizes = {c: 1 + sum(map(sizes.__getitem__, prs)) for c, prs in level}
+        copies += sum(sizes.values()) - len(sizes)
+        if copies > TREE_NODE_CAP and max(sizes.values()) > TREE_NODE_CAP:
             raise CapExceeded(f"the proof tree exceeds {TREE_NODE_CAP} nodes")
-        c, k, prs = stack.pop()
-        key = (c, k)
-        if prs is None:
-            if key in memo:
-                continue
-            prs = premises(c, k)
-            if k > 1:
-                top = len(stack)
-                for p in prs:
-                    if (p, k - 1) not in memo:
-                        stack.append((p, k - 1, None))
-                if len(stack) > top:  # come back once the missing subtrees are made
-                    stack.insert(top, (c, k, prs))
-                    continue
-        subs = list(map(base, prs)) if k == 1 else [memo[p, k - 1] for p in prs]
-        built += sum(map(len, subs))
-        if built > TREE_NODE_CAP:
-            raise CapExceeded(f"the proof tree exceeds {TREE_NODE_CAP} nodes")
-        memo[key] = PathTree.branch(members[c], subs)
-    return memo[root, n]
+    if copies > TREE_NODE_CAP:
+        size = f"a {max(sizes.values())}-node proof tree"
+        raise CapExceeded(f"stacking {size} copies more than {TREE_NODE_CAP} nodes")
+    for level in levels:
+        trees = {c: PathTree.branch(members[c], map(trees.__getitem__, prs)) for c, prs in level}
+        yield trees
 
 
-def _below_the_cut(sys: InferenceSystem, entry: list[int]) -> Callable[[int], PathTree]:
-    """A shortest proof modulo coaxioms of the closure member at a position,
-    the subtree an approximated proof hangs below its cut, chosen against the
-    coaxiom-seeded entry steps; memoized on (position, budget)."""
-    memo: dict[tuple[int, int], PathTree] = {}
-    leaves = sys.coaxioms.mask
-    return lambda c: _wf_build(sys, entry, c, entry[c] - 1, memo, leaves)
+def _below_the_cut(
+    sys: InferenceSystem, entry: list[int], wanted: Iterable[int]
+) -> dict[int, PathTree]:
+    """A shortest proof modulo coaxioms of each closure member wanted, by
+    position: the subtrees an approximated proof hangs below its cut, chosen
+    against the coaxiom-seeded entry steps."""
+    return {c: _wf_build(sys, entry, c, entry[c] - 1, sys.coaxioms.mask) for c in wanted}
 
 
 def wf_proof_search(
@@ -444,7 +413,7 @@ def wf_proof_search(
     pos = sys.universe.position(j)
     if not 0 < entry[pos] <= depth_bound + 1:
         return None
-    return _wf_build(sys, entry, pos, min(depth_bound, len(sys.universe)), {})
+    return _wf_build(sys, entry, pos, min(depth_bound, len(sys.universe)))
 
 
 def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTree]:
@@ -468,11 +437,29 @@ def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTre
 
     def least(c: int, k: int) -> tuple[int, ...]:
         for prs in table.get(c, ()):
-            if all(not 0 <= death[p] < k for p in prs):
+            for p in prs:
+                if 0 <= death[p] < k:
+                    break
+            else:
                 return prs
         raise AssertionError(f"position {c} unsupported at level {k}")  # pragma: no cover
 
-    return _stack(sys.universe.members, pos, n, least, _below_the_cut(sys, up.record), {})
+    levels: list[Level] = []  # the choices at levels n, n - 1, ..., 1, top down
+    seen: dict[Level, Level] = {}  # one copy of each distinct level: a ring repeats them
+    wanted, nodes = {pos}, 1  # nodes: a lower bound on the tree's, one per position wanted
+    for k in range(n, 0, -1):
+        level = tuple([(c, least(c, k)) for c in wanted])
+        levels.append(seen.setdefault(level, level))
+        wanted = {p for _, prs in level for p in prs}
+        nodes += len(wanted)
+        if nodes > TREE_NODE_CAP + 1:  # its root alone would copy more than the cap
+            raise CapExceeded(f"the proof tree exceeds {TREE_NODE_CAP} nodes")
+        if not wanted:
+            break
+    trees = _below_the_cut(sys, up.record, wanted)
+    for trees in _stack(sys.universe.members, trees, levels[::-1]):
+        pass  # each level replaces the one below it
+    return trees[pos]
 
 
 def validate_approx_level(sys: InferenceSystem, t: PathTree, n: int) -> Verdict:
@@ -567,9 +554,12 @@ def approximating_sequence(
     if down.record[pos] >= 0:
         raise NotInGenerated(j)
     chosen = dict(sys._least_rules(down.result))
-    below = _below_the_cut(sys, up.record)
-    members = sys.universe.members
-    memo: dict[tuple[int, int], PathTree] = {}
-    return tuple(
-        _stack(members, pos, n, lambda g, _: chosen[g], below, memo) for n in range(upto + 1)
-    )
+    levels: list[Level] = []  # level n: the choices within upto - n steps of j, top down
+    level, wanted = (), {pos}
+    for _ in range(upto):
+        if len(level) < len(wanted):  # until the choice reaches no new position
+            level = [(c, chosen[c]) for c in wanted]
+            wanted = wanted.union(*(prs for _, prs in level))
+        levels.append(level)
+    trees = _below_the_cut(sys, up.record, wanted)
+    return (trees[pos], *(t[pos] for t in _stack(sys.universe.members, trees, levels[::-1])))

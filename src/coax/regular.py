@@ -171,18 +171,37 @@ def _bfs_order(bindings: dict[str, Binding], root: str) -> list[str]:
 def _bisim_classes(bindings: dict[str, Binding]) -> dict[str, int]:
     """Partition refinement: two states are bisimilar iff they have the same
     constructor, equal atoms, and bisimilar states slot by slot.  Returns a
-    class number per state."""
-    cls = {name: 0 for name in bindings}
-    while True:
-        buckets: dict[tuple, int] = {}
-        new_cls = {}
-        for name in sorted(bindings):
+    class number per state.  Each round re-signs only the states with a
+    successor that changed class in the last round; the piece of a class
+    that keeps its shared signature keeps its number, or, when every member
+    was re-signed, its largest piece does."""
+    preds: dict[str, list[str]] = {name: [] for name in bindings}
+    for name, b in bindings.items():
+        for a in b.args:
+            if isinstance(a, str):
+                preds[a].append(name)
+    cls = dict.fromkeys(bindings, 0)
+    sizes, sigs = [len(cls)], [None]  # by class: its size, and the signature its members share
+    dirty = set(bindings)
+    while dirty:
+        pieces: dict[int, dict[tuple, list[str]]] = {}
+        for name in dirty:
             b = bindings[name]
             sig = (b.tag, *((cls[a],) if isinstance(a, str) else a for a in b.args))
-            new_cls[name] = buckets.setdefault(sig, len(buckets))
-        if new_cls == cls:
-            return cls
-        cls = new_cls
+            pieces.setdefault(cls[name], {}).setdefault(sig, []).append(name)
+        dirty = set()
+        for c, by_sig in pieces.items():
+            if sum(map(len, by_sig.values())) == sizes[c]:
+                sigs[c] = max(by_sig, key=lambda sig: len(by_sig[sig]))
+            for sig, names in by_sig.items():
+                if sig != sigs[c]:
+                    sizes[c] -= len(names)
+                    sizes.append(len(names))
+                    sigs.append(sig)
+                    for name in names:
+                        cls[name] = len(sizes) - 1
+                        dirty.update(preds[name])
+    return cls
 
 
 # -- operations ---------------------------------------------------------------

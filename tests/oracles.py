@@ -481,6 +481,45 @@ def random_list_term(rng: random.Random) -> EqSystem:
     return EqSystem(bindings, tail)
 
 
+def random_eq_system(rng: random.Random) -> EqSystem:
+    """A list of small ints, a digit stream, or a tree whose children are a
+    list of tree states: a few states of each family, every state slot bound
+    to a random state of the right family, so that cycles, shared tails and
+    bisimilar duplicates are common; one time in ten a long finite list of
+    equal elements, whose states differ only in their distance to ``nil``.
+    Only the states reachable from the root are kept."""
+    kind = rng.choice(("list", "stream", "tree"))
+    if rng.random() < 0.1:
+        n = rng.randint(20, 60)
+        bindings = {f"n{i}": Binding("cons", (1, f"n{i + 1}")) for i in range(n)}
+        return EqSystem({**bindings, f"n{n}": Binding("nil", ())}, "n0")
+    lists = [f"l{i}" for i in range(rng.randint(1, 9))]
+    others = [f"{kind[0]}{i}" for i in range(rng.randint(1, 9))] if kind != "list" else []
+
+    def pick(names: list[str], i: int) -> str:  # mostly the next state, so chains are long
+        return names[i + 1] if i + 1 < len(names) and rng.random() < 0.6 else rng.choice(names)
+
+    bindings = {}
+    for i, name in enumerate(lists):
+        if rng.random() < 0.2:
+            bindings[name] = Binding("nil", ())
+        else:
+            head = pick(others, i - 1) if kind == "tree" else rng.randint(0, 2)
+            bindings[name] = Binding("cons", (head, pick(lists, i)))
+    for i, name in enumerate(others):
+        if kind == "stream":
+            bindings[name] = Binding("digit", (rng.randint(0, 2), pick(others, i)))
+        else:
+            bindings[name] = Binding("tree", (rng.randint(0, 2), pick(lists, i - 1)))
+    root = (others or lists)[0]
+    reached = [root]
+    for name in reached:  # appends to the list it reads
+        for a in bindings[name].args:
+            if isinstance(a, str) and a not in reached:
+                reached.append(a)
+    return EqSystem({name: bindings[name] for name in reached}, root)
+
+
 def build_list_preds(l: EqSystem, x: int) -> dict[str, tuple[InferenceSystem, Universe]]:
     """The four list predicates grounded over the list l, by name, member
     specialized to x: all four at once, where the CLI grounds only the one it
@@ -688,6 +727,24 @@ def cbv_eval(term: Term, fuel: int = 100_000) -> Optional[Term]:
 
 
 # -- regular terms: bisimulation, subterms and unfolding ------------------------------
+
+
+def moore_bisim_classes(bindings: dict[str, Binding]) -> dict[str, int]:
+    """Moore's partition refinement, the reference for
+    ``regular._bisim_classes``: each round re-signs every state by its
+    constructor, its atoms and its successors' classes, until no class
+    splits.  Quadratic when each round splits off one class."""
+    cls = {name: 0 for name in bindings}
+    while True:
+        buckets: dict[tuple, int] = {}
+        new_cls = {}
+        for name in sorted(bindings):
+            b = bindings[name]
+            sig = (b.tag, *((cls[a],) if isinstance(a, str) else a for a in b.args))
+            new_cls[name] = buckets.setdefault(sig, len(buckets))
+        if new_cls == cls:
+            return cls
+        cls = new_cls
 
 
 def bisim_equal(a: EqSystem, b: EqSystem) -> bool:

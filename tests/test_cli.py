@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -780,6 +781,22 @@ def test_builtin_list_predicate_prints_its_builder(tmp_path, capsys, name):
         code, out, err = invoke(capsys, "builtin", name, term, *element)
         assert (code, err) == (0, ""), seed
         assert out == emit_system(LIST_BUILDERS[name](l, *map(int, element))[0]), seed
+
+
+def test_builtin_on_a_long_finite_list_is_fast(tmp_path, capsys):
+    """A finite list of 4000 equal elements, whose states differ only in
+    their distance to nil, is made canonical in near-linear time: `builtin
+    allpos` on it took 14.6 s when each refinement round re-signed every
+    state."""
+    n = 4000
+    text = "".join(f"n{i} = cons 1 n{i + 1}\n" for i in range(n)) + f"n{n} = nil\n"
+    term = write(tmp_path, "long.term", text)
+    started = time.perf_counter()
+    code, out, err = invoke(capsys, "builtin", "allpos", term)
+    seconds = time.perf_counter() - started
+    assert (code, err) == (0, "")
+    assert out.count("\n") > n
+    assert seconds < 1, f"took {seconds:.2f} s"
 
 
 @pytest.mark.parametrize("name", LIST_BUILDERS)

@@ -5,6 +5,8 @@ import json
 import random
 import sys
 import threading
+import time
+import tracemalloc
 from typing import Container, Sequence
 
 import pytest
@@ -741,10 +743,10 @@ def test_trees_past_the_node_cap_raise(monkeypatch):
 
 
 def test_a_level_past_the_node_cap_raises_before_a_subtree_is_copied(monkeypatch):
-    """Above the cut, a level-n proof on a ring waits on one stack entry per
-    level before its first subtree is copied; each entry is a distinct node
-    of the tree, so more entries than TREE_NODE_CAP raise at once, where a
-    level of 10^8 took the memory of the machine."""
+    """Above the cut, a level-n proof on a ring is chosen level by level from
+    the top before its first subtree is copied; each position wanted at a
+    level is a distinct node of the tree, so more of them than TREE_NODE_CAP
+    raise at once, where a level of 10^8 took the memory of the machine."""
     ring = _ring(2)
     monkeypatch.setattr(prooftree, "TREE_NODE_CAP", 10)
     copies = []
@@ -752,6 +754,61 @@ def test_a_level_past_the_node_cap_raises_before_a_subtree_is_copied(monkeypatch
     monkeypatch.setattr(PathTree, "branch", lambda *args: copies.append(args) or real(*args))
     with pytest.raises(CapExceeded, match="exceeds 10 nodes"):
         approx_proof(ring, J("r0"), 100)
+    assert copies == []
+
+
+def test_an_approximated_proof_holds_two_levels_of_trees():
+    """Above the cut, each level's trees are built from the level below and
+    replace it: a level-300 proof on a 2-judgement ring, 301 nodes, peaks
+    far below the 38 MiB that holding every (position, level) tree took."""
+    ring = _ring(2)
+    tracemalloc.start()
+    try:
+        tree = approx_proof(ring, J("r0"), 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(tree), tree.depth) == (301, 300)
+    assert peak < 5 * 2**20, f"peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_an_axiom_at_any_level_is_one_node_at_once():
+    """The choice of levels from the top stops once no position is wanted,
+    so an axiom at level 10^8 takes one choice, not one per level."""
+    a = J("a")
+    axiom = InferenceSystem(Universe([a]), [Rule(a)], [])
+    started = time.perf_counter()
+    tree = approx_proof(axiom, a, 10**8)
+    assert time.perf_counter() - started < 1
+    assert (tree.root, tree.paths) == (a, frozenset())
+
+
+def test_stacking_past_the_copy_cap_names_the_tree_and_copies_nothing(monkeypatch):
+    """A level-1420 proof on a 2-judgement ring has 1421 nodes, but stacking
+    it copies 1420 * 1421 / 2 nodes, past TREE_NODE_CAP: the refusal names
+    the tree's size and comes before the first subtree is copied."""
+    copies = []
+    real = PathTree.branch
+    monkeypatch.setattr(PathTree, "branch", lambda *args: copies.append(args) or real(*args))
+    with pytest.raises(CapExceeded) as exc:
+        approx_proof(_ring(2), J("r0"), 1420)
+    assert str(exc.value) == "stacking a 1421-node proof tree copies more than 1000000 nodes"
+    assert copies == []
+
+
+def test_a_sequence_counts_its_copies_together(monkeypatch):
+    """approximating_sequence counts the copies of all its levels against
+    TREE_NODE_CAP: on a 2-judgement ring, t_0..t_2 copy 5 nodes in all and
+    t_0..t_3 copy 12, though no tree has more than 5 nodes."""
+    ring = _ring(2)
+    monkeypatch.setattr(prooftree, "TREE_NODE_CAP", 10)
+    assert [len(t) for t in approximating_sequence(ring, J("r0"), 2)] == [1, 3, 3]
+    copies = []
+    real = PathTree.branch
+    monkeypatch.setattr(PathTree, "branch", lambda *args: copies.append(args) or real(*args))
+    with pytest.raises(CapExceeded) as exc:
+        approximating_sequence(ring, J("r0"), 3)
+    assert str(exc.value) == "stacking a 5-node proof tree copies more than 10 nodes"
     assert copies == []
 
 

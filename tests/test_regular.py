@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coax import regular
 from coax.regular import (
     Binding,
     EqSystem,
@@ -17,7 +18,16 @@ from coax.regular import (
     parse_eq_system,
 )
 
-from oracles import bisim_equal, random_list_term, rerooted, subterms, successors, unfold_term
+from oracles import (
+    bisim_equal,
+    moore_bisim_classes,
+    random_eq_system,
+    random_list_term,
+    rerooted,
+    subterms,
+    successors,
+    unfold_term,
+)
 
 
 def test_construction_validates_shape():
@@ -107,6 +117,28 @@ def test_canonical_is_idempotent_and_bfs_named():
     assert canon.canonical() is canon
     assert list(canon.states)[0] == "s0"
     assert canon.root == "s0"
+
+
+def _partition(classes: dict[str, int]) -> set[frozenset[str]]:
+    groups: dict[int, set[str]] = {}
+    for name, c in classes.items():
+        groups.setdefault(c, set()).add(name)
+    return set(map(frozenset, groups.values()))
+
+
+def test_canonical_forms_equal_the_moore_reference(monkeypatch):
+    """The refinement that re-signs only the states whose successors changed
+    class finds the classes Moore's refinement finds, and so the same
+    canonical text, on lists, lassos, digit streams and trees of lists."""
+    terms = [random_eq_system(random.Random(seed)) for seed in range(500)]
+    terms += [random_list_term(random.Random(seed)) for seed in range(300)]
+    for t in terms:
+        assert _partition(regular._bisim_classes(t.bindings)) == _partition(
+            moore_bisim_classes(t.bindings)
+        ), t
+    fast = [t.canonical().to_text() for t in terms]
+    monkeypatch.setattr(regular, "_bisim_classes", moore_bisim_classes)
+    assert [t.canonical().to_text() for t in terms] == fast
 
 
 def test_parse_round_trip():

@@ -288,10 +288,11 @@ class InferenceSystem:
     one-step operator and the proof builders read this one table; no
     judgement view of it is kept, and ``rules`` makes its ``Rule``s when
     called.  Systems are immutable, so the chains of the analysis are
-    computed on first need and kept.
+    computed on first need and kept, and so are the well-founded rule
+    choices made against them.
     """
 
-    __slots__ = ("universe", "coaxioms", "_table", "_ascent", "_analysis")
+    __slots__ = ("universe", "coaxioms", "_table", "_ascent", "_analysis", "_wf_choices")
 
     def __init__(
         self,
@@ -351,6 +352,9 @@ class InferenceSystem:
             self.coaxioms = universe.subset(coaxioms)
         self._ascent: IterationTrace | None = None
         self._analysis: tuple[IterationTrace, IterationTrace] | None = None
+        # the well-founded builder's rules by position, filled as proofs reach
+        # positions: [0] against the plain ascent, [1] against the seeded one
+        self._wf_choices: tuple[dict, dict] = ({}, {})
 
     # -- inspection ----------------------------------------------------------
 

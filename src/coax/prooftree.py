@@ -11,19 +11,23 @@ coaxiom used at depth >= n" means its node's path has length >= n.
 Queries read the cached analysis by position: whether a proof exists is one
 lookup in its entry or death steps.  Builders choose rules on the position
 table ``InferenceSystem._table`` against those steps or a support mask; a
-judgement is made only as a tree label, a ``ProofGraph`` field or a return
+judgement is made only as a tree label, a ``ProofGraph``'s choice or a return
 value.  The validators compare the positions of each node's children with
 the same table.
 
 No builder recurses, so no recursion limit bounds a proof's depth.
-Well-founded proofs, which choose each node's rule as the walk reaches it,
-and unfoldings are made in one top-down pass over their nodes (``_expand``),
-in O(nodes), and held as those nodes in canonical order, one (label, depth)
-pair each: printing, ``to_nested``, ``len``, ``depth`` and both validators
-read that list, and the path set, O(nodes x depth) labels, is built the
-first time something reads ``paths``.  Approximated proofs choose a premise
-set per (position, level) top down, then stack path-set trees bottom up
-(``_stack``), two levels at a time, in time cubic in the levels above the cut.
+Well-founded proofs and unfoldings are made in one top-down pass over the
+positions of their nodes (``_expand``), in O(nodes), and held as those nodes
+in canonical order, one (label, depth) pair each: printing, ``to_nested``,
+``len``, ``depth`` and both validators read that list, and the path set,
+O(nodes x depth) labels, is built the first time something reads ``paths``.
+A well-founded proof reads each node's rule from the choices the system
+keeps for its ascent, made once per position across all queries (see
+``_wf_build``); an unfolding reads the proof graph's choice by position.
+Approximated proofs choose a premise set per (position, level) top down,
+then stack path-set trees bottom up (``_stack``), two levels at a time, in
+time cubic in the levels above the cut; the subtrees below the cut are
+well-founded proofs on the coaxiom-seeded ascent's kept choices.
 """
 
 from __future__ import annotations
@@ -185,9 +189,19 @@ class PathTree:
             yield "\n".join(piece) + "\n"
 
 
+# one indent string per depth, shared by the lines of every printed tree up to
+# 255 levels deep, 64 KiB in all; kept for all depths, they would hold
+# depth^2 characters while a deep tree streams in pieces of that size
+_INDENTS = ["  " * d for d in range(256)]
+
+
 def _lines(labels: Sequence[Judgement], depths: Sequence[int]) -> Iterator[str]:
     """The layout of a printed tree: each label indented by its depth."""
-    return map(add, map(mul, repeat("  "), depths), map(_text, labels))
+    if max(depths) < len(_INDENTS):
+        indents = map(_INDENTS.__getitem__, depths)
+    else:
+        indents = map(mul, repeat("  "), depths)
+    return map(add, indents, map(_text, labels))
 
 
 class _PathsOnFirstRead:
@@ -308,15 +322,16 @@ def _expand(
     ``members``, listed node by node in canonical order in one top-down pass.
     Positions follow the order of their judgements, so going straight down to
     each first child and stacking the later siblings, last on the bottom,
-    lists each subtree before its next sibling's.  It raises CapExceeded once
-    the nodes listed, waiting and in hand, which after the last push are the
-    whole tree, pass ``TREE_NODE_CAP``."""
-    labels: list[Judgement] = []
+    lists each subtree before its next sibling's.  The walk lists positions,
+    labelled once it ends.  It raises CapExceeded once the nodes listed,
+    waiting and in hand, which after the last push are the whole tree, pass
+    ``TREE_NODE_CAP``."""
+    positions: list[int] = []
     depths: list[int] = []
     stack: list[tuple[int, int]] = []
     c, d = root, 0
     while True:
-        labels.append(members[c])
+        positions.append(c)
         depths.append(d)
         kids = children(c, d)
         if kids:
@@ -324,42 +339,64 @@ def _expand(
             c = kids[0]
             if len(kids) > 1:
                 stack.extend(zip(kids[:0:-1], repeat(d)))
-            if len(labels) + len(stack) >= TREE_NODE_CAP:
+            if len(positions) + len(stack) >= TREE_NODE_CAP:
                 raise CapExceeded(f"the proof tree exceeds {TREE_NODE_CAP} nodes")
         elif stack:
             c, d = stack.pop()
         else:
-            return _NodeTree(labels, depths)
+            return _NodeTree([members[c] for c in positions], depths)
 
 
-def _wf_build(
-    sys: InferenceSystem, entry: list[int], pos: int, budget: int, leaves: int = 0
-) -> PathTree:
+def _wf_build(sys: InferenceSystem, pos: int, budget: int, seeded: bool = False) -> PathTree:
     """Greedy canonical construction: take the least premise set whose members
-    are all provable within the remaining budget b (entry steps in 1..b);
-    members of the ``leaves`` mask stand as leaves, as axioms do.
-    Well-defined whenever entry[pos] - 1 <= budget.
+    are all provable within the remaining budget b (entry steps in 1..b).
+    Entry steps are the plain ascent's or, when ``seeded``, those of the
+    ascent seeded with the coaxioms, which then stand as leaves, as axioms
+    do.  Well-defined whenever entry[pos] - 1 <= budget.
 
-    The tree is expanded once, and the rule of each node is chosen as the
-    walk reaches it: a node's budget is the root's less its depth, and the
-    choice for each (position, budget) pair is made once."""
-    table = sys._table
-    chosen: dict[tuple[int, int], tuple[int, ...]] = {}
+    The tree is expanded once, and a node's budget is the root's less its
+    depth.  Its rule comes from the choices the system keeps for that
+    ascent, made for a position the first time any proof reaches it: the
+    rules that are least for some budget, as (need, premises) pairs.  A rule
+    needs its premises' highest entry step, and joins the list only if it
+    needs less than every earlier rule, so the least rule within budget b is
+    the first that needs at most b, and the list holds at most one entry per
+    rule.  It ends at the rule by which the position entered, which needs
+    the least of all."""
+    if seeded:
+        entry, leaves = sys._analyze()[0].record, sys.coaxioms.mask
+    else:
+        entry, leaves = sys._ascend().record, 0
+    table, kept = sys._table, sys._wf_choices[seeded]
+
+    # kept as tuples of ints, which the collector stops tracking
+    def least(c: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        if (leaves >> c) & 1:
+            return ((0, ()),)
+        rules: tuple[tuple[int, tuple[int, ...]], ...] = ()
+        for prs in table.get(c, ()):
+            need = 0
+            for p in prs:
+                if not entry[p]:  # never enters
+                    break
+                if entry[p] > need:
+                    need = entry[p]
+            else:
+                if need == entry[c] - 1:
+                    return rules + ((need, prs),)
+                if not rules or need < rules[-1][0]:
+                    rules += ((need, prs),)
+        raise AssertionError(f"position {c} entered by no rule")  # pragma: no cover
 
     def children(c: int, d: int) -> tuple[int, ...]:
+        rules = kept.get(c)
+        if rules is None:
+            rules = kept[c] = least(c)
         b = budget - d
-        prs = chosen.get((c, b))
-        if prs is None:
-            for prs in ((),) if (leaves >> c) & 1 else table.get(c, ()):
-                for p in prs:
-                    if not 0 < entry[p] <= b:
-                        break
-                else:
-                    break
-            else:  # pragma: no cover - guarded by the level precondition
-                raise AssertionError(f"no admissible rule at position {c}, budget {b}")
-            chosen[c, b] = prs
-        return prs
+        for need, prs in rules:
+            if need <= b:
+                return prs
+        raise AssertionError(f"no admissible rule at position {c}, budget {b}")  # pragma: no cover
 
     return _expand(sys.universe.members, pos, children)
 
@@ -386,13 +423,12 @@ def _stack(
         yield trees
 
 
-def _below_the_cut(
-    sys: InferenceSystem, entry: list[int], wanted: Iterable[int]
-) -> dict[int, PathTree]:
+def _below_the_cut(sys: InferenceSystem, wanted: Iterable[int]) -> dict[int, PathTree]:
     """A shortest proof modulo coaxioms of each closure member wanted, by
     position: the subtrees an approximated proof hangs below its cut, chosen
     against the coaxiom-seeded entry steps."""
-    return {c: _wf_build(sys, entry, c, entry[c] - 1, sys.coaxioms.mask) for c in wanted}
+    entry = sys._analyze()[0].record
+    return {c: _wf_build(sys, c, entry[c] - 1, seeded=True) for c in wanted}
 
 
 def wf_proof_search(
@@ -413,7 +449,7 @@ def wf_proof_search(
     pos = sys.universe.position(j)
     if not 0 < entry[pos] <= depth_bound + 1:
         return None
-    return _wf_build(sys, entry, pos, min(depth_bound, len(sys.universe)))
+    return _wf_build(sys, pos, min(depth_bound, len(sys.universe)))
 
 
 def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTree]:
@@ -428,8 +464,7 @@ def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTre
     """
     if n < 0:
         raise ValueError(f"approximation level must be >= 0, got {n}")
-    up, down = sys._analyze()
-    death = down.record
+    death = sys._analyze()[1].record
     pos = sys.universe.position(j)
     if 0 <= death[pos] <= n:
         return None
@@ -456,7 +491,7 @@ def approx_proof(sys: InferenceSystem, j: Judgement, n: int) -> Optional[PathTre
             raise CapExceeded(f"the proof tree exceeds {TREE_NODE_CAP} nodes")
         if not wanted:
             break
-    trees = _below_the_cut(sys, up.record, wanted)
+    trees = _below_the_cut(sys, wanted)
     for trees in _stack(sys.universe.members, trees, levels[::-1]):
         pass  # each level replaces the one below it
     return trees[pos]
@@ -471,15 +506,51 @@ def validate_approx_level(sys: InferenceSystem, t: PathTree, n: int) -> Verdict:
     return _validate(sys, t, sys.coaxioms, n)
 
 
-@dataclass
 class ProofGraph:
     """A rule choice on a consistent set: finite presentation of a regular,
     possibly non-well-founded proof.  Unfolding from any member stays inside
-    the support."""
+    the support.
 
-    support: JudgementSet
-    choice: dict[Judgement, tuple[Judgement, ...]]
-    root: Judgement
+    The graph holds its choice by position, each premise tuple sorted and
+    free of repeats, which is what ``unfold`` reads; ``choice`` gives it by
+    judgement.  A graph built from a hand-made ``choice``, whose premises may
+    come in any order and repeat, reads it into positions once, here, and
+    keeps it as given.  ``proof_graph`` fills the positions from the least
+    rules it chose, and ``choice`` is made on its first read.  Graphs
+    compare and print by (support, choice, root).
+    """
+
+    __hash__ = None  # type: ignore[assignment]  # compared by value, like the choice dict
+
+    def __init__(self, support: JudgementSet, choice: dict[Judgement, tuple[Judgement, ...]],
+                 root: Judgement):
+        position = support.universe.position
+        self.support, self.root, self._choice = support, root, choice
+        self._premises = {position(c): tuple(sorted(set(map(position, prs))))
+                          for c, prs in choice.items()}
+
+    @classmethod
+    def _chosen(cls, support: JudgementSet, premises: dict[int, tuple[int, ...]],
+                root: Judgement) -> "ProofGraph":
+        g = cls.__new__(cls)
+        g.support, g.root, g._choice, g._premises = support, root, None, premises
+        return g
+
+    @property
+    def choice(self) -> dict[Judgement, tuple[Judgement, ...]]:
+        if self._choice is None:
+            members = self.support.universe.members
+            self._choice = {members[c]: tuple(map(members.__getitem__, prs))
+                            for c, prs in self._premises.items()}
+        return self._choice
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProofGraph):
+            return NotImplemented
+        return (self.support, self.choice, self.root) == (other.support, other.choice, other.root)
+
+    def __repr__(self) -> str:
+        return f"ProofGraph(support={self.support!r}, choice={self.choice!r}, root={self.root!r})"
 
     def to_dict(self) -> dict:
         return {
@@ -498,13 +569,11 @@ def proof_graph(sys: InferenceSystem, s: JudgementSet, j: Judgement) -> ProofGra
     """
     if j not in s:
         raise ValueError(f"root {j} is not in the support set")
-    members = sys.universe.members
-    choice: dict[Judgement, tuple[Judgement, ...]] = {}
-    for c, prs in sys._least_rules(s):
+    premises = dict(sys._least_rules(s))
+    for c, prs in premises.items():
         if prs is None:
-            raise NotConsistent(members[c])
-        choice[members[c]] = tuple(map(members.__getitem__, prs))
-    return ProofGraph(s, choice, j)
+            raise NotConsistent(sys.universe.members[c])
+    return ProofGraph._chosen(s, premises, j)
 
 
 def unfold(g: ProofGraph, depth: int) -> PathTree:
@@ -516,11 +585,8 @@ def unfold(g: ProofGraph, depth: int) -> PathTree:
     """
     if depth < 0:
         raise ValueError(f"unfold depth must be >= 0, got {depth}")
-    uni = g.support.universe
-    index = uni._index
-    choice = {index[c.text]: tuple(sorted(set(map(index.__getitem__, map(_text, prs)))))
-              for c, prs in g.choice.items()}
-    return _expand(uni.members, uni.position(g.root), lambda c, d: choice[c] if d < depth else ())
+    uni, premises = g.support.universe, g._premises
+    return _expand(uni.members, uni.position(g.root), lambda c, d: premises[c] if d < depth else ())
 
 
 def tree_le_n(t1: PathTree, t2: PathTree, n: int) -> bool:
@@ -549,7 +615,7 @@ def approximating_sequence(
     """
     if upto < 0:
         raise ValueError(f"sequence bound must be >= 0, got {upto}")
-    up, down = sys._analyze()
+    down = sys._analyze()[1]
     pos = sys.universe.position(j)
     if down.record[pos] >= 0:
         raise NotInGenerated(j)
@@ -561,5 +627,5 @@ def approximating_sequence(
             level = [(c, chosen[c]) for c in wanted]
             wanted = wanted.union(*(prs for _, prs in level))
         levels.append(level)
-    trees = _below_the_cut(sys, up.record, wanted)
+    trees = _below_the_cut(sys, wanted)
     return (trees[pos], *(t[pos] for t in _stack(sys.universe.members, trees, levels[::-1])))

@@ -95,6 +95,8 @@ def parse_graph(text: str) -> Graph:
                 try:
                     w = int(parts[3])
                 except ValueError:
+                    # only an int limit refuses a digit string, and a Python
+                    # that has one has sys.get_int_max_str_digits too
                     if re.fullmatch(r"[+-]?\d+(_\d+)*", parts[3]):  # an int, too long to read
                         raise ValueError(f"line {lineno}: weight has more than "
                                          f"{sys.get_int_max_str_digits()} digits, "
@@ -630,25 +632,32 @@ def build_dist(g: Graph) -> tuple[InferenceSystem, Universe]:
 def _simple_paths(g: Graph) -> dict[tuple[str, str], list[tuple[str, ...]]]:
     """All simple paths, grouped by first and final node (a node's trivial
     path under the node paired with itself), each group in depth-first order.
-    First spath's count is checked, before any path is made: the paths are
-    counted on (first node, last node, node bitmask) triples, after the
-    `bot` claims of the pairs of distinct nodes, as judgements in `found`."""
+    First spath's count is checked, before any path is made: from each first
+    node, the paths are counted one length at a time on (last node, node
+    bitmask) states, each standing for every path that reaches it, after the
+    `bot` claims of the pairs of distinct nodes, as judgements in `found`.
+    A state of the next length counts as one path until its own paths are
+    counted, so neither length's states held pass the cap."""
     found = len(g.nodes) * (len(g.nodes) - 1)
     if found > GROUND_CAP:  # before the bitmasks, which take n^2 / 16 bytes
         _refuse("spath", f"at least {found}")
     bit = {v: 1 << i for i, v in enumerate(g.nodes)}
     succ = {v: [(t, bit[t]) for t in g.adj[v]] for v in g.nodes}
     path_counts: defaultdict[tuple[str, str], int] = defaultdict(int)
-    ends = [(v, v, bit[v]) for v in g.nodes]
-    while ends:
-        source, v, seen = ends.pop()
-        path_counts[source, v] += 1
-        found += 1
-        if found > GROUND_CAP:
-            _refuse("spath", f"at least {found}")
-        for t, b in succ[v]:  # a loop: a generator here took twice as long
-            if not seen & b:
-                ends.append((source, t, seen | b))
+    for source in g.nodes:
+        layer = {(source, bit[source]): 1}  # the paths of one length, by state
+        while layer:
+            longer: dict[tuple[str, int], int] = {}
+            for (v, seen), paths in layer.items():
+                path_counts[source, v] += paths
+                found += paths
+                for t, b in succ[v]:
+                    if not seen & b:
+                        state = t, seen | b
+                        longer[state] = longer.get(state, 0) + paths
+                if found + len(longer) > GROUND_CAP:
+                    _refuse("spath", f"at least {GROUND_CAP + 1}")
+            layer = longer
     claims = {(v, u): path_counts[v, u] + (v != u) for v in g.nodes for u in g.nodes}
     _check_ground("spath", found + sum(
         1 if v == u else math.prod(claims[t, u] for t in g.adj[v]) for v, u in claims))
@@ -675,7 +684,8 @@ def build_spath(g: Graph) -> tuple[InferenceSystem, Universe]:
     across weight-0 cycles.
     """
     total = sum(g.weights.values())
-    digits = sys.get_int_max_str_digits()  # the longest int Python prints, 0 for any
+    # the longest int Python prints, 0 for any; Python 3.10.0-3.10.6 has no limit
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits and total >= 10 ** digits:  # a path weight's text would raise mid-build
         raise CapExceeded(f"spath path weights may exceed {digits} digits, the most an int prints")
     # Costs are plain ints and `inf` is 2 * total + 1, as in build_dist: an

@@ -25,6 +25,7 @@ from coax.core import (
     generated,
     inductive,
     kernel_below,
+    with_coaxioms_as_axioms,
 )
 from coax.prooftree import (
     NotConsistent,
@@ -460,6 +461,20 @@ def test_proof_graph_and_unfold(loopy):
     assert set(d["choice"]) == {str(j) for j in gen}
 
 
+def test_a_chosen_graph_reads_as_the_graph_made_by_hand_from_its_choice(loopy):
+    """proof_graph makes ``choice`` from positions on its first read; the
+    graph then compares and prints as one built from that choice by hand."""
+    gen = generated(loopy)
+    for j in gen:
+        g = proof_graph(loopy, gen, j)
+        by_hand = ProofGraph(gen, dict(g.choice), j)
+        assert g == by_hand and repr(g) == repr(by_hand)
+        assert repr(g) == f"ProofGraph(support={gen!r}, choice={g.choice!r}, root={j!r})"
+        assert all(g != proof_graph(loopy, gen, k) for k in gen if k != j)
+    with pytest.raises(TypeError):
+        hash(g)
+
+
 def test_proof_graph_rejects_inconsistent_support(loopy):
     uni = loopy.universe
     # {a} alone: a's rules need b or c, neither inside
@@ -647,6 +662,38 @@ def test_wf_proofs_sequences_and_unfoldings_equal_the_references(seed):
         g = proof_graph(system, gen, j)
         for depth in range(6):
             assert _shape(unfold(g, depth)) == _shape(frontier_unfold(g, depth))
+
+
+def test_kept_rule_choices_give_the_trees_of_a_fresh_system_on_the_corpus():
+    """A system keeps the well-founded rules it chose against each ascent
+    across queries.  On the 500 acceptance systems, every wf_proof_search,
+    approx_proof and approximating_sequence tree, asked in a shuffled order of
+    a system that has answered the others, is the tree of a fresh copy and
+    of the recursive builder; the last two read the seeded choices below the
+    cut.  Each kept table holds at most one entry per rule of the system it
+    chooses in: the system, or its coaxioms-as-axioms system."""
+
+    def shape(trees):
+        return tuple(map(_shape, trees)) if isinstance(trees, tuple) else _shape(trees)
+
+    build = {"wf": wf_proof_search, "approx": approx_proof, "sequence": approximating_sequence}
+    for seed in range(500):
+        rng = random.Random(seed)
+        system = random_system(rng, max_size=12)
+        ref = RecursiveProofs(system)
+        want = {"wf": ref.wf, "approx": ref.approx, "sequence": ref.sequence}
+        size = len(system.universe)
+        queries = [(kind, j, k) for kind in ("wf", "approx") for j in system.universe
+                   for k in range(size + 1)]
+        queries += [("sequence", j, size) for j in generated(system)]
+        rng.shuffle(queries)
+        for kind, j, k in queries:
+            fresh = InferenceSystem(system.universe, system.rules(), system.coaxioms)
+            got = shape(build[kind](system, j, k))
+            assert got == shape(build[kind](fresh, j, k)) == shape(want[kind](j, k)), (seed, kind, j, k)
+        plain, seeded = system._wf_choices
+        assert sum(map(len, plain.values())) <= system.rule_count
+        assert sum(map(len, seeded.values())) <= with_coaxioms_as_axioms(system).rule_count
 
 
 def _chain(length: int, coaxiom: bool = False) -> InferenceSystem:

@@ -4,8 +4,10 @@ the list states, a call-by-value interpreter) on both hand-picked and random
 instances."""
 
 import itertools
+import math
 import random
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
@@ -689,6 +691,41 @@ def test_weighted_caps():
         build_spath(complete)
     with pytest.raises(CapExceeded, match=r"^dist would ground 21937098 judgements"):
         build_dist(parse_graph(DIST_8))
+
+
+def test_spath_counts_its_simple_paths_on_states(monkeypatch):
+    """spath counts its simple paths on (last node, node set) states, each
+    standing for every path that reaches it.  On dense graphs, where many
+    paths meet in one state, the judgements it counts are the paths it then
+    lists plus one `bot` claim per pair of distinct nodes."""
+    checked = []
+    monkeypatch.setattr(systems, "_check_ground", lambda _, count: checked.append(count))
+    for seed in range(40):
+        rng = random.Random(seed)
+        nodes = "abcdefg"[: rng.randint(2, 7)]
+        g = Graph(nodes, [(u, v) for u in nodes for v in nodes if u != v and rng.random() < 0.6])
+        out = systems._simple_paths(g)
+        claims = {(v, u): len(paths) + (v != u) for (v, u), paths in out.items()}
+        instances = [1 if v == u else math.prod(claims[t, u] for t in g.adj[v]) for v, u in claims]
+        assert checked[-1] == sum(claims.values()) + sum(instances), seed
+
+
+def test_spath_refuses_the_complete_10_node_graph_at_once():
+    """Its 9,864,100 simple paths meet in 23,050 states; counted one path at
+    a time, the refusal took 0.5-1.1 s."""
+    complete = parse_graph(COMPLETE_10)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"^spath would ground at least 1000001 judgements"):
+        build_spath(complete)
+    assert time.perf_counter() - start < 0.2
+
+
+def test_spath_builds_where_python_has_no_int_digit_limit(monkeypatch):
+    """Python 3.10.0-3.10.6 has no sys.get_int_max_str_digits, nor the limit
+    it reads: spath then checks no path weight's length and builds."""
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    heavy = Graph(["a", "b"], [("a", "b")], {("a", "b"): 100})
+    assert "spath(a,b,[a,b],100)" in gen_texts(build_spath(heavy)[0])
 
 
 def _ground_counts(monkeypatch, family: str, build, *args) -> tuple[int, int]:

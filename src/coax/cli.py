@@ -24,7 +24,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_text
 from operator import lt
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from types import GeneratorType
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from .core import (
     CapExceeded,
@@ -34,6 +35,7 @@ from .core import (
     Judgement,
     JudgementSet,
     Universe,
+    _mask,
     _token_lines,
     coinductive,
     generated,
@@ -84,8 +86,41 @@ def _interner() -> tuple[dict[str, int], Callable[[str], int]]:
     return ids, ids.__getitem__
 
 
-def parse_system_file(text: str) -> SystemFile:
-    """Grammar, one directive per line, `#` starts a comment:
+_CHUNK = 1 << 16  # characters read from a system file at a time
+# every character that ends a line for str.splitlines
+_LINE_ENDS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _line_batches(source: str | TextIO) -> Iterator[tuple[bool, list[str]]]:
+    """The lines of a text, or of a text stream read ``_CHUNK`` characters
+    at a time, in batches, split exactly as ``str.splitlines()`` splits the
+    whole text; with each batch, whether its text holds a ``#``.  A text is
+    one batch.  A stream's last piece of a chunk waits for the next chunk
+    when it ends in no line break, or in ``"\\r"``, which may begin
+    ``"\\r\\n"``."""
+    if isinstance(source, str):
+        yield "#" in source, source.splitlines()
+        return
+    rest = ""
+    while chunk := source.read(_CHUNK):
+        text = rest + chunk
+        lines = text.splitlines()
+        last = text[-1]
+        if last == "\r":
+            rest = lines.pop() + last
+        elif last in _LINE_ENDS:
+            rest = ""
+        else:
+            rest = lines.pop()
+        yield "#" in text, lines
+    if rest:
+        yield "#" in rest, rest.splitlines()
+
+
+def parse_system_file(source: str | TextIO) -> SystemFile:
+    """Read a system file from a text, or from a text stream in chunks of
+    ``_CHUNK`` characters, so that no whole copy of a stream's text is held.
+    Grammar, one directive per line, `#` starts a comment:
 
         universe j1 j2 ...      (repeatable; omit to infer)
         rule c <- p1 p2 ...
@@ -100,51 +135,52 @@ def parse_system_file(text: str) -> SystemFile:
     rules: defaultdict[int, dict[tuple[int, ...], None]] = defaultdict(dict)
     coaxioms: dict[int, None] = {}
     warnings: list[str] = []
-    comments = "#" in text
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = (raw.split("#", 1)[0] if comments else raw).split()
-        if not tokens:
-            continue
-        head = tokens[0]
-        if head == "rule":
-            if len(tokens) < 3 or tokens[2] != "<-":
-                raise ValueError(f"line {lineno}: expected `rule c <- p1 p2 ...`")
-            premise_sets = rules[at(tokens[1])]
-            ps = tuple(map(at, tokens[3:]))
-            # sorted only when not increasing already (the first pair decides
-            # most); premises that emit_system writes come in increasing order
-            if len(ps) > 1 and (
-                ps[0] >= ps[1] or len(ps) > 2 and not all(map(lt, ps[1:], ps[2:]))
-            ):
-                ps = tuple(sorted(set(ps)))
-        elif head == "axiom":
-            if len(tokens) != 2:
-                raise ValueError(f"line {lineno}: expected `axiom c`")
-            premise_sets = rules[at(tokens[1])]
-            ps = ()
-        elif head == "universe":
-            if universe is None:
-                universe = []
-            universe.extend(map(at, tokens[1:]))
-            continue
-        elif head == "coaxiom":
-            if len(tokens) != 2:
-                raise ValueError(f"line {lineno}: expected `coaxiom c`")
-            c = at(tokens[1])
-            if c in coaxioms:
-                warnings.append(f"line {lineno}: duplicate coaxiom {tokens[1]} ignored")
+    lineno = 0
+    for comments, lines in _line_batches(source):
+        for lineno, raw in enumerate(lines, start=lineno + 1):
+            tokens = (raw.split("#", 1)[0] if comments else raw).split()
+            if not tokens:
+                continue
+            head = tokens[0]
+            if head == "rule":
+                if len(tokens) < 3 or tokens[2] != "<-":
+                    raise ValueError(f"line {lineno}: expected `rule c <- p1 p2 ...`")
+                premise_sets = rules[at(tokens[1])]
+                ps = tuple(map(at, tokens[3:]))
+                # sorted only when not increasing already (the first pair decides
+                # most); premises that emit_system writes come in increasing order
+                if len(ps) > 1 and (
+                    ps[0] >= ps[1] or len(ps) > 2 and not all(map(lt, ps[1:], ps[2:]))
+                ):
+                    ps = tuple(sorted(set(ps)))
+            elif head == "axiom":
+                if len(tokens) != 2:
+                    raise ValueError(f"line {lineno}: expected `axiom c`")
+                premise_sets = rules[at(tokens[1])]
+                ps = ()
+            elif head == "universe":
+                if universe is None:
+                    universe = []
+                universe.extend(map(at, tokens[1:]))
+                continue
+            elif head == "coaxiom":
+                if len(tokens) != 2:
+                    raise ValueError(f"line {lineno}: expected `coaxiom c`")
+                c = at(tokens[1])
+                if c in coaxioms:
+                    warnings.append(f"line {lineno}: duplicate coaxiom {tokens[1]} ignored")
+                else:
+                    coaxioms[c] = None
+                continue
             else:
-                coaxioms[c] = None
-            continue
-        else:
-            raise ValueError(
-                f"line {lineno}: unknown directive {head!r} "
-                f"(expected universe/rule/axiom/coaxiom)"
-            )
-        if ps in premise_sets:
-            warnings.append(f"line {lineno}: duplicate rule for {tokens[1]} ignored")
-        else:
-            premise_sets[ps] = None
+                raise ValueError(
+                    f"line {lineno}: unknown directive {head!r} "
+                    f"(expected universe/rule/axiom/coaxiom)"
+                )
+            if ps in premise_sets:
+                warnings.append(f"line {lineno}: duplicate rule for {tokens[1]} ignored")
+            else:
+                premise_sets[ps] = None
     return SystemFile(
         list(ids),
         None if universe is None else tuple(universe),
@@ -177,31 +213,43 @@ def system_from_file(sf: SystemFile) -> InferenceSystem:
             to(c): [tuple(sorted(map(to, ps))) for ps in premise_sets]
             for c, premise_sets in sf.rule_ids.items()
         }
-    coaxioms = sum(1 << perm[c] for c in sf.coaxiom_ids)  # the ids are distinct
+    coaxioms = _mask(map(perm.__getitem__, sf.coaxiom_ids))
     return InferenceSystem._from_table(universe, table, JudgementSet(universe, coaxioms))
 
 
 _UNIVERSE_PER_LINE = 8  # judgements on each universe line that emit_system writes
+_BATCH = 512  # lines, and JSON items, in each piece of output
 
 
 def emit_system(sys: InferenceSystem) -> str:
     """Serialize in the extensional format; parsing the result reproduces the
-    system exactly (universe, rules and coaxioms)."""
-    lines = []
+    system exactly (universe, rules and coaxioms).  The text is the join of
+    ``_system_pieces``, which ``coax builtin`` writes as it makes them."""
+    return "".join(_system_pieces(sys))
+
+
+def _system_pieces(sys: InferenceSystem) -> Iterator[str]:
+    """The text of ``emit_system`` in pieces, each made when the one before
+    it has been taken.  A piece ends after the first conclusion whose rules
+    bring it to ``_BATCH`` lines; a check per line made ``builtin dist`` a
+    tenth slower."""
     texts = sys.universe.texts
-    for i in range(0, len(texts), _UNIVERSE_PER_LINE):
-        lines.append("universe " + " ".join(texts[i : i + _UNIVERSE_PER_LINE]))
-    if not texts:
-        lines.append("universe")
+    lines = [
+        "universe " + " ".join(texts[i : i + _UNIVERSE_PER_LINE])
+        for i in range(0, len(texts), _UNIVERSE_PER_LINE)
+    ] or ["universe"]
     text = list(texts).__getitem__  # a list's __getitem__ is called faster than a tuple's
     for c, premise_sets in sys._table.items():
         head = f"rule {texts[c]} <- "
         for prs in premise_sets:
             lines.append(head + " ".join(map(text, prs)) if prs else f"axiom {texts[c]}")
-    for c in sys.coaxioms.texts():
-        lines.append(f"coaxiom {c}")
-    lines.append("")  # the final newline, written by the one join
-    return "\n".join(lines)
+        if len(lines) >= _BATCH:
+            lines.append("")  # each piece ends in a newline
+            yield "\n".join(lines)
+            lines = []
+    lines += [f"coaxiom {c}" for c in sys.coaxioms.texts()]
+    lines.append("")
+    yield "\n".join(lines)
 
 
 def parse_candidate_file(text: str, universe: Universe) -> JudgementSet:
@@ -243,9 +291,11 @@ def graph_dot(g: ProofGraph) -> str:
 
 def json_pieces(obj: object) -> Iterator[str]:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` in pieces, for
-    dicts with text keys, lists, and text, int, bool or None leaves.  Each
-    piece joins about 512 items: a write per item made ``builtin dist
-    --format json`` a third slower into a pipe.
+    dicts with text keys, lists, and text, int, bool or None leaves; a
+    generator is written as the list of what it yields, taken one item at a
+    time as the output reaches it.  Each piece joins about ``_BATCH``
+    items: a write per item made ``builtin dist --format json`` a third
+    slower into a pipe.
 
     No recursion: each open container is a frame on an explicit stack, an
     iterator over its items with its depth and closing bracket, so no depth
@@ -257,12 +307,12 @@ def json_pieces(obj: object) -> Iterator[str]:
     frames: list[tuple[Iterator[tuple[str, object]], int, str]] = []
     value, depth = obj, 0
     while True:
-        if isinstance(value, dict) and value:
+        if isinstance(value, dict):
             keys = sorted(value)
             heads = [_encode_text(key) + ": " for key in keys]
             frames.append((zip(heads, map(value.__getitem__, keys)), depth, "}"))
             sep = "{"
-        elif isinstance(value, list) and value:
+        elif isinstance(value, (list, GeneratorType)):
             frames.append((zip(itertools.repeat(""), value), depth, "]"))
             sep = "["
         else:
@@ -275,14 +325,15 @@ def json_pieces(obj: object) -> Iterator[str]:
             if item is not None:
                 break
             frames.pop()
-            out.append("\n" + "  " * depth + closer)
+            # a container closed right after it opened is empty: "[]" or "{}"
+            out.append(sep + closer if sep != "," else "\n" + "  " * depth + closer)
             sep = ","
         else:
             break
         head, value = item
         depth += 1
         out.append(sep + "\n" + "  " * depth + head)
-        if len(out) > 512:
+        if len(out) > _BATCH:
             yield "".join(out)
             out.clear()
     out.append("\n")
@@ -315,7 +366,13 @@ def _emit_json(obj: object) -> None:
 
 
 def _load_system(path: str) -> InferenceSystem:
-    sf = parse_system_file(_read(path))
+    """Parse the system file at ``path``, or stdin for ``-``, from the open
+    stream, whose text is never held whole, and load it."""
+    if path == "-":
+        sf = parse_system_file(_sys.stdin)
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            sf = parse_system_file(fh)
     for w in sf.warnings:
         print(f"warning: {w}", file=_sys.stderr)
     return system_from_file(sf)
@@ -504,14 +561,14 @@ def cmd_builtin(args: argparse.Namespace) -> int:
     system, _ = _BUILTINS[args.builder][2](systems, regular, args)
     if args.format == "json":
         texts = system.universe.texts
-        rules = [
+        rules = (  # a generator: one rule's dict at a time
             {"conclusion": texts[c], "premises": [texts[p] for p in prs]}
             for c, premise_sets in system._table.items()
             for prs in premise_sets
-        ]
+        )
         _emit_json({"universe": list(texts), "rules": rules, "coaxioms": system.coaxioms.texts()})
     else:
-        _emit(emit_system(system))
+        _sys.stdout.writelines(_system_pieces(system))
     return 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter, lt
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -174,10 +175,7 @@ class Universe:
         return JudgementSet(self, (1 << len(self.texts)) - 1)
 
     def subset(self, judgements: Iterable[Judgement]) -> "JudgementSet":
-        mask = 0
-        for j in judgements:
-            mask |= 1 << self.position(j)
-        return JudgementSet(self, mask)
+        return JudgementSet(self, _mask(map(self.position, judgements)))
 
 
 def _require_same(u: Universe, v: Universe) -> None:
@@ -189,6 +187,17 @@ def _bits(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, in increasing order, read
     off its binary text in one pass."""
     return [i for i, ch in enumerate(bin(mask)[:1:-1]) if ch == "1"]
+
+
+def _mask(positions: Iterable[int]) -> int:
+    """The mask whose set bits are ``positions``, the inverse of ``_bits``:
+    its binary text is written once and read once.  Setting one bit at a
+    time would copy the growing int once per bit."""
+    positions = list(positions)
+    digits = bytearray(b"0") * (max(positions, default=-1) + 1)
+    for p in positions:
+        digits[p] = 49  # "1"
+    return int(digits[::-1] or b"0", 2)
 
 
 class JudgementSet:
@@ -508,35 +517,46 @@ def _ascending_trace(sys: InferenceSystem, seed: int = 0) -> IterationTrace:
     own step.  The members of ``seed`` enter at step 1, as axioms do: seeded
     with the coaxiom mask, this is the inductive chain of the
     coaxioms-as-axioms system, without building that system.
+
+    A watched rule is held as its number: ``conclusions`` and ``premises``
+    give its conclusion and its premise tuple, the one in ``_table``, and
+    the premise it watches is found again in that tuple when it enters.
+    The result mask is built once, from the entry steps.
     """
     entry = [0] * len(sys.universe)
-    watchers: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in entry]
+    watchers: list[list[int]] = [[] for _ in entry]
+    conclusions: list[int] = []
+    premises: list[tuple[int, ...]] = []
     fired = _bits(seed)  # conclusions that enter at the next step
     for c, sets in sys._table.items():
         for prs in sets:
             if prs:
-                watchers[prs[0]].append((c, prs, 0))
+                watchers[prs[0]].append(len(premises))
+                conclusions.append(c)
+                premises.append(prs)
             else:
                 fired.append(c)
-    mask, step = 0, 1
+    step = 1
     while True:
         entered = []
         for c in fired:
             if not entry[c]:
                 entry[c] = step
-                mask |= 1 << c
                 entered.append(c)
         if not entered:
-            return IterationTrace(sys.universe.empty(), entry, JudgementSet(sys.universe, mask))
+            result = JudgementSet(sys.universe, _mask(compress(range(len(entry)), entry)))
+            return IterationTrace(sys.universe.empty(), entry, result)
         step += 1
         fired = []
         for pos in entered:
-            for c, prs, i in watchers[pos]:
+            for rule in watchers[pos]:
+                c = conclusions[rule]
                 if entry[c]:
                     continue  # the conclusion is in already
-                for j in range(i + 1, len(prs)):
+                prs = premises[rule]
+                for j in range(prs.index(pos) + 1, len(prs)):
                     if not entry[prs[j]]:
-                        watchers[prs[j]].append((c, prs, j))
+                        watchers[prs[j]].append(rule)
                         break
                 else:
                     fired.append(c)
@@ -548,8 +568,9 @@ def _descending_trace(sys: InferenceSystem, start_mask: int) -> IterationTrace:
     -1 for a judgement that survives.  Only the live rules, of start-set
     members with all premises in the start set, are read and indexed by
     premise.  A rule dies the moment one premise has died; a judgement dies
-    the step after its last live rule died.  Only meaningful when F(start)
-    <= start, which callers ensure.
+    the step after its last live rule died.  The result mask is built once,
+    from the survivors.  Only meaningful when F(start) <= start, which
+    callers ensure.
     """
     members = _bits(start_mask)
     death = [0] * len(sys.universe)
@@ -565,13 +586,12 @@ def _descending_trace(sys: InferenceSystem, start_mask: int) -> IterationTrace:
                     rules_by_premise[p].append(len(conclusion))
                 conclusion.append(c)
                 live[c] += 1
-    mask, step = start_mask, 1
+    step = 1
     # judgements of the start set with no live rule die in the first step;
     # afterwards deaths propagate one level at a time
     frontier = [pos for pos in members if not live[pos]]
     while frontier:
         for pos in frontier:
-            mask ^= 1 << pos
             death[pos] = step
         step += 1
         new_frontier: list[int] = []
@@ -586,7 +606,8 @@ def _descending_trace(sys: InferenceSystem, start_mask: int) -> IterationTrace:
                     new_frontier.append(c)
         frontier = new_frontier
     uni = sys.universe
-    return IterationTrace(JudgementSet(uni, start_mask), death, JudgementSet(uni, mask))
+    survivors = _mask(compress(range(len(death)), map((-1).__eq__, death)))
+    return IterationTrace(JudgementSet(uni, start_mask), death, JudgementSet(uni, survivors))
 
 
 def _escaping_rule(sys: InferenceSystem, s: JudgementSet) -> tuple[int, tuple[int, ...]] | None:

@@ -26,6 +26,7 @@ from .core import (
     JudgementSet,
     Universe,
     _check_name,
+    _mask,
     _token_lines,
     inductive,
 )
@@ -358,9 +359,7 @@ def _ground(texts: Mapping[Hashable, str], rules: Iterable[_Instance],
     table: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
     for conclusion, premises in rules:
         table[position(conclusion)].append(tuple(sorted(set(map(position, premises)))))
-    mask = 0
-    for p in map(position, coaxioms):
-        mask |= 1 << p
+    mask = _mask(map(position, coaxioms))
     return InferenceSystem._from_table(uni, table, JudgementSet(uni, mask)), uni
 
 
@@ -625,7 +624,7 @@ def build_dist(g: Graph) -> tuple[InferenceSystem, Universe]:
             rules = itertools.product(*([position[(t, u)][i] for i in order] for t in targets))
             deque(map(list.append, map(route.__getitem__, conclusion_costs), rules), maxlen=0)
             table.update((c, sets) for c, sets in zip(conclusion_of, buckets) if sets)
-    coaxioms = sum(1 << here[-1] for (v, u), here in position.items() if v != u)
+    coaxioms = _mask(here[-1] for (v, u), here in position.items() if v != u)
     return InferenceSystem._from_table(uni, table, JudgementSet(uni, coaxioms)), uni
 
 

@@ -16,11 +16,13 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import coax
+from coax import cli
 from coax.cli import (
     emit_system,
     json_pieces,
@@ -296,6 +298,62 @@ def test_loader_reads_files_as_the_string_reference(seed, where, stray, bad_line
     assert load_outcome(parse_system_file, system_from_file, text) == want
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.sampled_from(["a", "b", " ", "#", *_LINE_BREAKS]), max_size=24).map("".join),
+    st.integers(1, 8),
+)
+@example("a\r\nb", 2)  # "\r\n" across the edge of the first chunk
+@example("a\r", 2)  # "\r" at the end of the text
+def test_a_stream_is_read_in_chunks_as_splitlines_splits_its_whole_text(text, chunk):
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        batches = list(cli._line_batches(io.StringIO(text, newline="")))
+    assert [line for _, lines in batches for line in lines] == text.splitlines()
+    for comments, lines in batches:  # a batch with a "#" in a line says so
+        assert comments or not any("#" in line for line in lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["first", "first-unsorted", "middle", "last", "missing"]),
+    st.sampled_from([None, None, "conclusion", "premise", "coaxiom"]),
+    st.sampled_from([None, None, "rule a", "axiom a b", "frobnicate x"]),
+    st.sampled_from([1, 3, 7]),
+)
+def test_a_system_file_read_from_a_stream_in_chunks_parses_as_its_text(
+    seed, where, stray, bad_line, chunk
+):
+    """The same SystemFile, warnings and error text as the whole text gives,
+    and as the string reference, whatever the chunk size."""
+    rng = random.Random(seed)
+    text = render_system(rng, where, stray)
+    if bad_line is not None:
+        lines = text.splitlines()
+        lines.insert(rng.randint(0, len(lines)), bad_line)
+        text = "\n".join(lines)
+
+    def parsed(parse, source):
+        try:
+            return parse(source)
+        except ValueError as exc:
+            return str(exc)
+
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        streamed = parsed(parse_system_file, io.StringIO(text))
+        outcome = load_outcome(lambda t: parse_system_file(io.StringIO(t)), system_from_file, text)
+    assert streamed == parsed(parse_system_file, text)
+    assert outcome == load_outcome(string_parse_system_file, string_system_from_file, text)
+
+
+def test_an_undecodable_system_file_exits_2_on_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.coax"
+    path.write_bytes(b"axiom a\naxiom \xff\n")
+    code, out, err = invoke(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte\n"
+
+
 def test_unsorted_universe_is_remapped():
     """Ids follow first appearance, positions follow the text order; when
     they differ every id is remapped."""
@@ -388,6 +446,22 @@ JSON_PAYLOADS = st.recursive(
 @given(JSON_PAYLOADS)
 def test_json_payloads_are_written_as_json_dumps_writes_them(payload):
     assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def as_generators(payload):
+    """The payload with every list, at any depth, made a generator."""
+    if isinstance(payload, list):
+        return (as_generators(item) for item in payload)
+    if isinstance(payload, dict):
+        return {key: as_generators(value) for key, value in payload.items()}
+    return payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_PAYLOADS)
+@example({"empty": [], "nested": [[], {}]})
+def test_generators_are_written_as_the_lists_they_yield(payload):
+    assert json_text(as_generators(payload)) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_a_3000_deep_payload_is_written_as_json_dumps_writes_it():

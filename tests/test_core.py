@@ -106,6 +106,17 @@ def test_judgement_set_algebra():
         assert [j.text for j in got] == got.texts() and len(got) == len(want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 300), max_size=40))
+@example([])
+def test_a_mask_is_built_as_the_per_bit_fold_builds_it(positions):
+    fold = 0
+    for p in positions:
+        fold |= 1 << p
+    assert core._mask(positions) == core._mask(iter(positions)) == fold
+    assert core._bits(fold) == sorted(set(positions))
+
+
 def test_judgement_sets_refuse_cross_universe_mixing():
     u1 = Universe(map(J, "ab"))
     u2 = Universe(map(J, "abc"))

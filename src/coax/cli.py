@@ -14,8 +14,10 @@ of the program, reported on one line).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
+import io
 import itertools
 import json
 import os
@@ -344,10 +346,19 @@ def _leaf(value: object) -> str:
     return _encode_text(value) if isinstance(value, str) else json.dumps(value)
 
 
+def _open(path: str) -> contextlib.AbstractContextManager[TextIO]:
+    """The file at ``path``, or stdin for ``-``, as strict UTF-8 text, where
+    Python opens stdin in the locale's encoding, with surrogateescape under C
+    and POSIX.  A stdin that is already text (``io.StringIO``) is kept."""
+    if path != "-":
+        return open(path, "r", encoding="utf-8")
+    if isinstance(_sys.stdin, io.TextIOWrapper):
+        _sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    return contextlib.nullcontext(_sys.stdin)
+
+
 def _read(path: str) -> str:
-    if path == "-":
-        return _sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path) as fh:
         return fh.read()
 
 
@@ -368,11 +379,8 @@ def _emit_json(obj: object) -> None:
 def _load_system(path: str) -> InferenceSystem:
     """Parse the system file at ``path``, or stdin for ``-``, from the open
     stream, whose text is never held whole, and load it."""
-    if path == "-":
-        sf = parse_system_file(_sys.stdin)
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            sf = parse_system_file(fh)
+    with _open(path) as fh:
+        sf = parse_system_file(fh)
     for w in sf.warnings:
         print(f"warning: {w}", file=_sys.stderr)
     return system_from_file(sf)
@@ -558,7 +566,7 @@ _BUILTINS: dict[str, tuple[str, dict[str, dict], Callable]] = {
 def cmd_builtin(args: argparse.Namespace) -> int:
     from . import regular, systems
 
-    system, _ = _BUILTINS[args.builder][2](systems, regular, args)
+    system = _BUILTINS[args.builder][2](systems, regular, args)
     if args.format == "json":
         texts = system.universe.texts
         rules = (  # a generator: one rule's dict at a time
@@ -580,7 +588,10 @@ def _add_format(p: argparse.ArgumentParser, dot: bool = False) -> None:
     p.add_argument("--format", choices=choices, default="text")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It binds no command
+    functions: ``run`` looks the command up by name on every call."""
     parser = argparse.ArgumentParser(
         prog="coax",
         description="Inductive, coinductive and coaxiom-generated interpretations "
@@ -634,13 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_format(b)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  It binds no command
-    functions: ``run`` looks the command up by name on every call."""
-    return build_parser()
 
 
 def run(argv: Sequence[str]) -> int:

@@ -234,25 +234,20 @@ def finite_list(items: Iterable[int]) -> EqSystem:
 
 def cycle_list(items: Iterable[int]) -> EqSystem:
     """The infinite periodic list x0::x1::...::x0::x1::..."""
-    items = list(items)
-    if not items:
-        raise ValueError("cycle needs at least one element")
-    bindings = {
-        f"c{i}": Binding("cons", (x, f"c{(i + 1) % len(items)}"))
-        for i, x in enumerate(items)
-    }
-    return EqSystem(bindings, "c0").canonical()
+    return _cycle("cons", items, "cycle needs at least one element")
 
 
 def cycle_stream(digits: Iterable[int]) -> EqSystem:
     """The infinite periodic digit stream d0 d1 ... d0 d1 ..."""
-    ds = list(digits)
-    if not ds:
-        raise ValueError("stream cycle needs at least one digit")
-    bindings = {
-        f"c{i}": Binding("digit", (d, f"c{(i + 1) % len(ds)}"))
-        for i, d in enumerate(ds)
-    }
+    return _cycle("digit", digits, "stream cycle needs at least one digit")
+
+
+def _cycle(tag: str, items: Iterable[int], if_empty: str) -> EqSystem:
+    items = list(items)
+    if not items:
+        raise ValueError(if_empty)
+    n = len(items)
+    bindings = {f"c{i}": Binding(tag, (x, f"c{(i + 1) % n}")) for i, x in enumerate(items)}
     return EqSystem(bindings, "c0").canonical()
 
 

@@ -1,9 +1,9 @@
 """Builders that instantiate judgement families as concrete inference systems.
 
 Each builder turns a finite structure (graph, grammar, regular term, lambda
-term) into an ``(InferenceSystem, Universe)`` pair whose rules are the fully
-instantiated meta-rules for that judgement, with the coaxiom set that gives
-the intended semantics under the generated interpretation.
+term) into an ``InferenceSystem``, universe included, whose rules are the
+fully instantiated meta-rules for that judgement, with the coaxiom set that
+gives the intended semantics under the generated interpretation.
 
 All builders keep the universe backward-closed (every premise of every rule is
 itself a universe member) and emit space-free judgement texts, so every built
@@ -157,7 +157,7 @@ class Grammar:
         """Nonterminals deriving the empty string, by the standard bottom-up
         worklist (an inductive inference system over judgements `nullable A`)."""
         texts = {a: f"nullable({a})" for a in self.nonterminals}
-        system, _ = _ground(texts, (
+        system = _ground(texts, (
             (head, body) for head, body in self.productions
             if all(sym in self.nonterminals for sym in body)
         ))
@@ -342,7 +342,7 @@ _Instance = tuple[Hashable, Iterable[Hashable]]
 
 
 def _ground(texts: Mapping[Hashable, str], rules: Iterable[_Instance],
-            coaxioms: Iterable[Hashable] = ()) -> tuple[InferenceSystem, Universe]:
+            coaxioms: Iterable[Hashable] = ()) -> InferenceSystem:
     """The system of a builder's meta-rule instances, the grounding path every
     builder but ``build_dist`` shares.
 
@@ -360,7 +360,7 @@ def _ground(texts: Mapping[Hashable, str], rules: Iterable[_Instance],
     for conclusion, premises in rules:
         table[position(conclusion)].append(tuple(sorted(set(map(position, premises)))))
     mask = _mask(map(position, coaxioms))
-    return InferenceSystem._from_table(uni, table, JudgementSet(uni, mask)), uni
+    return InferenceSystem._from_table(uni, table, JudgementSet(uni, mask))
 
 
 def _refuse(family: str, count: object) -> NoReturn:
@@ -400,7 +400,7 @@ def _seq_text(symbols: Sequence[str]) -> str:
 # -- reachability ----------------------------------------------------------------
 
 
-def build_reach(g: Graph) -> tuple[InferenceSystem, Universe]:
+def build_reach(g: Graph) -> InferenceSystem:
     """Judgements `reach(v,N)`: N is the set of nodes reachable from v.
 
     One rule instance per node and per choice of a claimed reachable set for
@@ -425,7 +425,7 @@ def build_reach(g: Graph) -> tuple[InferenceSystem, Universe]:
 # -- first sets ------------------------------------------------------------------
 
 
-def build_first(g: Grammar) -> tuple[InferenceSystem, Universe]:
+def build_first(g: Grammar) -> InferenceSystem:
     """Judgements `first(alpha,F)`: F is the set of terminals that can begin a
     string derived from the symbol sequence alpha.
 
@@ -505,7 +505,7 @@ def _list_cells(l: EqSystem) -> tuple[EqSystem, list[str], list[str], dict[str, 
     return canon, names, nils, cons  # type: ignore[return-value]
 
 
-def build_member(l: EqSystem, x: int) -> tuple[InferenceSystem, Universe]:
+def build_member(l: EqSystem, x: int) -> InferenceSystem:
     """Judgements `member(x,s,b)`: does x occur in the list at state s."""
     _, names, _, cons = _list_cells(l)
     return _ground(
@@ -519,7 +519,7 @@ def build_member(l: EqSystem, x: int) -> tuple[InferenceSystem, Universe]:
     )
 
 
-def build_allpos(l: EqSystem) -> tuple[InferenceSystem, Universe]:
+def build_allpos(l: EqSystem) -> InferenceSystem:
     """Judgements `allpos(s,b)`: are all elements of the list at state s positive."""
     _, names, nils, cons = _list_cells(l)
     return _ground(
@@ -534,7 +534,7 @@ def build_allpos(l: EqSystem) -> tuple[InferenceSystem, Universe]:
     )
 
 
-def build_maxelem(l: EqSystem) -> tuple[InferenceSystem, Universe]:
+def build_maxelem(l: EqSystem) -> InferenceSystem:
     """Judgements `maxelem(s,z)`: z is the greatest element of the list at
     state s, over the carrier, which binary max keeps closed.  The coaxioms
     guess the head, so the value is also attained, not just an upper bound."""
@@ -551,7 +551,7 @@ def build_maxelem(l: EqSystem) -> tuple[InferenceSystem, Universe]:
     )
 
 
-def build_elems(l: EqSystem) -> tuple[InferenceSystem, Universe]:
+def build_elems(l: EqSystem) -> InferenceSystem:
     """Judgements `elems(s,xs)`: xs is the set of elements of the list at
     state s, over the subsets of the carrier."""
     canon, names, nils, cons = _list_cells(l)
@@ -574,7 +574,7 @@ def build_elems(l: EqSystem) -> tuple[InferenceSystem, Universe]:
 # -- weighted distances and shortest paths -------------------------------------------
 
 
-def build_dist(g: Graph) -> tuple[InferenceSystem, Universe]:
+def build_dist(g: Graph) -> InferenceSystem:
     """Judgements `dist(v,u,d)`: d is the least weight of a path from v to u,
     `inf` when unreachable.  Missing weights default to 1.
 
@@ -625,7 +625,7 @@ def build_dist(g: Graph) -> tuple[InferenceSystem, Universe]:
             deque(map(list.append, map(route.__getitem__, conclusion_costs), rules), maxlen=0)
             table.update((c, sets) for c, sets in zip(conclusion_of, buckets) if sets)
     coaxioms = _mask(here[-1] for (v, u), here in position.items() if v != u)
-    return InferenceSystem._from_table(uni, table, JudgementSet(uni, coaxioms)), uni
+    return InferenceSystem._from_table(uni, table, JudgementSet(uni, coaxioms))
 
 
 def _simple_paths(g: Graph) -> dict[tuple[str, str], list[tuple[str, ...]]]:
@@ -669,7 +669,7 @@ def _simple_paths(g: Graph) -> dict[tuple[str, str], list[tuple[str, ...]]]:
     return out
 
 
-def build_spath(g: Graph) -> tuple[InferenceSystem, Universe]:
+def build_spath(g: Graph) -> InferenceSystem:
     """Judgements `spath(v,u,p,d)`: p is the shortest path from v to u and d
     its weight, `spath(v,u,bot,inf)` when there is none.
 
@@ -727,7 +727,7 @@ def build_spath(g: Graph) -> tuple[InferenceSystem, Universe]:
 # -- trees with an all-zero path -----------------------------------------------------
 
 
-def build_path0(t: EqSystem) -> tuple[InferenceSystem, Universe]:
+def build_path0(t: EqSystem) -> InferenceSystem:
     """Judgements `path0(t)` (some root-to-infinity path carries only label 0)
     and `is_in(t,l)` (tree t occurs in list l) over the subterm states of a
     regular tree whose nodes hold 0/1 labels and regular lists of children.
@@ -760,7 +760,7 @@ def build_path0(t: EqSystem) -> tuple[InferenceSystem, Universe]:
 # -- digit stream addition -----------------------------------------------------------
 
 
-def build_add(r1: EqSystem, r2: EqSystem, r: EqSystem) -> tuple[InferenceSystem, Universe]:
+def build_add(r1: EqSystem, r2: EqSystem, r: EqSystem) -> InferenceSystem:
     """Judgements `add(s1,s2,s,c)`: the streams denoted by states s1 and s2
     sum, digitwise with carry c in {-1,0,1,2}, to the stream at state s.
 
@@ -800,7 +800,7 @@ def build_add(r1: EqSystem, r2: EqSystem, r: EqSystem) -> tuple[InferenceSystem,
 # -- big-step evaluation with divergence ----------------------------------------------
 
 
-def build_bigstep(goal: Term) -> tuple[InferenceSystem, Universe]:
+def build_bigstep(goal: Term) -> InferenceSystem:
     """Judgements `eval(e,w)` for call-by-value lambda evaluation, where w is
     an abstraction or `inf` for divergence.
 

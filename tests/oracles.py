@@ -520,7 +520,7 @@ def random_eq_system(rng: random.Random) -> EqSystem:
     return EqSystem({name: bindings[name] for name in reached}, root)
 
 
-def build_list_preds(l: EqSystem, x: int) -> dict[str, tuple[InferenceSystem, Universe]]:
+def build_list_preds(l: EqSystem, x: int) -> dict[str, InferenceSystem]:
     """The four list predicates grounded over the list l, by name, member
     specialized to x: all four at once, where the CLI grounds only the one it
     prints."""

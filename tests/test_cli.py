@@ -36,8 +36,8 @@ from coax.cli import (
 from coax.core import InferenceSystem, Judgement, Rule, Universe, generated
 from coax.prooftree import PathTree, proof_graph, unfold, validate_approx_level
 from coax import systems
-from coax.systems import build_reach, parse_graph
-from coax.regular import cycle_list, finite_list
+from coax.systems import Abs, Term, Var, build_reach, parse_graph
+from coax.regular import cycle_list, cycle_stream, finite_list, parse_eq_system
 
 from oracles import (
     COMPLETE_10,
@@ -47,6 +47,10 @@ from oracles import (
     as_strings,
     build_list_preds,
     premise_sets,
+    random_eq_system,
+    random_grammar,
+    random_graph,
+    random_lambda,
     random_list_term,
     random_system,
     string_parse_system_file,
@@ -352,6 +356,22 @@ def test_an_undecodable_system_file_exits_2_on_one_line(tmp_path, capsys):
     code, out, err = invoke(capsys, "solve", str(path))
     assert (code, out) == (2, "")
     assert err == "error: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "-"], ["query", "-", "a"], ["prove", "-", "a"], ["check", "SYS", "-"],
+    ["builtin", "reach", "-"],
+], ids=["solve", "query", "prove", "check", "builtin"])
+def test_undecodable_stdin_exits_2_on_one_line_under_the_c_locale(tmp_path, argv):
+    """Under LC_ALL=C Python opens stdin with errors="surrogateescape", so an
+    undecodable byte read from stdin must be refused as from a file."""
+    argv = [write(tmp_path, "sys.coax", "axiom a\n") if a == "SYS" else a for a in argv]
+    env = dict(os.environ, LC_ALL="C", PYTHONPATH=str(Path(coax.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "coax.cli", *argv], input=b"axiom \xff\n",
+                          capture_output=True, env=env)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode() == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte\n")
 
 
 def test_unsorted_universe_is_remapped():
@@ -775,7 +795,7 @@ def test_builtin_reach_round_trips(tmp_path, capsys):
     code, out, _ = invoke(capsys, "builtin", "reach", graph)
     assert code == 0
     back = system_from_file(parse_system_file(out))
-    direct, _ = build_reach(parse_graph("edge a b\n"))
+    direct = build_reach(parse_graph("edge a b\n"))
     assert {str(j) for j in generated(back)} == {str(j) for j in generated(direct)}
     assert {str(j) for j in generated(back)} == {"reach(a,{a,b})", "reach(b,{b})"}
 
@@ -794,7 +814,7 @@ def test_builtin_member(tmp_path, capsys):
     assert code == 0
     back = system_from_file(parse_system_file(out))
     assert {str(j) for j in generated(back)} == {"member(1,s0,T)"}
-    direct = build_list_preds(cycle_list([1]), 1)["member"][0]
+    direct = build_list_preds(cycle_list([1]), 1)["member"]
     assert list(back.rules()) == list(direct.rules())
 
 
@@ -810,7 +830,7 @@ def test_builtin_list_predicate_grounds_only_the_one_printed(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert out == emit_system(build_list_preds(finite_list(items), 3)["member"][0])
+    assert out == emit_system(build_list_preds(finite_list(items), 3)["member"])
     assert len(out.splitlines()) == 46
     assert peak_mb <= 10, f"builtin member peaked at {peak_mb:.1f} MB"
 
@@ -844,6 +864,63 @@ LIST_BUILDERS = {"member": systems.build_member, "allpos": systems.build_allpos,
                  "maxelem": systems.build_maxelem, "elems": systems.build_elems}
 
 
+def lambda_source(t: Term, depth: int = 0) -> str:
+    """A lambda term in `builtin bigstep`'s input syntax, binders named by depth."""
+    if isinstance(t, Var):
+        return f"x{depth - 1 - t.index}"
+    if isinstance(t, Abs):
+        return f"(\\x{depth}. {lambda_source(t.body, depth + 1)})"
+    return f"({lambda_source(t.fn, depth)} {lambda_source(t.arg, depth)})"
+
+
+def builtin_inputs(name: str, rng: random.Random) -> list[str]:
+    """The texts of the input files of `coax builtin NAME` on one recipe draw;
+    `member` also takes the element 1."""
+    if name in ("reach", "dist", "spath"):
+        g = random_graph(rng, max_nodes=5)
+        return ["".join(f"node {v}\n" for v in g.nodes)
+                + "".join(f"edge {u} {v} {w}\n" for (u, v), w in g.weights.items())]
+    if name == "first":
+        productions = random_grammar(rng).productions
+        return ["".join(f"{h} -> {' '.join(b) or '.'}\n" for h, b in productions)]
+    if name == "bigstep":
+        goal = random_lambda(rng)
+        assert systems.parse_lambda(lambda_source(goal)) == goal
+        return [lambda_source(goal) + "\n"]
+    if name == "add":
+        return [cycle_stream([rng.randint(0, 9) for _ in range(rng.randint(1, 3))]).to_text() + "\n"
+                for _ in range(3)]
+    if name == "path0":  # a tree labelled 0 and 1
+        t = random_eq_system(rng)
+        while t.family != "tree" or any(t[s].args[0] not in (0, 1)
+                                        for s in t.states if t[s].tag == "tree"):
+            t = random_eq_system(rng)
+        return [t.to_text() + "\n"]
+    return [random_list_term(rng).to_text() + "\n"]
+
+
+_INPUT_PARSERS = {"reach": systems.parse_graph, "dist": systems.parse_graph,
+                  "spath": systems.parse_graph, "first": systems.parse_grammar,
+                  "bigstep": systems.parse_lambda}
+
+
+@pytest.mark.parametrize("name", cli._BUILTINS)
+def test_each_builder_returns_the_system_builtin_prints(tmp_path, capsys, name):
+    """`build_NAME` returns the InferenceSystem alone, whose text is what
+    `coax builtin NAME` prints, on every recipe draw."""
+    build = getattr(systems, f"build_{name}")
+    parse = _INPUT_PARSERS.get(name, parse_eq_system)
+    for seed in range(30):
+        texts = builtin_inputs(name, random.Random(seed))
+        paths = [write(tmp_path, f"in{i}", text) for i, text in enumerate(texts)]
+        element = ["1"] if name == "member" else []
+        code, out, err = invoke(capsys, "builtin", name, *paths, *element)
+        assert (code, err) == (0, ""), seed
+        system = build(*map(parse, texts), *map(int, element))
+        assert isinstance(system, InferenceSystem), seed
+        assert emit_system(system) == out, seed
+
+
 @pytest.mark.parametrize("name", LIST_BUILDERS)
 def test_builtin_list_predicate_prints_its_builder(tmp_path, capsys, name):
     """On every recipe list, `builtin NAME` prints what build_NAME grounds,
@@ -854,7 +931,7 @@ def test_builtin_list_predicate_prints_its_builder(tmp_path, capsys, name):
         element = ("1",) if name == "member" else ()
         code, out, err = invoke(capsys, "builtin", name, term, *element)
         assert (code, err) == (0, ""), seed
-        assert out == emit_system(LIST_BUILDERS[name](l, *map(int, element))[0]), seed
+        assert out == emit_system(LIST_BUILDERS[name](l, *map(int, element))), seed
 
 
 def test_builtin_on_a_long_finite_list_is_fast(tmp_path, capsys):

@@ -95,14 +95,14 @@ def test_ground_equals_the_public_constructor(names, data):
     stream = instances + rng.sample(instances, len(instances) // 2)
     rng.shuffle(stream)
 
-    system, universe = _ground(texts, ((c, iter(ps)) for c, ps in stream), iter(coaxioms))
+    system = _ground(texts, ((c, iter(ps)) for c, ps in stream), iter(coaxioms))
     J = {k: Judgement(t) for k, t in texts.items()}
     reference = InferenceSystem(
         Universe(J.values()),
         [Rule(J[c], tuple(map(J.__getitem__, ps))) for c, ps in stream],
         [J[k] for k in coaxioms],
     )
-    assert system.universe is universe and universe == reference.universe
+    assert system.universe == reference.universe
     assert system._table == reference._table
     assert list(system.rules()) == list(reference.rules())
     assert premise_sets(system) == premise_sets(reference)
@@ -144,7 +144,7 @@ def test_builders_make_no_judgement_and_no_rule(monkeypatch):
     ]
     grammar.nullables()
     assert made == []
-    assert all(system.rule_count for system, _ in builds)
+    assert all(system.rule_count for system in builds)
 
 
 # -- graphs -------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def test_substitute_shifts_free_indices():
 
 def test_reach_hand_case():
     g = parse_graph("edge a b\nedge b c\nedge c c\nnode d")
-    system, _ = build_reach(g)
+    system = build_reach(g)
     texts = gen_texts(system)
     reach = {t for t in texts if t.startswith("reach(")}
     assert reach == {
@@ -318,21 +318,21 @@ def test_reach_hand_case():
 def test_reach_matches_dfs_oracle(seed):
     rng = random.Random(seed)
     g = random_graph(rng, max_nodes=5, weighted=False)
-    system, uni = build_reach(g)
+    system = build_reach(g)
     expected = {
         f"reach({v},{{{','.join(sorted(reachable_nodes(g, v)))}}})" for v in g.nodes
     }
     assert gen_texts(system) == expected
     # universe is backward-closed: every premise is itself a member
     for rule in system.rules():
-        assert all(p in uni for p in rule.premises)
+        assert all(p in system.universe for p in rule.premises)
 
 
 def test_reach_cap():
     """reach is bounded by what it would ground, not by its node count: 11
     isolated nodes, one past the old cap of 10, ground 11 * 2**11 judgements
     and 11 rules, while 17 would ground 17 * 2**17 + 17."""
-    system, _ = build_reach(Graph([f"n{i}" for i in range(11)], []))
+    system = build_reach(Graph([f"n{i}" for i in range(11)], []))
     assert len(gen_texts(system)) == 11
     with pytest.raises(CapExceeded, match=f"^reach would ground {17 * 2**17 + 17} judgements"):
         build_reach(Graph([f"n{i}" for i in range(17)], []))
@@ -373,12 +373,12 @@ def _first_of(system: InferenceSystem, a: str) -> frozenset[str]:
 
 def test_first_hand_case():
     g = parse_grammar("A -> a B\nA -> .\nB -> A b")
-    system, _ = build_first(g)
+    system = build_first(g)
     assert _first_of(system, "A") == frozenset("a")
     assert _first_of(system, "B") == frozenset("ab")
     # a nonterminal with no productions derives nothing: empty first set
     lonely = Grammar("a", ["S", "Z"], [("S", "a")])
-    system, _ = build_first(lonely)
+    system = build_first(lonely)
     assert _first_of(system, "S") == frozenset("a")
     assert _first_of(system, "Z") == frozenset()
 
@@ -388,7 +388,7 @@ def test_first_hand_case():
 def test_first_matches_classical_computation(seed):
     rng = random.Random(seed)
     g = random_grammar(rng)
-    system, _ = build_first(g)
+    system = build_first(g)
     expected = classical_first(g)
     for a in g.nonterminals:
         assert _first_of(system, a) == expected[a], (a, g.productions)
@@ -399,7 +399,7 @@ def test_first_cap():
     9 terminals, one past the old cap of 8, ground 3 * 2**9 judgements; 8
     terminals under an S with four nonterminal bodies would ground 256**4
     rules for S alone."""
-    system, _ = build_first(Grammar("abcdefghi", "S", [("S", "a")]))
+    system = build_first(Grammar("abcdefghi", "S", [("S", "a")]))
     assert _first_of(system, "S") == {"a"}
     with pytest.raises(CapExceeded, match=r"^first would ground 4294970893 judgements"):
         build_first(parse_grammar(GRAMMAR_12))
@@ -410,7 +410,7 @@ def test_first_without_terminals(monkeypatch):
     a nonterminal is still decomposed as one: A -> B, B -> B grounds to its
     three empty claims, and its count is still what it enumerates."""
     g = parse_grammar("A -> B\nB -> B\n")
-    assert emit_system(build_first(g)[0]).splitlines() == [
+    assert emit_system(build_first(g)).splitlines() == [
         "universe first([A],{}) first([B],{}) first([],{})",
         "rule first([A],{}) <- first([B],{})",
         "rule first([B],{}) <- first([B],{})",
@@ -428,12 +428,12 @@ def test_first_without_terminals(monkeypatch):
 def test_list_preds_hand_case():
     ones = cycle_list([1])
     preds = build_list_preds(ones, 1)
-    assert gen_texts(preds["member"][0]) == {"member(1,s0,T)"}
-    assert gen_texts(preds["allpos"][0]) == {"allpos(s0,T)"}
-    assert gen_texts(preds["maxelem"][0]) == {"maxelem(s0,1)"}
-    assert gen_texts(preds["elems"][0]) == {"elems(s0,{1})"}
+    assert gen_texts(preds["member"]) == {"member(1,s0,T)"}
+    assert gen_texts(preds["allpos"]) == {"allpos(s0,T)"}
+    assert gen_texts(preds["maxelem"]) == {"maxelem(s0,1)"}
+    assert gen_texts(preds["elems"]) == {"elems(s0,{1})"}
     absent = build_list_preds(ones, 2)
-    assert gen_texts(absent["member"][0]) == {"member(2,s0,F)"}
+    assert gen_texts(absent["member"]) == {"member(2,s0,F)"}
 
 
 def test_list_preds_finite_hand_case():
@@ -441,10 +441,10 @@ def test_list_preds_finite_hand_case():
     preds = build_list_preds(l, 5)
     # finite lists decide membership negatively by exhaustion, which the
     # coaxioms do not license: no judgement for 5 at all
-    member = gen_texts(preds["member"][0])
+    member = gen_texts(preds["member"])
     assert not any(t.startswith("member(5,s0,") for t in member)
-    assert "allpos(s0,F)" in gen_texts(preds["allpos"][0])
-    assert "maxelem(s0,2)" in gen_texts(preds["maxelem"][0])
+    assert "allpos(s0,F)" in gen_texts(preds["allpos"])
+    assert "maxelem(s0,2)" in gen_texts(preds["maxelem"])
 
 
 @settings(max_examples=30, deadline=None)
@@ -455,10 +455,10 @@ def test_list_preds_match_walk_oracles(seed):
     x = rng.randint(-2, 3)
     canon = term.canonical()
     preds = build_list_preds(term, x)
-    assert gen_texts(preds["member"][0]) == expected_member(canon, x)
-    assert gen_texts(preds["allpos"][0]) == expected_allpos(canon)
-    assert gen_texts(preds["maxelem"][0]) == expected_maxelem(canon)
-    assert gen_texts(preds["elems"][0]) == expected_elems(canon)
+    assert gen_texts(preds["member"]) == expected_member(canon, x)
+    assert gen_texts(preds["allpos"]) == expected_allpos(canon)
+    assert gen_texts(preds["maxelem"]) == expected_maxelem(canon)
+    assert gen_texts(preds["elems"]) == expected_elems(canon)
 
 
 def test_list_preds_reject_wrong_shapes():
@@ -481,13 +481,13 @@ def test_list_preds_reject_wrong_shapes():
 
 def test_dist_and_spath_hand_case():
     g = parse_graph("edge a b 1\nedge a c 4\nedge b d 2\nedge c d 1\nnode e")
-    dist, _ = build_dist(g)
+    dist = build_dist(g)
     texts = gen_texts(dist)
     assert "dist(a,d,3)" in texts
     assert "dist(a,c,4)" in texts
     assert "dist(d,a,inf)" in texts
     assert "dist(e,e,0)" in texts
-    spath, _ = build_spath(g)
+    spath = build_spath(g)
     stexts = gen_texts(spath)
     assert "spath(a,d,[a,b,d],3)" in stexts
     assert "spath(d,a,bot,inf)" in stexts
@@ -507,7 +507,7 @@ def _parse_spath(text: str) -> tuple[str, str, list[str], str]:
 def test_dist_matches_dijkstra(seed):
     rng = random.Random(seed)
     g = random_graph(rng, max_nodes=6)
-    system, _ = build_dist(g)
+    system = build_dist(g)
     truth = nx_distances(g)
     expected = {
         f"dist({v},{u},{'inf' if truth[(v, u)] is None else truth[(v, u)]})"
@@ -521,8 +521,8 @@ def _check_spath(g: Graph) -> frozenset[str]:
     """build_spath generates exactly one claim per ordered pair: `bot` and
     `inf` when networkx finds no path, else a real path of the networkx
     distance, which is the cost build_dist generates for that pair."""
-    texts = gen_texts(build_spath(g)[0])
-    dist = gen_texts(build_dist(g)[0])
+    texts = gen_texts(build_spath(g))
+    dist = gen_texts(build_dist(g))
     truth = nx_distances(g)
     by_pair: dict[tuple[str, str], list[tuple[list[str], str]]] = {}
     for t in texts:
@@ -662,11 +662,11 @@ def test_dist_grounds_as_the_public_constructor_does(seed, names, edges):
     if sum(recipe.weight(u, v) for u, v in recipe.edges) <= 24:  # keeps the reference quick
         graphs.append(recipe)
     for g in graphs:
-        system, universe = build_dist(g)
+        system = build_dist(g)
         expected_universe, rules, coax = _dist_rules(g)
         rng.shuffle(rules)
         reference = InferenceSystem(expected_universe, rules, coax)
-        assert system.universe is universe and universe == expected_universe
+        assert system.universe == expected_universe
         assert list(system.rules()) == sorted(set(rules))
         assert list(system.rules()) == list(reference.rules())
         assert premise_sets(system) == premise_sets(reference)
@@ -680,10 +680,10 @@ def test_weighted_caps():
     weight of 100, past the old caps of 10 nodes and total weight 64, ground
     a few hundred judgements; the complete 10-node 0/1 graph and a 23-edge
     8-node graph, inside the old caps, would ground tens of millions."""
-    assert len(gen_texts(build_dist(Graph([f"n{i}" for i in range(11)], []))[0])) == 121
+    assert len(gen_texts(build_dist(Graph([f"n{i}" for i in range(11)], [])))) == 121
     heavy = Graph(["a", "b"], [("a", "b")], {("a", "b"): 100})
-    assert "dist(a,b,100)" in gen_texts(build_dist(heavy)[0])
-    assert "spath(a,b,[a,b],100)" in gen_texts(build_spath(heavy)[0])
+    assert "dist(a,b,100)" in gen_texts(build_dist(heavy))
+    assert "spath(a,b,[a,b],100)" in gen_texts(build_spath(heavy))
     complete = parse_graph(COMPLETE_10)
     with pytest.raises(CapExceeded, match=r"^dist would ground 250191529527219290 judgements"):
         build_dist(complete)
@@ -725,7 +725,7 @@ def test_spath_builds_where_python_has_no_int_digit_limit(monkeypatch):
     it reads: spath then checks no path weight's length and builds."""
     monkeypatch.delattr(sys, "get_int_max_str_digits")
     heavy = Graph(["a", "b"], [("a", "b")], {("a", "b"): 100})
-    assert "spath(a,b,[a,b],100)" in gen_texts(build_spath(heavy)[0])
+    assert "spath(a,b,[a,b],100)" in gen_texts(build_spath(heavy))
 
 
 def _ground_counts(monkeypatch, family: str, build, *args) -> tuple[int, int]:
@@ -763,7 +763,7 @@ def _ground_counts(monkeypatch, family: str, build, *args) -> tuple[int, int]:
                         SimpleNamespace(**{**vars(itertools), "product": product}))
     monkeypatch.setattr(systems, "_ground", ground)
     monkeypatch.setattr(systems, "deque", deque)
-    system, uni = build(*args)
+    system = build(*args)
     axioms = sum(not prs for r in system.rules() for prs in [r.premises])
     enumerated = {
         "reach": made["product"],
@@ -772,7 +772,7 @@ def _ground_counts(monkeypatch, family: str, build, *args) -> tuple[int, int]:
         "elems": made["ground"],
         "dist": made["routed"] + axioms,
     }[family]
-    return checked[-1], len(uni) + enumerated
+    return checked[-1], len(system.universe) + enumerated
 
 
 def test_each_count_is_what_its_builder_enumerates(monkeypatch):
@@ -843,8 +843,8 @@ def test_graph_names_are_rejected_or_ground_injectively(names, edges):
         return
     assert not bad_name and not reweighted
     n, total = len(g.nodes), sum(g.weight(u, v) for u, v in g.edges)
-    assert len(build_reach(g)[1]) == n * 2**n
-    assert len(build_dist(g)[1]) == n * n * (total + 2)
+    assert len(build_reach(g).universe) == n * 2**n
+    assert len(build_dist(g).universe) == n * n * (total + 2)
     build_spath(g)  # raises ValueError on a collision
 
 
@@ -863,7 +863,7 @@ def test_path0_all_zero_cycle():
         },
         "t",
     )
-    system, _ = build_path0(t)
+    system = build_path0(t)
     texts = gen_texts(system)
     assert "path0(s0)" in texts
     assert "is_in(s0,s1)" in texts
@@ -879,7 +879,7 @@ def test_path0_alternating_labels():
         },
         "t0",
     )
-    system, _ = build_path0(t)
+    system = build_path0(t)
     assert not any(t.startswith("path0(") for t in gen_texts(system))
 
 
@@ -893,7 +893,7 @@ def test_path0_finite_tree_has_no_infinite_path():
         },
         "t",
     )
-    system, _ = build_path0(t)
+    system = build_path0(t)
     # all labels are 0 but every path ends: nothing survives
     assert not any(x.startswith("path0(") for x in gen_texts(system))
 
@@ -930,18 +930,18 @@ def test_add_carry_cases():
     ones = cycle_stream([1])
     twos = cycle_stream([2])
     threes = cycle_stream([3])
-    system, _ = build_add(ones, twos, threes)
+    system = build_add(ones, twos, threes)
     assert gen_texts(system) == {"add(s0,s0,s0,0)"}
     # 0.999... + 0.999... = 1.999...: the carry is 1 in every column
     nines = cycle_stream([9])
-    system, _ = build_add(nines, nines, nines)
+    system = build_add(nines, nines, nines)
     assert gen_texts(system) == {"add(s0,s0,s0,1)"}
     # borrowing: 0 + 0 = 9999... with carry -1 throughout
     zeros = cycle_stream([0])
-    system, _ = build_add(zeros, zeros, nines)
+    system = build_add(zeros, zeros, nines)
     assert gen_texts(system) == {"add(s0,s0,s0,-1)"}
     # and an honest failure: 0 + 0 = 1111... has no consistent carry
-    system, _ = build_add(zeros, zeros, cycle_stream([1]))
+    system = build_add(zeros, zeros, cycle_stream([1]))
     assert gen_texts(system) == set()
 
 
@@ -949,7 +949,7 @@ def test_add_multi_digit_cycle():
     a = cycle_stream([1, 2])  # 0.121212...
     b = cycle_stream([8, 7])  # 0.878787...
     c = cycle_stream([9])  # 0.999999...
-    system, _ = build_add(a, b, c)
+    system = build_add(a, b, c)
     texts = gen_texts(system)
     assert len(texts) == 2 and all(t.endswith(",0)") for t in texts)
 
@@ -979,14 +979,14 @@ def _split_eval(text: str) -> tuple[str, str]:
 def test_bigstep_hand_cases():
     ident = parse_lambda(r"\x. x")
     conv = App(ident, ident)
-    system, _ = build_bigstep(conv)
+    system = build_bigstep(conv)
     texts = gen_texts(system)
     i = term_text(ident)
     assert f"eval(app({i},{i}),{i})" in texts
     assert f"eval(app({i},{i}),inf)" not in texts
 
     omega = parse_lambda(r"(\x. x x) (\x. x x)")
-    system, _ = build_bigstep(omega)
+    system = build_bigstep(omega)
     texts = gen_texts(system)
     assert f"eval({term_text(omega)},inf)" in texts
     assert not any(
@@ -999,13 +999,13 @@ def test_bigstep_hand_cases():
 def test_bigstep_matches_interpreter(seed):
     rng = random.Random(seed)
     goal = random_lambda(rng)
-    system, uni = build_bigstep(goal)
+    system = build_bigstep(goal)
     texts = gen_texts(system)
     value = cbv_eval(goal)
     wanted = "inf" if value is None else term_text(value)
     assert f"eval({term_text(goal)},{wanted})" in texts
     # every expression in the closure gets exactly one outcome
-    all_exprs = {_split_eval(str(j))[0] for j in uni}
+    all_exprs = {_split_eval(str(j))[0] for j in system.universe}
     assert {_split_eval(t)[0] for t in texts} == all_exprs
     assert len(texts) == len(all_exprs)
 
